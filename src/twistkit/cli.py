@@ -16,9 +16,7 @@ import argparse
 import cmath
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -52,12 +50,24 @@ def _sample_dict(s: fields.FieldSample) -> dict:
 # field / channels / amplitude
 # ---------------------------------------------------------------------------
 
+def _parse_fields(text, types, usage, required=None):
+    """Convert the comma-separated fields of ``text`` by ``types``; the
+    trailing fields past ``required`` (default: all) are optional.  A
+    wrong field count or a non-numeric field is a usage error."""
+    parts = text.split(",") if text else []
+    fewest = len(types) if required is None else required
+    if not fewest <= len(parts) <= len(types):
+        raise argparse.ArgumentTypeError(usage)
+    try:
+        return [t(part) for t, part in zip(types, parts)]
+    except ValueError:
+        raise argparse.ArgumentTypeError(usage) from None
+
+
 def cmd_field(args) -> int:
     mode = ModeSpec(ModeKind(args.kind), args.m, args.kperp, args.kz)
-    vals = [float(v) for v in args.at.split(",")]
-    if len(vals) not in (3, 4):
-        raise argparse.ArgumentTypeError("--at expects RHO,PHI,Z[,T]")
-    p = CylPoint(*vals)
+    p = CylPoint(*_parse_fields(args.at, (float,) * 4,
+                                "--at expects RHO,PHI,Z[,T]", required=3))
     out = {
         "A": _sample_dict(fields.vector_potential(mode, p)),
         "E": _sample_dict(fields.electric_field(mode, p)),
@@ -71,8 +81,8 @@ def cmd_field(args) -> int:
 def _parse_order(text):
     if text is None:
         return None
-    n, v, s = (int(t) for t in text.split(","))
-    return matrix_elements.TermOrder(n, v, s)
+    return matrix_elements.TermOrder(
+        *_parse_fields(text, (int, int, int), "--order expects N,V,S"))
 
 
 def cmd_channels(args) -> int:
@@ -89,26 +99,25 @@ def cmd_channels(args) -> int:
 
 def _parse_cm(text) -> matrix_elements.CenterOfMassState:
     kind, _, rest = text.partition(":")
-    vals = rest.split(",") if rest else []
+    usage = "state must be trapped:M_R,N_BAR,ALPHA or free:M_R,K_PERP_R[,K_Z_R]"
     if kind == "trapped":
-        m_R, n_bar, alpha = int(vals[0]), int(vals[1]), float(vals[2])
-        return matrix_elements.CenterOfMassState.trapped(m_R, n_bar, alpha)
+        return matrix_elements.CenterOfMassState.trapped(
+            *_parse_fields(rest, (int, int, float), usage))
     if kind == "free":
-        m_R, k_perp_R = int(vals[0]), float(vals[1])
-        k_z_R = float(vals[2]) if len(vals) > 2 else 0.0
-        return matrix_elements.CenterOfMassState.free(m_R, k_perp_R, k_z_R)
-    raise argparse.ArgumentTypeError(
-        "state must be trapped:M_R,N_BAR,ALPHA or free:M_R,K_PERP_R[,K_Z_R]")
+        return matrix_elements.CenterOfMassState.free(
+            *_parse_fields(rest, (int, float, float), usage, required=2))
+    raise argparse.ArgumentTypeError(usage)
 
 
 def _parse_internal(text) -> matrix_elements.InternalState:
     name, _, rest = text.partition(":")
-    m_r = int(rest) if rest else 0
+    usage = "internal state must be 1s or 2p[:M_R]"
+    m_r = _parse_fields(rest, (int,), usage)[0] if rest else 0
     if name == "1s":
         return matrix_elements.hydrogen_state(1, 0, m_r)
     if name == "2p":
         return matrix_elements.hydrogen_state(2, 1, m_r)
-    raise argparse.ArgumentTypeError("internal state must be 1s or 2p[:M_R]")
+    raise argparse.ArgumentTypeError(usage)
 
 
 def cmd_amplitude(args) -> int:
@@ -268,17 +277,7 @@ def cmd_scan(args) -> int:
     for name, vals in axes:
         points = [dict(p, **{name: v}) for p in points for v in vals]
 
-    jobs = args.jobs or int(os.environ.get("TWISTKIT_JOBS", "1"))
-    evaluate = _QUANTITIES[quantity]
-    try:
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                outputs = list(pool.map(lambda p: evaluate(p, fixed), points))
-        else:
-            outputs = [evaluate(p, fixed) for p in points]
-    except OracleInconsistencyError as exc:
-        print(f"oracle inconsistency during scan: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
+    outputs = [_QUANTITIES[quantity](p, fixed) for p in points]
 
     param_names = [name for name, _ in axes]
     out_names = list(outputs[0].keys()) if outputs else []
@@ -525,32 +524,19 @@ def candidate_report():
     rows = []
     for kind, p in _CANDIDATE_POINTS:
         if kind == "triple_series":
-            oracle = matrix_elements.triple_bessel(
-                p["k_perp"], p["k_perp_R"], p["k_perp_Rp"],
-                p["m"], p["m_R"], p["n"])
-            cand, conv = matrix_elements.triple_bessel_candidate(
-                p["k_perp"], p["k_perp_R"], p["k_perp_Rp"],
-                p["m"], p["m_R"], p["n"])
-            rows.append(dict(family=kind, params=p, oracle=oracle.value,
-                             oracle_err=oracle.abs_error_estimate,
-                             candidate=cand, candidate_converged=conv,
-                             discrepancy=abs(oracle.value - cand)))
+            r = matrix_elements.triple_bessel(**p)
+            c = matrix_elements.CandidateComparison(
+                r.value, r.abs_error_estimate,
+                *matrix_elements.triple_bessel_candidate(**p))
         elif kind == "ho_gauss_bessel":
-            c = matrix_elements.ho_gauss_bessel_candidate(
-                p["nu"], p["lam"], p["eta"], p["sigma"], p["alpha"], p["k"])
-            rows.append(dict(family=kind, params=p, oracle=c.oracle.real,
-                             oracle_err=c.oracle_error,
-                             candidate=c.candidate.real,
-                             candidate_converged=c.candidate_converged,
-                             discrepancy=c.discrepancy))
+            c = matrix_elements.ho_gauss_bessel_candidate(**p)
         else:
-            c = matrix_elements.ho_vortex_candidate(
-                p["n_bar"], p["alpha"], p["k_perp"], p["m"], p["n"])
-            rows.append(dict(family=kind, params=p, oracle=c.oracle.real,
-                             oracle_err=c.oracle_error,
-                             candidate=c.candidate.real,
-                             candidate_converged=c.candidate_converged,
-                             discrepancy=c.discrepancy))
+            c = matrix_elements.ho_vortex_candidate(**p)
+        rows.append(dict(family=kind, params=p, oracle=c.oracle.real,
+                         oracle_err=c.oracle_error,
+                         candidate=c.candidate.real,
+                         candidate_converged=c.candidate_converged,
+                         discrepancy=c.discrepancy))
     return rows
 
 
@@ -635,11 +621,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("scan", help="evaluate a quantity over a grid")
     p.add_argument("--config", required=True, help="JSON scan configuration")
-    p.add_argument("--jobs", type=int, default=None)
     p.add_argument("--out", help="output path (overrides config)")
     p.add_argument("--format", choices=["csv", "json"],
                    help="output format (overrides config)")
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run the invariant batteries")

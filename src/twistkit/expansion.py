@@ -12,7 +12,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 from . import specfun
 from .errors import InvalidArgumentError, SingularConfigurationError
@@ -125,14 +125,7 @@ def psi_shifted_terms(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     for v in range(v_max + 1):
         radial = pref_m * (m + v) * specfun.bessel_j(m + v, xr) \
             * specfun.bessel_j(m + v, xq)
-        # Gegenbauer coefficients c_s, built multiplicatively as in
-        # specfun.gegenbauer_coeff.
-        coeff = 1.0
-        for k in range(v):
-            coeff *= (m + k) / (k + 1)
-        for s in range(v + 1):
-            if s > 0:
-                coeff *= (m + s - 1) * (v - s + 1) / (s * (m + v - s))
+        for s, coeff in enumerate(specfun.gegenbauer_coefficients(m, v)):
             ang = coeff * math.cos((v - 2 * s) * dphi)
             for n in range(m + 1):
                 val = (radial * ang * (-1) ** n * math.comb(m, n)

@@ -170,29 +170,41 @@ def lr_decomposition(kind: ModeKind, m: int, k_perp: float,
                              base_m=m - 1)
 
 
+def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
+    """A (curl=False) or B = curl A (curl=True); L/R composed from TE/TM.
+
+    The curl swaps the two elementary shapes: A_TM and B_TE carry
+    [psi_{m-1}, -psi_{m+1}] plus an axial psi_m term, A_TE and B_TM carry
+    [psi_{m-1}, psi_{m+1}] and no axial term; only the prefactor differs.
+    """
+    if mode.kind in (ModeKind.L, ModeKind.R):
+        dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
+        base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
+        base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
+        return (_mode_field(base_tm, p, curl).scaled(dec.c_tm)
+                + _mode_field(base_te, p, curl).scaled(dec.c_te))
+    _require_kz(mode)
+    e0 = normalization_e0(mode.k_perp, mode.k_z)
+    w = mode.omega()
+    g = _phase(mode, p)
+    pm1 = psi(mode.m - 1, mode.k_perp, p.rho, p.phi)
+    pp1 = psi(mode.m + 1, mode.k_perp, p.rho, p.phi)
+    tm = mode.kind is ModeKind.TM
+    if tm:
+        pref = g * e0 * w / (2.0 * mode.k_z) if curl else g * e0 / (2.0 * w)
+    else:
+        pref = g * 1j * e0 / 2.0 if curl else g * 1j * e0 / (2.0 * mode.k_z)
+    if tm != curl:
+        p0 = psi(mode.m, mode.k_perp, p.rho, p.phi)
+        return _circular_sample(
+            pref * pm1, -pref * pp1,
+            pref * (-1j) * (2.0 * mode.k_perp / mode.k_z) * p0)
+    return _circular_sample(pref * pm1, pref * pp1, 0.0)
+
+
 def vector_potential(mode: ModeSpec, p: CylPoint) -> FieldSample:
     """Closed-form A of the requested mode kind, Cartesian components."""
-    if mode.kind in (ModeKind.TE, ModeKind.TM):
-        _require_kz(mode)
-        e0 = normalization_e0(mode.k_perp, mode.k_z)
-        w = mode.omega()
-        g = _phase(mode, p)
-        pm1 = psi(mode.m - 1, mode.k_perp, p.rho, p.phi)
-        pp1 = psi(mode.m + 1, mode.k_perp, p.rho, p.phi)
-        if mode.kind is ModeKind.TM:
-            p0 = psi(mode.m, mode.k_perp, p.rho, p.phi)
-            pref = g * e0 / (2.0 * w)
-            return _circular_sample(
-                pref * pm1, -pref * pp1,
-                pref * (-1j) * (2.0 * mode.k_perp / mode.k_z) * p0)
-        pref = g * 1j * e0 / (2.0 * mode.k_z)
-        return _circular_sample(pref * pm1, pref * pp1, 0.0)
-    dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
-    base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
-    base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
-    _require_kz(base_tm)
-    return (vector_potential(base_tm, p).scaled(dec.c_tm)
-            + vector_potential(base_te, p).scaled(dec.c_te))
+    return _mode_field(mode, p, curl=False)
 
 
 def electric_field(mode: ModeSpec, p: CylPoint) -> FieldSample:
@@ -200,32 +212,9 @@ def electric_field(mode: ModeSpec, p: CylPoint) -> FieldSample:
     return vector_potential(mode, p).scaled(1j * mode.omega())
 
 
-def _magnetic_field_elementary(mode: ModeSpec, p: CylPoint) -> FieldSample:
-    _require_kz(mode)
-    e0 = normalization_e0(mode.k_perp, mode.k_z)
-    w = mode.omega()
-    g = _phase(mode, p)
-    pm1 = psi(mode.m - 1, mode.k_perp, p.rho, p.phi)
-    pp1 = psi(mode.m + 1, mode.k_perp, p.rho, p.phi)
-    if mode.kind is ModeKind.TM:
-        pref = g * e0 * w / (2.0 * mode.k_z)
-        return _circular_sample(pref * pm1, pref * pp1, 0.0)
-    p0 = psi(mode.m, mode.k_perp, p.rho, p.phi)
-    pref = g * 1j * e0 / 2.0
-    return _circular_sample(
-        pref * pm1, -pref * pp1,
-        pref * (-1j) * (2.0 * mode.k_perp / mode.k_z) * p0)
-
-
 def magnetic_field(mode: ModeSpec, p: CylPoint) -> FieldSample:
     """Closed-form B = curl A; for L/R composed via the decomposition."""
-    if mode.kind in (ModeKind.TE, ModeKind.TM):
-        return _magnetic_field_elementary(mode, p)
-    dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
-    base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
-    base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
-    return (_magnetic_field_elementary(base_tm, p).scaled(dec.c_tm)
-            + _magnetic_field_elementary(base_te, p).scaled(dec.c_te))
+    return _mode_field(mode, p, curl=True)
 
 
 def lr_cross_overlap(m: int, k_perp: float, k_z: float) -> float:

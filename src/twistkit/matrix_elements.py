@@ -16,8 +16,8 @@ the independent oracle for the zero/nonzero classification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -203,19 +203,19 @@ def _i1_components(mode_kind: ModeKind, m: int, k_ratio: float = 1.0):
 
 def _i3_components(mode_kind: ModeKind, m: int, k_ratio: float = 1.0):
     """Conjugated B* components paired with spin ladder operators: the
-    sigma slot carries delta_spin."""
-    if mode_kind is ModeKind.TM:
-        return [
-            _Component(m - 1, -1, 1.0),
-            _Component(m + 1, +1, 1.0),
-        ]
-    if mode_kind is ModeKind.TE:
-        return [
-            _Component(m - 1, -1, 1.0),
-            _Component(m + 1, +1, -1.0),
-            _Component(m, 0, 2j * k_ratio),
-        ]
-    raise InvalidArgumentError("selection engine covers TE/TM modes")
+    sigma slot carries delta_spin.  B = curl A swaps the TE and TM
+    shapes, so these are the A* components of the other kind."""
+    partner = {ModeKind.TE: ModeKind.TM, ModeKind.TM: ModeKind.TE}
+    return _i1_components(partner.get(mode_kind, mode_kind), m, k_ratio)
+
+
+def _interaction_components(mode_kind: ModeKind, m: int, interaction: str):
+    """Components of the H_I1 ("dipole", "general") or H_I3 ("spin") bracket."""
+    if interaction in ("dipole", "general"):
+        return _i1_components(mode_kind, m)
+    if interaction == "spin":
+        return _i3_components(mode_kind, m)
+    raise InvalidArgumentError(f"unknown interaction {interaction!r}")
 
 
 def _term_exponents(mu: int, order: TermOrder):
@@ -267,23 +267,13 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     leading order; the internal spatial state is unchanged).
     """
     mode_kind = ModeKind(mode_kind)
-    if interaction == "dipole":
-        comps = _i1_components(mode_kind, m)
-        orders = [TermOrder(0, 0, 0)]
-        markers = {TermOrder(0, 0, 0): DIPOLE}
-        spin = 0
-    elif interaction == "general":
-        comps = _i1_components(mode_kind, m)
+    comps = _interaction_components(mode_kind, m, interaction)
+    if interaction == "general":
         orders = [order] if order is not None else _enumerate_orders(max_multipole)
         markers = {}
-        spin = 0
-    elif interaction == "spin":
-        comps = _i3_components(mode_kind, m)
+    else:
         orders = [TermOrder(0, 0, 0)]
         markers = {TermOrder(0, 0, 0): DIPOLE}
-        spin = None  # taken from the component sigma
-    else:
-        raise InvalidArgumentError(f"unknown interaction {interaction!r}")
 
     # Components sharing |mu| (only mu = -1/+1 at m = 0) carry identical
     # radial weights, so their contributions to one channel can cancel
@@ -334,22 +324,13 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     rel_tol times the largest one.
     """
     mode_kind = ModeKind(mode_kind)
-    if interaction == "dipole":
-        comps = _i1_components(mode_kind, m)
-        o = TermOrder(0, 0, 0)
-        spin_mode = False
-    elif interaction == "general":
-        comps = _i1_components(mode_kind, m)
+    comps = _interaction_components(mode_kind, m, interaction)
+    spin_mode = interaction == "spin"
+    o = TermOrder(0, 0, 0)
+    if interaction == "general":
         if order is None:
             raise InvalidArgumentError("the oracle needs explicit order indices")
         o = order
-        spin_mode = False
-    elif interaction == "spin":
-        comps = _i3_components(mode_kind, m)
-        o = TermOrder(0, 0, 0)
-        spin_mode = True
-    else:
-        raise InvalidArgumentError(f"unknown interaction {interaction!r}")
 
     phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
     phi_R = phi[:, None]
@@ -379,27 +360,19 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
         contrib = comp.coupling * term * vec
         grids[d_spin] = grids.get(d_spin, 0) + contrib
 
+    spectra = {d_spin: np.abs(np.fft.fft2(grid) / (n_phi * n_phi))
+               for d_spin, grid in grids.items()}
+    peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
     table: Dict[Tuple[int, int, int], float] = {}
-    peak = 0.0
-    raw: Dict[Tuple[int, int, int], float] = {}
-    for d_spin, grid in grids.items():
-        coeffs = np.fft.fft2(grid) / (n_phi * n_phi)
-        mags = np.abs(coeffs)
-        peak = max(peak, float(mags.max()))
-        half = n_phi // 2
-        for jR in range(n_phi):
-            for jr in range(n_phi):
-                if mags[jR, jr] > 0.0:
-                    dR = jR if jR < half else jR - n_phi
-                    dr = jr if jr < half else jr - n_phi
-                    key = (dR, dr, d_spin)
-                    raw[key] = max(raw.get(key, 0.0), float(mags[jR, jr]))
     if peak < 1e-13:
         return table  # everything cancelled: no allowed channels
-    thresh = rel_tol * peak
-    for key, mag in raw.items():
-        if mag > thresh:
-            table[key] = mag
+    half = n_phi // 2
+    for d_spin, mags in spectra.items():
+        rows, cols = np.nonzero(mags > rel_tol * peak)
+        for jR, jr in zip(rows.tolist(), cols.tolist()):
+            dR = jR if jR < half else jR - n_phi
+            dr = jr if jr < half else jr - n_phi
+            table[(dR, dr, d_spin)] = float(mags[jR, jr])
     return table
 
 
@@ -422,6 +395,20 @@ def _bessel_beats(*ks: float) -> List[float]:
     return sorted({abs(b) for b in beats})
 
 
+def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
+                          m3: int, power: int, tol: float) -> quadrature.QuadResult:
+    """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR by the
+    dual-method oscillatory oracle."""
+    def f(R: float) -> float:
+        if R == 0.0:
+            return 0.0
+        return (bessel_j_any(m1, k1 * R) * R ** power
+                * bessel_j_any(m2, k2 * R) * bessel_j_any(m3, k3 * R))
+
+    return quadrature.integrate_bessel_semiinfinite(
+        f, k1 + k2 + k3, tol=tol, frequencies=_bessel_beats(k1, k2, k3))
+
+
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                   m: int, m_R: int, n: int,
                   tol: float = 1e-9) -> quadrature.QuadResult:
@@ -440,18 +427,8 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
     if n > m + m_R + 1:
         raise InvalidArgumentError(
             f"n = {n} > m + m_R + 1 = {m + m_R + 1}: integral not convergent")
-    third = m_R + m - n
-
-    def f(R: float) -> float:
-        if R == 0.0:
-            return 0.0
-        return (bessel_j_any(m, k_perp * R) * R ** (1 - n)
-                * bessel_j_any(m_R, k_perp_R * R)
-                * bessel_j_any(third, k_perp_Rp * R))
-
-    scale = k_perp + k_perp_R + k_perp_Rp
-    return quadrature.integrate_bessel_semiinfinite(
-        f, scale, tol=tol, frequencies=_bessel_beats(k_perp, k_perp_R, k_perp_Rp))
+    return _triple_bessel_oracle(k_perp, k_perp_R, k_perp_Rp,
+                                 m, m_R, m_R + m - n, 1 - n, tol)
 
 
 def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
@@ -533,17 +510,8 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if cm_in.variant == FREE_BESSEL:
-        def f(R: float) -> float:
-            if R == 0.0:
-                return 0.0
-            return (bessel_j_any(order, k_perp * R) * R
-                    * bessel_j_any(cm_in.m_R, cm_in.k_perp_R * R)
-                    * bessel_j_any(cm_out.m_R, cm_out.k_perp_R * R))
-
-        scale = k_perp + cm_in.k_perp_R + cm_out.k_perp_R
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, scale, tol=tol,
-            frequencies=_bessel_beats(k_perp, cm_in.k_perp_R, cm_out.k_perp_R))
+        r = _triple_bessel_oracle(k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
+                                  order, cm_in.m_R, cm_out.m_R, 1, tol)
         return complex(r.value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
@@ -616,6 +584,21 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
     return quadrature.integrate_finite(f, 0.0, cut, tol=tol).value
 
 
+def _vortex_r_sum(n_bar: int, m: int, n: int, z: float, tol: float):
+    """sum_r (m + n_bar - n + r)! / ((m + n_bar + r)! r!) (-z)^r, stopped
+    at the first term below tol times the partial sum.  Returns (total,
+    first omitted term, terms used, converged)."""
+    # term_r ratio: -(z) (m + n_bar - n + r + 1) / ((m + n_bar + r + 1)(r + 1))
+    term = math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
+    total = term
+    for r in range(specfun.MAX_TERMS):
+        term *= -z * (m + n_bar - n + r + 1) / ((m + n_bar + r + 1) * (r + 1))
+        if abs(term) < tol * abs(total) + 1e-300:
+            return total, term, r + 1, True
+        total += term
+    return total, term, specfun.MAX_TERMS, False
+
+
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
                      m: int, n: int, tol: float = 1e-12) -> specfun.SeriesResult:
     """Closed-form series for ho_vortex_integral, rederived from the
@@ -633,17 +616,12 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar)))
-    # term_r ratio: -(z) (m + n_bar - n + r + 1) / ((m + n_bar + r + 1)(r + 1))
-    term = math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
-    total = term
-    for r in range(specfun.MAX_TERMS):
-        term *= -z * (m + n_bar - n + r + 1) / ((m + n_bar + r + 1) * (r + 1))
-        if abs(term) < tol * abs(total) + 1e-300:
-            return specfun.SeriesResult(value=pref * total, terms_used=r + 1,
-                                        truncation_estimate=abs(pref * term) * 2.0)
-        total += term
-    raise specfun.ConvergenceError("ho_vortex_series exceeded the term cap",
-                                   partial=pref * total)
+    total, term, used, converged = _vortex_r_sum(n_bar, m, n, z, tol)
+    if not converged:
+        raise specfun.ConvergenceError("ho_vortex_series exceeded the term cap",
+                                       partial=pref * total)
+    return specfun.SeriesResult(value=pref * total, terms_used=used,
+                                truncation_estimate=abs(pref * term) * 2.0)
 
 
 def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
@@ -655,15 +633,7 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
     pref = (k_perp ** (m + 2 * n)
             / (2.0 ** (m + 2 * n + 1) * math.factorial(n_bar)
                * math.sqrt(alpha) ** (-n_bar - 1)))
-    term = math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
-    total = term
-    converged = False
-    for r in range(specfun.MAX_TERMS):
-        term *= -z * (m + n_bar - n + r + 1) / ((m + n_bar + r + 1) * (r + 1))
-        if abs(term) < 1e-14 * abs(total) + 1e-300:
-            converged = True
-            break
-        total += term
+    total, _, _, converged = _vortex_r_sum(n_bar, m, n, z, 1e-14)
     oracle = (math.sqrt(alpha) ** (n - m)
               * ho_vortex_integral(n_bar, alpha, k_perp, m, n))
     return CandidateComparison(oracle=oracle, oracle_error=1e-12,

@@ -126,49 +126,6 @@ def _wynn_epsilon(partial: Sequence[float]):
     return best, abs(best - best_prev)
 
 
-def _levin_u(seq, beta=1.0):
-    """Levin u-transformation of a partial-sum sequence.
-
-    Returns (best_value, error_estimate) from the most stable order.
-    """
-    n = len(seq)
-    if n < 4:
-        return seq[-1], math.inf
-    num = []
-    den = []
-    for j in range(n - 1):
-        w = (beta + j) * (seq[j + 1] - seq[j])
-        if w == 0.0:
-            w = 1e-300
-        num.append(seq[j] / w)
-        den.append(1.0 / w)
-    best = seq[-1]
-    best_err = math.inf
-    prev = None
-    k = 0
-    while len(num) >= 2:
-        k += 1
-        new_num = []
-        new_den = []
-        for j in range(len(num) - 1):
-            bj = beta + j
-            if k == 1:
-                b = bj / (bj + 1.0)
-            else:
-                b = bj * (bj + k - 1.0) ** (k - 2) / (bj + k) ** (k - 1)
-            new_num.append(num[j + 1] - b * num[j])
-            new_den.append(den[j + 1] - b * den[j])
-        num, den = new_num, new_den
-        if abs(den[0]) > 1e-250:
-            est = num[0] / den[0]
-            if prev is not None:
-                err = abs(est - prev)
-                if err < best_err:
-                    best, best_err = est, err
-            prev = est
-    return best, best_err
-
-
 def _filter_thetas(frequencies, scale):
     """Per-cell phase advances of the oscillation frequencies that the
     annihilation filters should remove."""
@@ -226,7 +183,7 @@ def _accelerate(sums, thetas, window=64):
 
 def _zero_partition(f, scale, tol, frequencies=None, max_cells=288):
     """Uniform cells on the fastest oscillation half-period, with
-    frequency-annihilation filters plus Levin/Wynn acceleration of the
+    frequency-annihilation filters plus Wynn acceleration of the
     partial sums."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
@@ -328,12 +285,11 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             _c[x] = v
         return v
 
-    rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     if not cross_check:
-        if method == "zero_partition_accel":
-            return rz
-        return _eps_regularized(fc, oscillation_scale, tol,
-                                frequencies=frequencies)
+        scheme = (_zero_partition if method == "zero_partition_accel"
+                  else _eps_regularized)
+        return scheme(fc, oscillation_scale, tol, frequencies=frequencies)
+    rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
     # Flag only gross disagreement (one method silently wrong), not the

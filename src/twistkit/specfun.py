@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import List
 
 from .errors import ConvergenceError, InvalidArgumentError
 
@@ -166,14 +167,10 @@ def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float,
     raise ConvergenceError("hyp2f2 exceeded the term cap", partial=total)
 
 
-def gegenbauer_coeff(l: int, v: int, delta_phi: float) -> float:
-    """Gegenbauer polynomial C_v^l(cos delta_phi) via its cosine sum,
-
-        sum_{s=0}^{v} G(l+s) G(l+v-s) / (s! (v-s)! G(l)^2) cos((v-2s) dphi),
-
-    with the Gamma ratios built multiplicatively from the s = 0 term so
-    that l + v ~ 30 does not overflow.
-    """
+def gegenbauer_coefficients(l: int, v: int) -> List[float]:
+    """Coefficients c_s = G(l+s) G(l+v-s) / (s! (v-s)! G(l)^2), s = 0..v,
+    of the cosine sum of C_v^l, built multiplicatively from the s = 0
+    term so that l + v ~ 30 does not overflow."""
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
     if v < 0:
@@ -182,10 +179,19 @@ def gegenbauer_coeff(l: int, v: int, delta_phi: float) -> float:
     coeff = 1.0
     for k in range(v):
         coeff *= (l + k) / (k + 1)
-    total = coeff * math.cos(v * delta_phi)
+    coeffs = [coeff]
     for s in range(1, v + 1):
         # ratio of consecutive coefficients:
         #   c_s / c_{s-1} = (l+s-1)(v-s+1) / (s (l+v-s))
         coeff *= (l + s - 1) * (v - s + 1) / (s * (l + v - s))
+        coeffs.append(coeff)
+    return coeffs
+
+
+def gegenbauer_coeff(l: int, v: int, delta_phi: float) -> float:
+    """Gegenbauer polynomial C_v^l(cos delta_phi) via its cosine sum
+    sum_{s=0}^{v} c_s cos((v-2s) delta_phi), c_s from gegenbauer_coefficients."""
+    total = 0.0
+    for s, coeff in enumerate(gegenbauer_coefficients(l, v)):
         total += coeff * math.cos((v - 2 * s) * delta_phi)
     return total
