@@ -3,8 +3,8 @@
 The scalar profile psi_m evaluated at R - q (vector difference of two
 transverse vectors) is expanded through the Gegenbauer addition theorem
 combined with an exact binomial phase expansion.  The v = 0 truncation,
-the small-argument ratio series, the first-order two-displacement
-bracket, and the two-mode product expansion build on the same pieces.
+the first-order two-displacement bracket, and the two-mode product
+expansion build on the same pieces.
 """
 
 from __future__ import annotations
@@ -138,7 +138,11 @@ def psi_shifted_terms(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
 def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
                 v_max: int) -> SeriesResult:
     """Series value of psi_m at the displaced point R - q; converges to
-    J_m(k rho) e^{i m phi_rho}."""
+    J_m(k rho) e^{i m phi_rho}.  For m >= 1 it is the exact factorisation
+    [J_m(k rho) / (k rho)^m] (k (R - q))^m: the gegenbauer_expand ratio
+    series times the binomial as one complex power (psi_shifted_terms has
+    the (n, v, s) breakdown).  ``terms_used`` counts the v_max + 1 radial
+    terms; ``truncation_estimate`` is the last one's magnitude."""
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     if v_max < 0:
@@ -158,11 +162,12 @@ def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
             total += last
         return SeriesResult(value=total, terms_used=v_max + 1,
                             truncation_estimate=abs(last))
-    terms = psi_shifted_terms(m, k_perp, R, q, v_max)
-    total = sum(t.value for t in terms)
-    tail = sum(abs(t.value) for t in terms if t.v == v_max)
-    return SeriesResult(value=total, terms_used=len(terms),
-                        truncation_estimate=tail)
+    ratio = gegenbauer_expand(m, k_perp, R, q, v_max)
+    power = (k_perp * (R.to_complex() - q.to_complex())) ** m
+    return SeriesResult(value=ratio.value * power,
+                        terms_used=ratio.terms_used,
+                        truncation_estimate=ratio.truncation_estimate
+                        * abs(power))
 
 
 def psi_displaced_direct(m: int, k_perp: float, R: PlanarVec,
@@ -178,7 +183,8 @@ def centered_cm_approx(m: int, k_perp: float, R: PlanarVec,
                        q: PlanarVec) -> complex:
     """v = 0 truncation (spatial part):
 
-        J_m(kR) sum_n (-1)^n C(m,n) (q/R)^n e^{i(m-n)phi_R} e^{i n phi_q}.
+        J_m(kR) sum_n (-1)^n C(m,n) (q/R)^n e^{i(m-n)phi_R} e^{i n phi_q}
+            = J_m(kR) (e^{i phi_R} - (q/R) e^{i phi_q})^m.
     """
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
@@ -189,35 +195,8 @@ def centered_cm_approx(m: int, k_perp: float, R: PlanarVec,
             return 0.0 + 0.0j  # vortex: J_m(0) = 0 for m > 0
         raise SingularConfigurationError(
             "R = 0 with q > 0: the (q/R)^n factors are singular")
-    jm = specfun.bessel_j(m, k_perp * R.r)
-    total = 0.0 + 0.0j
-    for n in range(m + 1):
-        total += ((-1) ** n * math.comb(m, n) * (q.r / R.r) ** n
-                  * cmath.exp(1j * ((m - n) * R.phi + n * q.phi)))
-    return jm * total
-
-
-def small_arg_ratio(m: int, v: int, x: float,
-                    tol: float = specfun.DEFAULT_TOL) -> SeriesResult:
-    """Power series for J_{m+v}(x) / x^m:
-
-        (1/2^m) (x/2)^v sum_t (-1)^t x^{2t} / (2^{2t} t! (m+v+t)!).
-    """
-    if m < 0 or v < 0:
-        raise InvalidArgumentError("m and v must be >= 0")
-    if x < 0.0 or not math.isfinite(x):
-        raise InvalidArgumentError("x must be finite and >= 0")
-    pref = (0.5 ** m) * (0.5 * x) ** v
-    term = pref / math.factorial(m + v)
-    total = term
-    for t in range(1, specfun.MAX_TERMS):
-        term *= -(x * x) / (4.0 * t * (m + v + t))
-        if abs(term) < tol * abs(total) + 1e-300:
-            return SeriesResult(value=total, terms_used=t,
-                                truncation_estimate=2.0 * abs(term))
-        total += term
-    raise specfun.ConvergenceError("small_arg_ratio exceeded the term cap",
-                                   partial=total)
+    return specfun.bessel_j(m, k_perp * R.r) * (
+        cmath.exp(1j * R.phi) - q.r / R.r * cmath.exp(1j * q.phi)) ** m
 
 
 def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
@@ -225,7 +204,7 @@ def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
     """psi_m at the displaced point R + u, accurate through O(|u|):
 
         [J_m(kR) - k u J_{m+1}(kR) cos(phi_R - phi_u)]
-        * sum_n C(m,n) (u/R)^n e^{i(m-n)phi_R} e^{i n phi_u}.
+        * (e^{i phi_R} + (u/R) e^{i phi_u})^m.
     """
     if R.r == 0.0:
         if m == 0 and u.r == 0.0:
@@ -235,11 +214,8 @@ def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
     radial = (specfun.bessel_j(m, xr)
               - k_perp * u.r * specfun.bessel_j(m + 1, xr)
               * math.cos(R.phi - u.phi))
-    total = 0.0 + 0.0j
-    for n in range(m + 1):
-        total += (math.comb(m, n) * (u.r / R.r) ** n
-                  * cmath.exp(1j * ((m - n) * R.phi + n * u.phi)))
-    return radial * total
+    return radial * (cmath.exp(1j * R.phi)
+                     + u.r / R.r * cmath.exp(1j * u.phi)) ** m
 
 
 def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
@@ -277,7 +253,9 @@ def product_expand(m1: int, m2: int, k1: float, k2: float, R: PlanarVec,
 
         J_{m1}(k1 R) J_{m2}(k2 R)
         sum_{n, n'} C(m1,n) C(m2,n') (u/R)^{n+n'}
-        e^{i(m1+m2-n-n') phi_R} e^{i(n+n') phi_r},   u = mass_ratio * r.
+        e^{i(m1+m2-n-n') phi_R} e^{i(n+n') phi_r},   u = mass_ratio * r,
+
+    summed by Vandermonde as (e^{i phi_R} + (u/R) e^{i phi_r})^{m1+m2}.
     """
     if m1 < 0 or m2 < 0:
         raise InvalidArgumentError("orders must be >= 0")
@@ -287,11 +265,5 @@ def product_expand(m1: int, m2: int, k1: float, k2: float, R: PlanarVec,
             raise SingularConfigurationError("R = 0 with n + n' >= 1 terms")
         return complex(specfun.bessel_j(m1, 0.0) * specfun.bessel_j(m2, 0.0))
     radial = specfun.bessel_j(m1, k1 * R.r) * specfun.bessel_j(m2, k2 * R.r)
-    total = 0.0 + 0.0j
-    for n in range(m1 + 1):
-        for n2 in range(m2 + 1):
-            total += (math.comb(m1, n) * math.comb(m2, n2)
-                      * (u / R.r) ** (n + n2)
-                      * cmath.exp(1j * ((m1 + m2 - n - n2) * R.phi
-                                        + (n + n2) * r.phi)))
-    return radial * total
+    return radial * (cmath.exp(1j * R.phi)
+                     + u / R.r * cmath.exp(1j * r.phi)) ** (m1 + m2)

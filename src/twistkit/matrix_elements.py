@@ -21,7 +21,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from . import quadrature, specfun
+from . import fields, quadrature, specfun
 from .errors import InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
 
@@ -697,6 +697,7 @@ def dipole_amplitude(mode: ModeSpec, cm_in: CenterOfMassState,
     """
     if mode.kind not in (ModeKind.TE, ModeKind.TM):
         raise InvalidArgumentError("dipole_amplitude covers TE/TM modes")
+    fields._require_kz(mode)
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if direction not in ("emission", "absorption"):
@@ -744,6 +745,7 @@ def spin_matrix_element(mode: ModeSpec, particle: SpinParticle,
     state must be unchanged at this order."""
     if mode.kind not in (ModeKind.TE, ModeKind.TM):
         raise InvalidArgumentError("spin_matrix_element covers TE/TM modes")
+    fields._require_kz(mode)
     d_spin = round(2 * (spin_out - spin_in)) / 2.0
     if d_spin not in (-1.0, 0.0, 1.0):
         return None

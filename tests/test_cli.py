@@ -122,6 +122,15 @@ class TestAmplitude:
         assert code == 2
         assert "invalid arguments" in err
 
+    def test_kz_zero_exits_3(self, capsys):
+        code, _, err = run(["amplitude", "--kind", "tm", "--m", "0",
+                            "--kperp", "0.8", "--kz", "0",
+                            "--cm-in", "trapped:1,0,1.0",
+                            "--cm-out", "trapped:1,0,1.0",
+                            "--int-in", "2p:0", "--int-out", "1s"], capsys)
+        assert code == 3
+        assert "k_z = 0" in err
+
 
 class TestScan:
     @staticmethod

@@ -67,12 +67,15 @@ class TestPsiShifted:
         want = expansion.psi_displaced_direct(0, 1.1, R, q)
         assert complex(got).real == pytest.approx(complex(want).real, abs=1e-12)
 
-    def test_per_term_breakdown_sums_to_value(self):
+    @pytest.mark.parametrize("m", [1, 2, 3, 4])
+    def test_per_term_breakdown_sums_to_value(self, m):
+        # psi_shifted sums the ratio series times one complex power;
+        # psi_shifted_terms spells out every (n, v, s) term separately.
         R = PlanarVec(1.2, 0.3)
         q = PlanarVec(0.8, 1.7)
-        terms = expansion.psi_shifted_terms(3, 1.0, R, q, 25)
+        terms = expansion.psi_shifted_terms(m, 1.0, R, q, 25)
         total = sum(t.value for t in terms)
-        whole = expansion.psi_shifted(3, 1.0, R, q, 25).value
+        whole = expansion.psi_shifted(m, 1.0, R, q, 25).value
         assert total == pytest.approx(whole, abs=1e-14)
 
     def test_rejects_negative_m(self):
@@ -100,6 +103,36 @@ class TestPhaseExpand:
                                    PlanarVec(1.0, 0.5))
 
 
+class TestCenteredCmApprox:
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_exact_at_zero_displacement(self, m):
+        R = PlanarVec(1.7, 0.4)
+        q = PlanarVec(0.0, 0.9)
+        got = expansion.centered_cm_approx(m, 1.0, R, q)
+        want = expansion.psi_displaced_direct(m, 1.0, R, q)
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_error_is_first_order(self, m):
+        R = PlanarVec(1.7, 0.4)
+        errs = []
+        for qq in (0.02, 0.01, 0.005):
+            q = PlanarVec(qq, 0.9)
+            errs.append(abs(expansion.centered_cm_approx(m, 1.0, R, q)
+                            - expansion.psi_displaced_direct(m, 1.0, R, q)))
+        # Halving q should halve the residual.
+        assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.05)
+        assert errs[2] / errs[1] == pytest.approx(0.5, abs=0.05)
+
+    def test_near_cancellation(self):
+        # R - q = 0.02: the binomial factor is 0.02^5, not a sum of O(1)
+        # terms cancelling to it.
+        got = expansion.centered_cm_approx(5, 1.0, PlanarVec(1.0, 0.0),
+                                           PlanarVec(0.98, 0.0))
+        want = specfun.bessel_j(5, 1.0) * 0.02 ** 5
+        assert abs(got - want) <= 1e-12 * abs(want)
+
+
 class TestQuadrupoleExpand:
     def test_first_order_error_is_quadratic(self):
         m, k = 2, 1.0
@@ -118,6 +151,14 @@ class TestQuadrupoleExpand:
         assert errs[1] < 0.4 * errs[0]
         assert errs[2] < 0.4 * errs[1]
 
+    def test_near_cancellation(self):
+        # R + r = 0.02 with r opposite to R; b = 0 leaves one profile.
+        got = expansion.quadrupole_expand(5, 1.0, PlanarVec(1.0, 0.0),
+                                          PlanarVec(0.98, math.pi), 1.0, 0.0)
+        want = ((specfun.bessel_j(5, 1.0) + 0.98 * specfun.bessel_j(6, 1.0))
+                * 0.02 ** 5)
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_rejects_bad_mass_ratios(self):
         with pytest.raises(InvalidArgumentError):
             expansion.quadrupole_expand(1, 1.0, PlanarVec(1, 0),
@@ -131,3 +172,11 @@ class TestProductExpand:
         want = (specfun.bessel_j(2, 1.3) * specfun.bessel_j(1, 0.8 * 1.3)
                 * cmath.exp(3j * 0.7))
         assert got == pytest.approx(want, abs=1e-13)
+
+    def test_near_cancellation(self):
+        # R + 0.49 r = 0.02: the order-6 binomial is 0.02^6.
+        got = expansion.product_expand(4, 2, 1.0, 0.8, PlanarVec(1.0, 0.0),
+                                       PlanarVec(2.0, math.pi), 0.49)
+        want = (specfun.bessel_j(4, 1.0) * specfun.bessel_j(2, 0.8)
+                * 0.02 ** 6)
+        assert abs(got - want) <= 1e-12 * abs(want)

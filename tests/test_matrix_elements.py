@@ -7,7 +7,7 @@ import math
 import pytest
 
 from twistkit import matrix_elements as me
-from twistkit.errors import InvalidArgumentError
+from twistkit.errors import InvalidArgumentError, SingularNormalizationError
 from twistkit.fields import ModeKind, ModeSpec
 from twistkit.quadrature import integrate_finite
 
@@ -188,6 +188,13 @@ class TestDipoleAmplitude:
                                    me.hydrogen_state(1, 0))
         assert amps == []
 
+    def test_kz_zero_is_singular(self):
+        mode = ModeSpec(ModeKind.TM, 0, 0.8, 0.0)
+        cm = me.CenterOfMassState.trapped(1, 0, 1.0)
+        with pytest.raises(SingularNormalizationError):
+            me.dipole_amplitude(mode, cm, cm, me.hydrogen_state(2, 1, 0),
+                                me.hydrogen_state(1, 0))
+
 
 class TestSpinMatrixElement:
     def setup_method(self):
@@ -217,6 +224,13 @@ class TestSpinMatrixElement:
         args = (self.particle, 0.5, 0.5, self.cm0, cm_out, self.s1, self.s1)
         assert me.spin_matrix_element(tm, *args) is None
         assert me.spin_matrix_element(te, *args) is not None
+
+    def test_kz_zero_is_singular(self):
+        mode = ModeSpec(ModeKind.TM, 1, 0.8, 0.0)
+        cm_out = me.CenterOfMassState.trapped(-2, 0, 1.0)
+        with pytest.raises(SingularNormalizationError):
+            me.spin_matrix_element(mode, self.particle, -0.5, 0.5,
+                                   self.cm0, cm_out, self.s1, self.s1)
 
 
 class TestCandidateComparisons:
