@@ -72,7 +72,11 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     xr = k_perp * R.r
     xq = k_perp * q.r
     dphi = R.phi - q.phi
-    pref = 2.0 ** l * math.factorial(l - 1) / (xr ** l * xq ** l)
+    den = xr ** l * xq ** l
+    if den == 0.0 or not math.isfinite(den):
+        raise SingularConfigurationError(
+            f"(kR)^l (kq)^l = {den!r} at l = {l}: the ratio form is singular")
+    pref = 2.0 ** l * math.factorial(l - 1) / den
     total = 0.0
     last = 0.0
     for v in range(v_max + 1):

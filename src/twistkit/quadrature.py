@@ -17,6 +17,9 @@ from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyE
 DEFAULT_FINITE_TOL = 1e-12
 DEFAULT_OSC_TOL = 1e-9
 
+# Cells per rung of the eps-regularized ladder (the nodes worth caching).
+_EPS_CELLS = 224
+
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
 _XGK = (
     0.991455371120813, 0.949107912342759, 0.864864423359769,
@@ -181,7 +184,7 @@ def _accelerate(sums, thetas, window=64):
     return wv, max(we, abs(wv - wv2))
 
 
-def _zero_partition(f, scale, tol, frequencies=None, max_cells=288):
+def _zero_partition(f, scale, tol, frequencies=None, max_cells=1152):
     """Uniform cells on the fastest oscillation half-period, with
     frequency-annihilation filters plus Wynn acceleration of the
     partial sums."""
@@ -212,7 +215,7 @@ def _zero_partition(f, scale, tol, frequencies=None, max_cells=288):
                       evals, False)
 
 
-def _eps_regularized(f, scale, tol, frequencies=None, n_cells=224):
+def _eps_regularized(f, scale, tol, frequencies=None, n_cells=_EPS_CELLS):
     """Damp by exp(-eps x) on a geometric eps ladder kept inside the
     analyticity radius (the smallest beat frequency), accelerate each
     damped sum, and polynomially extrapolate eps -> 0 (Neville)."""
@@ -275,14 +278,18 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     if method not in ("zero_partition_accel", "eps_regularized"):
         raise InvalidArgumentError(f"unknown method {method!r}")
     # Both schemes sample the same uniform-cell panel nodes: memoize the
-    # (expensive) integrand across them.
+    # (expensive) integrand, keeping only nodes inside the first
+    # _EPS_CELLS cells (the ones _eps_regularized reuses on every rung);
+    # the zero-partition tail beyond them is evaluated once, not stored.
     cache = {}
+    limit = _EPS_CELLS * math.pi / oscillation_scale
 
     def fc(x, _f=f, _c=cache):
         v = _c.get(x)
         if v is None:
             v = _f(x)
-            _c[x] = v
+            if x < limit:
+                _c[x] = v
         return v
 
     if not cross_check:

@@ -1,6 +1,8 @@
 """Self-contained special-function kernel.
 
-Integer-order Bessel J, generalized Laguerre polynomials, Pochhammer
+Integer-order Bessel J (ascending series for small x; Hankel's asymptotic
+expansion for x >= 16 while its terms keep falling to 1e-17; else Miller's
+backward recurrence), generalized Laguerre polynomials, Pochhammer
 symbols, the 2F2 hypergeometric series, and the Gegenbauer cosine-sum
 coefficient that drives the cylindrical addition theorem.  Everything is
 a pure function of its arguments; no module-level mutable state.
@@ -26,6 +28,10 @@ DEFAULT_TOL = 1e-12
 # low order, so the crossover sits at 8 rather than higher: at x = 8 the
 # largest series term is ~4e2, keeping the absolute error near 4e-14.
 _SERIES_X_MAX = 8.0
+
+# Hankel's asymptotic expansion is tried from here on (its guard first
+# accepts near x = 18.6, at m = 0; below 16 its terms never reach 1e-17).
+_HANKEL_X_MIN = 16.0
 
 
 @dataclass(frozen=True)
@@ -99,11 +105,39 @@ def _bessel_j_miller(order: int, x: float) -> float:
     return target / closure
 
 
+def _bessel_j_hankel(order: int, x: float) -> float | None:
+    # J_m(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (2m+1) pi/4
+    # (A&S 9.2.5-9.2.10); t_k = t_{k-1} (4m^2 - (2k-1)^2) / (8 k x) feeds
+    # P = t_0 - t_2 + ..., Q = t_1 - t_3 + ...  None unless |t_k| keeps
+    # falling to 1e-17 (|P| + |Q|).
+    mu = 4.0 * order * order
+    pq = [1.0, 0.0]
+    term = 1.0
+    for k in range(1, MAX_TERMS):
+        nxt = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
+        if abs(nxt) >= abs(term):
+            return None
+        term = nxt
+        pq[k % 2] += term if k % 4 < 2 else -term
+        if abs(term) <= 1e-17 * (abs(pq[0]) + abs(pq[1])):
+            break
+    p, q = pq
+    # cos/sin of (2m+1) pi/4 are exactly +-1/sqrt(2); expanding
+    # cos(x - phase) keeps x unrounded (x - phase would lose ~x 1e-16).
+    c = 1.0 if (order + 1) % 4 < 2 else -1.0
+    s = 1.0 if order % 4 < 2 else -1.0
+    return ((p * c + q * s) * math.cos(x)
+            + (p * s - q * c) * math.sin(x)) / math.sqrt(math.pi * x)
+
+
 def bessel_j(order: int, x: float) -> float:
     """Cylindrical Bessel function J_order(x) for order >= 0, x >= 0.
 
-    Accurate to at least 12 significant digits.  Negative orders are the
-    caller's business via J_{-m} = (-1)^m J_m.
+    Three branches: the ascending series for small x (or x^2 < 4(order+1)),
+    Hankel's asymptotic expansion for x >= 16, accepted only while its
+    terms keep falling to 1e-17 of the sum, else Miller's backward
+    recurrence.  Accurate to at least 12 significant digits.  Negative
+    orders are the caller's business via J_{-m} = (-1)^m J_m.
     """
     if order < 0:
         raise InvalidArgumentError("order must be >= 0")
@@ -114,6 +148,10 @@ def bessel_j(order: int, x: float) -> float:
     # only up to the fixed crossover where the digit loss stays small.
     if x < _SERIES_X_MAX or x * x < 4.0 * (order + 1.0):
         return _bessel_j_series(order, x)
+    if x >= _HANKEL_X_MIN:
+        value = _bessel_j_hankel(order, x)
+        if value is not None:
+            return value
     return _bessel_j_miller(order, x)
 
 

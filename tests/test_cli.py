@@ -190,6 +190,17 @@ class TestScan:
         code, _, _ = run(["scan", "--config", str(path)], capsys)
         assert code == 3
 
+    def test_tiny_radius_exits_3(self, tmp_path, capsys):
+        path, _ = self._config(
+            tmp_path, quantity="expansion_error",
+            fixed={"m": 2},
+            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
+                  "R": {"start": 1e-200, "stop": 1e-200, "count": 1},
+                  "q": {"start": 1.0, "stop": 1.0, "count": 1}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
+
 
 class TestVerify:
     def test_fast_battery_passes(self, capsys):

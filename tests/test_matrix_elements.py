@@ -95,6 +95,26 @@ class TestTripleBessel:
         r = me.triple_bessel(a, b, c, 0, 0, 0)
         assert r.value == pytest.approx(1.0 / (2.0 * math.pi * area), abs=1e-8)
 
+    @pytest.mark.parametrize("args, want", [
+        # Stored mpmath values of two points whose zero-partition scheme
+        # needs more than 288 cells.
+        ((1.2373301541579083, 0.42380202133415146, 1.520407063435965,
+          1, 1, 0), 0.6501934372948824),
+        ((1.1865935229258735, 0.4074911447656985, 0.9220499893680024,
+          0, 2, 0), -0.4530750445059241),
+        # Slowly decaying nu = 0 Sonine case: 1 / (2 pi * area).
+        ((0.44, 0.95, 1.24, 0, 0, 0), None),
+    ], ids=["m1_mR1", "m0_mR2", "sonine_nu0"])
+    def test_hard_points_converge(self, args, want):
+        if want is None:
+            a, b, c = args[:3]
+            s = 0.5 * (a + b + c)
+            want = 1.0 / (2.0 * math.pi
+                          * math.sqrt(s * (s - a) * (s - b) * (s - c)))
+        r = me.triple_bessel(*args)
+        assert r.converged
+        assert abs(r.value - want) <= 2e-9
+
     def test_vanishes_outside_momentum_cone(self):
         r = me.triple_bessel(1.0, 0.5, 2.5, 1, 0, 0)
         assert abs(r.value) < 1e-7

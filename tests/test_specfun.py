@@ -27,12 +27,33 @@ class TestBesselJ:
         assert specfun.bessel_j(3, 0.0) == 0.0
 
     def test_crossover_continuity(self):
-        # Both sides of the series/recurrence switch stay on the oracle.
+        # Both sides of the series/recurrence and recurrence/Hankel
+        # switches stay on the oracle.
         for order in (0, 1, 5):
-            for x in (8.0 - 1e-9, 8.0 + 1e-9):
+            for x in (8.0 - 1e-9, 8.0 + 1e-9, 16.0 - 1e-9, 16.0 + 1e-9):
                 want = float(mpmath.besselj(order, x))
                 got = specfun.bessel_j(order, x)
                 assert got == pytest.approx(want, abs=1e-13)
+
+    def test_hankel_range_against_mpmath(self):
+        # Orders 0..60, x log-uniform on [16, 3000]: Hankel's expansion
+        # where its guard accepts, Miller's recurrence elsewhere.
+        rng = np.random.RandomState(16)
+        accepted = 0
+        for _ in range(300):
+            order = int(rng.randint(0, 61))
+            x = float(np.exp(rng.uniform(np.log(16.0), np.log(3000.0))))
+            accepted += specfun._bessel_j_hankel(order, x) is not None
+            want = float(mpmath.besselj(order, x))
+            assert specfun.bessel_j(order, x) == pytest.approx(want, abs=1e-15)
+        assert accepted > 100
+
+    def test_hankel_guard_falls_back(self):
+        # At m = 40, x = 20 the asymptotic terms grow from the start.
+        assert specfun._bessel_j_hankel(40, 20.0) is None
+        want = float(mpmath.besselj(40, 20.0))
+        got = specfun.bessel_j(40, 20.0)
+        assert got == pytest.approx(want, abs=1e-12, rel=1e-11)
 
     def test_large_order_underflow_is_zero(self):
         assert specfun.bessel_j(600, 1.0) == 0.0
