@@ -303,6 +303,10 @@ def cmd_scan(args) -> int:
 # verify: invariant batteries
 # ---------------------------------------------------------------------------
 
+_GAUGE_MODES = 12
+_EXPANSION_CASES = 40
+
+
 def _check(results, name, margin, bound):
     """Record one invariant line: passes iff margin < bound."""
     results.append((name, margin < bound, margin, bound))
@@ -336,9 +340,9 @@ def _verify_specfun(results, rng):
            abs(r.value - specfun.bessel_j(1, rho) / rho), 1e-11)
 
 
-def _verify_gauge(results, rng, n_modes=12):
+def _verify_gauge(results, rng):
     worst_div = worst_curl = worst_helm = 0.0
-    for _ in range(n_modes):
+    for _ in range(_GAUGE_MODES):
         kind = ModeKind.TE if rng.randint(2) else ModeKind.TM
         mode = ModeSpec(kind, int(rng.randint(-4, 5)),
                         rng.uniform(0.2, 3.0), rng.uniform(0.2, 3.0))
@@ -371,9 +375,9 @@ def _verify_gauge(results, rng, n_modes=12):
     _check(results, "gauge.helmholtz_residual", worst_helm, 1e-4)
 
 
-def _verify_expansion(results, rng, n_cases=40):
+def _verify_expansion(results, rng):
     worst = 0.0
-    for _ in range(n_cases):
+    for _ in range(_EXPANSION_CASES):
         m = int(rng.randint(0, 7))
         k = rng.uniform(0.3, 1.5)
         R = expansion.PlanarVec(rng.uniform(0.3, 3.0), rng.uniform(0, 2 * math.pi))
@@ -436,12 +440,8 @@ def _verify_quadrature(results, rng):
     worst = 0.0
     for nu in (0, 1):
         f = lambda x, _n=nu: fields.bessel_j_any(_n, x)
-        rz = quadrature.integrate_bessel_semiinfinite(
-            f, 1.0, tol=1e-10, method="zero_partition_accel",
-            cross_check=False, frequencies=[1.0])
-        re = quadrature.integrate_bessel_semiinfinite(
-            f, 1.0, tol=1e-10, method="eps_regularized",
-            cross_check=False, frequencies=[1.0])
+        rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
+        re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
         worst = max(worst, abs(rz.value - re.value), abs(rz.value - 1.0))
     _check(results, "quadrature.dual_method_Jnu", worst, 1e-8)
     a, b = 0.6, 1.1

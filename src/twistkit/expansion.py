@@ -72,7 +72,10 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     xr = k_perp * R.r
     xq = k_perp * q.r
     dphi = R.phi - q.phi
-    den = xr ** l * xq ** l
+    try:
+        den = xr ** l * xq ** l
+    except OverflowError:  # float ** int raises instead of giving inf
+        den = math.inf
     if den == 0.0 or not math.isfinite(den):
         raise SingularConfigurationError(
             f"(kR)^l (kq)^l = {den!r} at l = {l}: the ratio form is singular")

@@ -310,18 +310,23 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     return out
 
 
+# Azimuthal oracle: grid points per angle, kR, kq and the zero threshold.
+_N_PHI = 256
+_KR_R = 1.3
+_KR_Q = 0.7
+_CHANNEL_REL_TOL = 1e-9
+
+
 def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
-                            order: Optional[TermOrder] = None,
-                            n_phi: int = 256, kr_R: float = 1.3,
-                            kr_q: float = 0.7,
-                            rel_tol: float = 1e-9) -> Dict[Tuple[int, int, int], float]:
+                            order: Optional[TermOrder] = None
+                            ) -> Dict[Tuple[int, int, int], float]:
     """Brute-force azimuthal oracle.
 
     Builds the actual (conjugated) expansion-term integrand on an
-    n_phi x n_phi trapezoid grid over (phi_R, phi_r) and extracts every
-    double Fourier coefficient; the keys of the returned table are the
-    (delta_m_R, delta_m_r, delta_spin) with coefficient magnitude above
-    rel_tol times the largest one.
+    _N_PHI x _N_PHI trapezoid grid over (phi_R, phi_r) at kR = _KR_R,
+    kq = _KR_Q and extracts every double Fourier coefficient; the keys of
+    the returned table are the (delta_m_R, delta_m_r, delta_spin) with
+    coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
     """
     mode_kind = ModeKind(mode_kind)
     comps = _interaction_components(mode_kind, m, interaction)
@@ -332,7 +337,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
             raise InvalidArgumentError("the oracle needs explicit order indices")
         o = order
 
-    phi = 2.0 * np.pi * np.arange(n_phi) / n_phi
+    phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
     phi_R = phi[:, None]
     phi_r = phi[None, :]
     n, v, s = o
@@ -342,7 +347,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
         if a == 0:
             if n != 0 or s != 0:
                 continue
-            radial = (specfun.bessel_j(v, kr_R) * specfun.bessel_j(v, kr_q)
+            radial = (specfun.bessel_j(v, _KR_R) * specfun.bessel_j(v, _KR_Q)
                       * (2.0 if v else 1.0))
             term = radial * np.cos(v * (phi_R - phi_r)) + 0j
         else:
@@ -350,9 +355,9 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
                 continue
             sgn = 1 if comp.mu > 0 else -1
             parity = 1.0 if comp.mu > 0 or a % 2 == 0 else -1.0
-            radial = (parity * specfun.bessel_j(a + v, kr_R)
-                      * specfun.bessel_j(a + v, kr_q)
-                      * math.comb(a, n) * (kr_q / kr_R) ** n)
+            radial = (parity * specfun.bessel_j(a + v, _KR_R)
+                      * specfun.bessel_j(a + v, _KR_Q)
+                      * math.comb(a, n) * (_KR_Q / _KR_R) ** n)
             term = (radial * np.cos((v - 2 * s) * (phi_R - phi_r))
                     * np.exp(-1j * sgn * ((a - n) * phi_R + n * phi_r)))
         d_spin = comp.sigma if spin_mode else 0
@@ -360,18 +365,18 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
         contrib = comp.coupling * term * vec
         grids[d_spin] = grids.get(d_spin, 0) + contrib
 
-    spectra = {d_spin: np.abs(np.fft.fft2(grid) / (n_phi * n_phi))
+    spectra = {d_spin: np.abs(np.fft.fft2(grid) / (_N_PHI * _N_PHI))
                for d_spin, grid in grids.items()}
     peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
     table: Dict[Tuple[int, int, int], float] = {}
     if peak < 1e-13:
         return table  # everything cancelled: no allowed channels
-    half = n_phi // 2
+    half = _N_PHI // 2
     for d_spin, mags in spectra.items():
-        rows, cols = np.nonzero(mags > rel_tol * peak)
+        rows, cols = np.nonzero(mags > _CHANNEL_REL_TOL * peak)
         for jR, jr in zip(rows.tolist(), cols.tolist()):
-            dR = jR if jR < half else jR - n_phi
-            dr = jr if jr < half else jr - n_phi
+            dR = jR if jR < half else jR - _N_PHI
+            dr = jr if jr < half else jr - _N_PHI
             table[(dR, dr, d_spin)] = float(mags[jR, jr])
     return table
 
@@ -416,8 +421,9 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
 
         int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR
 
-    by the dual-method oscillatory oracle.  Vanishes (transverse momentum
-    conservation) whenever k^R' > k + k^R.
+    by the dual-method oscillatory oracle.  For n <= m + m_R it vanishes
+    (transverse momentum conservation) whenever k^R' > k + k^R; at
+    n = m + m_R + 1 the third order is -1 and it need not.
     """
     for k in (k_perp, k_perp_R, k_perp_Rp):
         if not k > 0.0:
@@ -431,9 +437,11 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                                  m, m_R, m_R + m - n, 1 - n, tol)
 
 
+_CANDIDATE_MAX_TERMS = 4000
+
+
 def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
-                            m: int, m_R: int, n: int,
-                            max_terms: int = 4000) -> Tuple[float, bool]:
+                            m: int, m_R: int, n: int) -> Tuple[float, bool]:
     """The printed double series for the triple-Bessel integral, evaluated
     verbatim (known to be dimensionally suspect; reported, not trusted):
 
@@ -464,7 +472,7 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                     * x ** u * y ** w)
             shell_sum += term
             count += 1
-            if count > max_terms:
+            if count > _CANDIDATE_MAX_TERMS:
                 return pref * total, False
         total += shell_sum
         if abs(shell_sum) < 1e-14 * abs(total) + 1e-300:
@@ -584,21 +592,6 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
     return quadrature.integrate_finite(f, 0.0, cut, tol=tol).value
 
 
-def _vortex_r_sum(n_bar: int, m: int, n: int, z: float, tol: float):
-    """sum_r (m + n_bar - n + r)! / ((m + n_bar + r)! r!) (-z)^r, stopped
-    at the first term below tol times the partial sum.  Returns (total,
-    first omitted term, terms used, converged)."""
-    # term_r ratio: -(z) (m + n_bar - n + r + 1) / ((m + n_bar + r + 1)(r + 1))
-    term = math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
-    total = term
-    for r in range(specfun.MAX_TERMS):
-        term *= -z * (m + n_bar - n + r + 1) / ((m + n_bar + r + 1) * (r + 1))
-        if abs(term) < tol * abs(total) + 1e-300:
-            return total, term, r + 1, True
-        total += term
-    return total, term, specfun.MAX_TERMS, False
-
-
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
                      m: int, n: int, tol: float = 1e-12) -> specfun.SeriesResult:
     """Closed-form series for ho_vortex_integral, rederived from the
@@ -606,22 +599,23 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     drops alpha powers; the inner sum is the printed one):
 
         alpha^{2(m-n+1)} (k/2)^m (k alpha / 2)^{2 n_bar} / (2 n_bar!)
-        * sum_r (m + n_bar - n + r)! / ((m + n_bar + r)! r!)
-                (-k^2 alpha^2 / 4)^r.
+        * sum_r (m + n_bar - n + r)! / ((m + n_bar + r)! r!) (-z)^r,
 
-    Convergent for every k alpha (terms eventually decay factorially).
+    z = k^2 alpha^2 / 4.  Kummer's transformation (DLMF 13.2.39) sums it as
+    (m+n_bar-n)!/(m+n_bar)! e^{-z} 1F1(n; m+n_bar+1; z): positive terms,
+    so no digits are lost to cancellation at large k alpha.
     """
     if m < 0 or not (0 <= n <= m):
         raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
-            * z ** n_bar / (2.0 * math.factorial(n_bar)))
-    total, term, used, converged = _vortex_r_sum(n_bar, m, n, z, tol)
-    if not converged:
-        raise specfun.ConvergenceError("ho_vortex_series exceeded the term cap",
-                                       partial=pref * total)
-    return specfun.SeriesResult(value=pref * total, terms_used=used,
-                                truncation_estimate=abs(pref * term) * 2.0)
+            * z ** n_bar / (2.0 * math.factorial(n_bar))
+            * math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
+            * math.exp(-z))
+    res = specfun.hyp2f2(n, 1, m + n_bar + 1, 1, z, tol=tol)
+    return specfun.SeriesResult(
+        value=pref * res.value, terms_used=res.terms_used,
+        truncation_estimate=abs(pref) * res.truncation_estimate)
 
 
 def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
@@ -633,7 +627,16 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
     pref = (k_perp ** (m + 2 * n)
             / (2.0 ** (m + 2 * n + 1) * math.factorial(n_bar)
                * math.sqrt(alpha) ** (-n_bar - 1)))
-    total, _, _, converged = _vortex_r_sum(n_bar, m, n, z, 1e-14)
+    # The printed alternating inner sum, verbatim, to a 1e-14 relative term.
+    term = math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
+    total = term
+    converged = False
+    for r in range(specfun.MAX_TERMS):
+        term *= -z * (m + n_bar - n + r + 1) / ((m + n_bar + r + 1) * (r + 1))
+        if abs(term) < 1e-14 * abs(total) + 1e-300:
+            converged = True
+            break
+        total += term
     oracle = (math.sqrt(alpha) ** (n - m)
               * ho_vortex_integral(n_bar, alpha, k_perp, m, n))
     return CandidateComparison(oracle=oracle, oracle_error=1e-12,

@@ -17,8 +17,13 @@ from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyE
 DEFAULT_FINITE_TOL = 1e-12
 DEFAULT_OSC_TOL = 1e-9
 
-# Cells per rung of the eps-regularized ladder (the nodes worth caching).
+# integrate_finite evaluations, zero-partition cells, eps-ladder cells per
+# rung (the nodes worth caching), filter passes, Wynn tail window in cells.
+_FINITE_MAX_EVALS = 200_000
+_ZP_MAX_CELLS = 1152
 _EPS_CELLS = 224
+_FILTER_PASSES = 2
+_WYNN_WINDOW = 64
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
 _XGK = (
@@ -72,8 +77,7 @@ def _gauss_kronrod(f, a, b):
 
 
 def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_FINITE_TOL,
-                     max_evals: int = 200_000) -> QuadResult:
+                     tol: float = DEFAULT_FINITE_TOL) -> QuadResult:
     """Adaptive bisection with an embedded G7/K15 error estimate."""
     if not (a < b):
         raise InvalidArgumentError("need a < b")
@@ -84,7 +88,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     evals = 15
     total = value
     total_err = err
-    while total_err > tol and evals < max_evals:
+    while total_err > tol and evals < _FINITE_MAX_EVALS:
         intervals.sort(key=lambda it: it[0])
         worst = intervals.pop()
         _, wa, wb, wv = worst
@@ -98,7 +102,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         total_err = sum(it[0] for it in intervals)
     if total_err > tol:
         raise ConvergenceError(
-            f"integrate_finite exceeded {max_evals} evaluations "
+            f"integrate_finite exceeded {_FINITE_MAX_EVALS} evaluations "
             f"(err={total_err:.3e} > tol={tol:.3e})",
             partial=QuadResult(total, total_err, evals, False))
     return QuadResult(total, total_err, evals, True)
@@ -144,7 +148,7 @@ def _filter_thetas(frequencies, scale):
     return thetas
 
 
-def _apply_oscillation_filters(sums, thetas, passes=2):
+def _apply_oscillation_filters(sums, thetas):
     """Annihilate e^{i theta j} components of a partial-sum sequence:
     the stencil (s_j - 2 cos(theta) s_{j+1} + s_{j+2}) / (2 - 2 cos(theta))
     preserves the limit and kills the oscillation at theta exactly."""
@@ -152,7 +156,7 @@ def _apply_oscillation_filters(sums, thetas, passes=2):
     for th in thetas:
         c = 2.0 * math.cos(th)
         den = 2.0 - c
-        for _ in range(passes):
+        for _ in range(_FILTER_PASSES):
             if len(seq) < 3:
                 return seq
             seq = [(seq[i] - c * seq[i + 1] + seq[i + 2]) / den
@@ -172,19 +176,19 @@ def _panel_recursive(f, a, b, tol, depth=0):
     return v1 + v2, e1 + e2, n1 + n2 + 15
 
 
-def _accelerate(sums, thetas, window=64):
+def _accelerate(sums, thetas):
     """Filter out the known oscillations, then Wynn-accelerate two tail
     windows (the filtered residue is a short sum of geometric
     components); their disagreement is the error estimate."""
     filt = _apply_oscillation_filters(sums, thetas)
-    tail = filt[-min(len(filt), window):]
+    tail = filt[-min(len(filt), _WYNN_WINDOW):]
     wv, we = _wynn_epsilon(tail)
-    short = filt[-min(len(filt), (window * 5) // 8):]
+    short = filt[-min(len(filt), (_WYNN_WINDOW * 5) // 8):]
     wv2, _ = _wynn_epsilon(short)
     return wv, max(we, abs(wv - wv2))
 
 
-def _zero_partition(f, scale, tol, frequencies=None, max_cells=1152):
+def _zero_partition(f, scale, tol, frequencies=None):
     """Uniform cells on the fastest oscillation half-period, with
     frequency-annihilation filters plus Wynn acceleration of the
     partial sums."""
@@ -196,7 +200,7 @@ def _zero_partition(f, scale, tol, frequencies=None, max_cells=1152):
     best = None
     best_err = math.inf
     cell_tol = max(tol * 1e-3, 1e-15)
-    while len(sums) < max_cells:
+    while len(sums) < _ZP_MAX_CELLS:
         for _ in range(16):
             a = len(sums) * width
             v, _e, ev = _panel_recursive(f, a, a + width, cell_tol)
@@ -210,12 +214,10 @@ def _zero_partition(f, scale, tol, frequencies=None, max_cells=1152):
         best, best_err = val, err
         if err < tol:
             return QuadResult(best, err, evals, True)
-    return QuadResult(best if best is not None else total,
-                      best_err if best is not None else math.inf,
-                      evals, False)
+    return QuadResult(best, best_err, evals, False)
 
 
-def _eps_regularized(f, scale, tol, frequencies=None, n_cells=_EPS_CELLS):
+def _eps_regularized(f, scale, tol, frequencies=None):
     """Damp by exp(-eps x) on a geometric eps ladder kept inside the
     analyticity radius (the smallest beat frequency), accelerate each
     damped sum, and polynomially extrapolate eps -> 0 (Neville)."""
@@ -232,7 +234,7 @@ def _eps_regularized(f, scale, tol, frequencies=None, n_cells=_EPS_CELLS):
         g = lambda x, e=eps: f(x) * math.exp(-e * x)
         sums = []
         total = 0.0
-        for j in range(n_cells):
+        for j in range(_EPS_CELLS):
             a = j * width
             v, _e, ev = _panel_recursive(g, a, a + width, cell_tol)
             total += v
@@ -251,16 +253,13 @@ def _eps_regularized(f, scale, tol, frequencies=None, n_cells=_EPS_CELLS):
             tab[i] = tab[i] + (tab[i] - tab[i + 1]) * eps_ladder[i] / (
                 eps_ladder[i + j] - eps_ladder[i])
         diag_prev, diag = diag, tab[0]
-    err = 4.0 * abs(diag - diag_prev) + inner_err if n > 1 else math.inf
-    converged = err < 10 * tol
-    return QuadResult(tab[0], max(err, 1e-15), evals, converged)
+    err = 4.0 * abs(diag - diag_prev) + inner_err
+    return QuadResult(tab[0], max(err, 1e-15), evals, err < 10 * tol)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
                                   oscillation_scale: float,
                                   tol: float = DEFAULT_OSC_TOL,
-                                  method: str = "zero_partition_accel",
-                                  cross_check: bool = True,
                                   frequencies: Sequence[float] = None
                                   ) -> QuadResult:
     """Semi-infinite integral of an oscillatory Bessel-type integrand.
@@ -268,15 +267,13 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     ``oscillation_scale`` is the largest wavenumber present (the slowest
     zero spacing is pi/scale); ``frequencies`` may list every asymptotic
     oscillation frequency (e.g. the beat combinations of a Bessel
-    product), which the accelerators then annihilate exactly.  ``method``
-    picks the primary scheme; with ``cross_check`` both schemes run and
-    must agree within 3x their combined error estimates, otherwise
-    OracleInconsistencyError.
+    product), which the accelerators then annihilate exactly.  Both
+    schemes run and must agree within 3x their combined error estimates,
+    otherwise OracleInconsistencyError; the zero-partition value is
+    returned.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
-    if method not in ("zero_partition_accel", "eps_regularized"):
-        raise InvalidArgumentError(f"unknown method {method!r}")
     # Both schemes sample the same uniform-cell panel nodes: memoize the
     # (expensive) integrand, keeping only nodes inside the first
     # _EPS_CELLS cells (the ones _eps_regularized reuses on every rung);
@@ -292,10 +289,6 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
                 _c[x] = v
         return v
 
-    if not cross_check:
-        scheme = (_zero_partition if method == "zero_partition_accel"
-                  else _eps_regularized)
-        return scheme(fc, oscillation_scale, tol, frequencies=frequencies)
     rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
@@ -307,9 +300,8 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"zero-partition ({rz.value:.6e}) and eps-regularized "
             f"({re.value:.6e}) disagree beyond 3x combined estimates "
             f"({combined:.3e})", value_a=rz.value, value_b=re.value)
-    primary = rz if method == "zero_partition_accel" else re
-    return QuadResult(primary.value,
-                      max(primary.abs_error_estimate, abs(rz.value - re.value)),
+    return QuadResult(rz.value,
+                      max(rz.abs_error_estimate, abs(rz.value - re.value)),
                       rz.evaluations + re.evaluations,
                       rz.converged or re.converged)
 

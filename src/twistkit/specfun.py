@@ -1,7 +1,7 @@
 """Self-contained special-function kernel.
 
 Integer-order Bessel J (ascending series for small x; Hankel's asymptotic
-expansion for x >= 16 while its terms keep falling to 1e-17; else Miller's
+expansion for x >= 18.5 while its terms keep falling to 1e-17; else Miller's
 backward recurrence), generalized Laguerre polynomials, Pochhammer
 symbols, the 2F2 hypergeometric series, and the Gegenbauer cosine-sum
 coefficient that drives the cylindrical addition theorem.  Everything is
@@ -29,9 +29,10 @@ DEFAULT_TOL = 1e-12
 # largest series term is ~4e2, keeping the absolute error near 4e-14.
 _SERIES_X_MAX = 8.0
 
-# Hankel's asymptotic expansion is tried from here on (its guard first
-# accepts near x = 18.6, at m = 0; below 16 its terms never reach 1e-17).
-_HANKEL_X_MIN = 16.0
+# Hankel's asymptotic expansion is tried from here on.  Its guard first
+# accepts at x = 18.55 (m = 0; no order accepts below it), and a rejected
+# attempt costs about as much as the Miller call that follows it.
+_HANKEL_X_MIN = 18.5
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,7 @@ def bessel_j(order: int, x: float) -> float:
     """Cylindrical Bessel function J_order(x) for order >= 0, x >= 0.
 
     Three branches: the ascending series for small x (or x^2 < 4(order+1)),
-    Hankel's asymptotic expansion for x >= 16, accepted only while its
+    Hankel's asymptotic expansion for x >= 18.5, accepted only while its
     terms keep falling to 1e-17 of the sum, else Miller's backward
     recurrence.  Accurate to at least 12 significant digits.  Negative
     orders are the caller's business via J_{-m} = (-1)^m J_m.

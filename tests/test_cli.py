@@ -1,11 +1,13 @@
 """Command-line interface: subcommand behavior, exit-code contract,
 output formats, and scan reproducibility."""
 
+import dataclasses
 import json
 
 import pytest
 
-from twistkit import cli
+from twistkit import cli, matrix_elements, quadrature
+from twistkit.errors import OracleInconsistencyError
 
 
 def run(argv, capsys):
@@ -191,15 +193,37 @@ class TestScan:
         assert code == 3
 
     def test_tiny_radius_exits_3(self, tmp_path, capsys):
+        # A huge radius overflows where a tiny one underflows: both exit 3.
+        for radius in (1e-200, 1e160):
+            path, _ = self._config(
+                tmp_path, quantity="expansion_error",
+                fixed={"m": 2},
+                grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
+                      "R": {"start": radius, "stop": radius, "count": 1},
+                      "q": {"start": 1.0, "stop": 1.0, "count": 1}})
+            code, _, err = run(["scan", "--config", str(path)], capsys)
+            assert code == 3
+            assert "domain error" in err
+
+    def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
+        # Shift the eps-regularized value by 1e-3: the consistency gate,
+        # which always runs, must catch it in the library and in a scan.
+        original = quadrature._eps_regularized
+
+        def shifted(*args, **kwargs):
+            r = original(*args, **kwargs)
+            return dataclasses.replace(r, value=r.value + 1e-3)
+        monkeypatch.setattr(quadrature, "_eps_regularized", shifted)
+        with pytest.raises(OracleInconsistencyError):
+            matrix_elements.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
         path, _ = self._config(
-            tmp_path, quantity="expansion_error",
-            fixed={"m": 2},
+            tmp_path, quantity="triple_bessel",
             grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
-                  "R": {"start": 1e-200, "stop": 1e-200, "count": 1},
-                  "q": {"start": 1.0, "stop": 1.0, "count": 1}})
+                  "k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1},
+                  "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
         code, _, err = run(["scan", "--config", str(path)], capsys)
-        assert code == 3
-        assert "domain error" in err
+        assert code == 4
+        assert "oracle inconsistency" in err
 
 
 class TestVerify:

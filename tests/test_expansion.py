@@ -83,10 +83,12 @@ class TestPsiShifted:
             expansion.psi_shifted(-1, 1.0, PlanarVec(1, 0), PlanarVec(0.5, 0), 10)
 
     def test_tiny_radius_is_singular(self):
-        # (kR)^l (kq)^l underflows to 0: a domain error, not a crash.
-        with pytest.raises(SingularConfigurationError):
-            expansion.psi_shifted(2, 1.0, PlanarVec(1e-200, 0.3),
-                                  PlanarVec(1.0, 0.0), 40)
+        # (kR)^l (kq)^l underflows to 0, or overflows at a huge radius: a
+        # domain error, not a crash.
+        for radius in (1e-200, 1e160):
+            with pytest.raises(SingularConfigurationError):
+                expansion.psi_shifted(2, 1.0, PlanarVec(radius, 0.3),
+                                      PlanarVec(1.0, 0.0), 40)
 
 
 class TestPhaseExpand:

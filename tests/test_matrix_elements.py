@@ -4,6 +4,7 @@ comparisons."""
 
 import math
 
+import mpmath
 import pytest
 
 from twistkit import matrix_elements as me
@@ -119,6 +120,15 @@ class TestTripleBessel:
         r = me.triple_bessel(1.0, 0.5, 2.5, 1, 0, 0)
         assert abs(r.value) < 1e-7
 
+    @pytest.mark.parametrize("k, k_R, k_Rp", [
+        (0.7, 0.8, 1.6), (1.0, 0.5, 2.0), (0.4, 1.1, 1.8), (1.3, 0.6, 2.5)])
+    def test_third_order_minus_one_outside_cone(self, k, k_R, k_Rp):
+        # n = m + m_R + 1 makes the third order -1: outside the cone the
+        # integral is the Weber-Schafheitlin value b / (2c), sign-flipped
+        # by J_{-1} = -J_1, not zero.
+        r = me.triple_bessel(k, k_R, k_Rp, 0, 1, 2)
+        assert r.value == pytest.approx(-k_R / (2.0 * k_Rp), abs=1e-8)
+
     def test_rejects_divergent_power(self):
         with pytest.raises(InvalidArgumentError):
             me.triple_bessel(1.0, 1.0, 1.0, 0, 0, 2)
@@ -156,6 +166,30 @@ class TestCenterOfMassIntegrals:
                 q = me.ho_vortex_integral(n_bar, alpha, k, m, n)
                 s = me.ho_vortex_series(n_bar, alpha, k, m, n).value
                 assert complex(s).real == pytest.approx(q, rel=1e-9)
+
+    def test_vortex_series_against_mpmath_grid(self):
+        # The printed alternating 1F1(m+n_bar-n+1; m+n_bar+1; -z) form in
+        # 30 digits, up to k alpha = 20 where its terms cancel hardest.
+        alpha = 1.3
+        checked = 0
+        for n_bar in range(4):
+            for m in range(6):
+                for n in range((m + 1) // 2 + 1):  # m - 2n + 1 >= 0
+                    for k_alpha in (0.5, 1, 2, 4, 6, 8, 10, 12, 15, 20):
+                        k = k_alpha / alpha
+                        got = me.ho_vortex_series(n_bar, alpha, k, m, n).value
+                        with mpmath.workdps(30):
+                            z = mpmath.mpf(k * alpha) ** 2 / 4
+                            want = (mpmath.mpf(alpha) ** (2 * (m - n + 1))
+                                    * (mpmath.mpf(k) / 2) ** m * z ** n_bar
+                                    / (2 * mpmath.factorial(n_bar))
+                                    * mpmath.factorial(m + n_bar - n)
+                                    / mpmath.factorial(m + n_bar)
+                                    * mpmath.hyp1f1(m + n_bar - n + 1,
+                                                    m + n_bar + 1, -z))
+                            assert abs(got - want) <= 1e-11 * abs(want)
+                        checked += 1
+        assert checked == 600
 
     def test_vortex_rejects_divergent_exponent(self):
         with pytest.raises(InvalidArgumentError):

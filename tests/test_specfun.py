@@ -29,8 +29,10 @@ class TestBesselJ:
     def test_crossover_continuity(self):
         # Both sides of the series/recurrence and recurrence/Hankel
         # switches stay on the oracle.
+        hx = specfun._HANKEL_X_MIN
         for order in (0, 1, 5):
-            for x in (8.0 - 1e-9, 8.0 + 1e-9, 16.0 - 1e-9, 16.0 + 1e-9):
+            for x in (8.0 - 1e-9, 8.0 + 1e-9, 16.0 - 1e-9, 16.0 + 1e-9,
+                      hx - 1e-9, hx + 1e-9):
                 want = float(mpmath.besselj(order, x))
                 got = specfun.bessel_j(order, x)
                 assert got == pytest.approx(want, abs=1e-13)
@@ -47,6 +49,11 @@ class TestBesselJ:
             want = float(mpmath.besselj(order, x))
             assert specfun.bessel_j(order, x) == pytest.approx(want, abs=1e-15)
         assert accepted > 100
+
+    def test_hankel_threshold_is_where_the_guard_accepts(self):
+        # Just above the threshold the m = 0 expansion is accepted, so
+        # trying it there is not wasted work.
+        assert specfun._bessel_j_hankel(0, specfun._HANKEL_X_MIN + 0.1) is not None
 
     def test_hankel_guard_falls_back(self):
         # At m = 40, x = 20 the asymptotic terms grow from the start.
