@@ -161,8 +161,8 @@ def _grid_axis(name, spec):
     return vals
 
 
-def _eval_field_point(params, fixed):
-    mode = ModeSpec(ModeKind(fixed.get("kind", "tm")), int(params["m"]),
+def _eval_field_point(params):
+    mode = ModeSpec(ModeKind(params.get("kind", "tm")), int(params["m"]),
                     params["k_perp"], params["k_z"])
     p = CylPoint(params.get("rho", 1.0), params.get("phi", 0.0),
                  params.get("z", 0.0), params.get("t", 0.0))
@@ -178,8 +178,8 @@ def _eval_field_point(params, fixed):
     return out
 
 
-def _eval_expansion_error(params, fixed):
-    m = int(params.get("m", fixed.get("m", 1)))
+def _eval_expansion_error(params):
+    m = int(params.get("m", 1))
     k = params["k_perp"]
     R = expansion.PlanarVec(params["R"], params.get("phi_R", 0.3))
     q = expansion.PlanarVec(params["q"], params.get("phi_q", 1.1))
@@ -189,32 +189,34 @@ def _eval_expansion_error(params, fixed):
     return {"abs_error": abs(approx - direct), "direct_abs": abs(direct)}
 
 
-def _eval_channel_table(params, fixed):
+def _eval_channel_table(params):
     m = int(params["m"])
-    kind = ModeKind(fixed.get("kind", "tm"))
+    kind = ModeKind(params.get("kind", "tm"))
     dip = matrix_elements.symbolic_channels(m, kind, "dipole")
     spin = matrix_elements.symbolic_channels(m, kind, "spin")
     return {"dipole_channels": len(dip), "spin_channels": len(spin)}
 
 
-def _eval_dipole_amplitude(params, fixed):
-    mode = ModeSpec(ModeKind(fixed.get("kind", "tm")),
+def _eval_dipole_amplitude(params):
+    mode = ModeSpec(ModeKind(params.get("kind", "tm")),
                     int(params.get("m", 0)), params["k_perp"], params["k_z"])
-    alpha = params.get("alpha", fixed.get("alpha", 1.0))
+    alpha = params.get("alpha", 1.0)
     cm_in = matrix_elements.CenterOfMassState.trapped(
         int(params.get("m_R_in", 0)), 0, alpha)
     cm_out = matrix_elements.CenterOfMassState.trapped(
         int(params.get("m_R_out", 0)), 0, alpha)
-    int_in = matrix_elements.hydrogen_state(2, 1, int(fixed.get("m_r_in", 0)))
-    int_out = matrix_elements.hydrogen_state(1, 0, int(fixed.get("m_r_out", 0)))
+    int_in = matrix_elements.hydrogen_state(
+        2, 1, int(params.get("m_r_in", 0)))
+    int_out = matrix_elements.hydrogen_state(
+        1, 0, int(params.get("m_r_out", 0)))
     amps = matrix_elements.dipole_amplitude(mode, cm_in, cm_out, int_in, int_out)
     total = sum((a.amplitude for a in amps), 0j)
     return {"amplitude_re": total.real, "amplitude_im": total.imag,
             "channels": len(amps)}
 
 
-def _eval_icm0(params, fixed):
-    alpha = params.get("alpha", fixed.get("alpha", 1.0))
+def _eval_icm0(params):
+    alpha = params.get("alpha", 1.0)
     cm_in = matrix_elements.CenterOfMassState.trapped(
         int(params.get("m_R_in", 0)), int(params.get("n_bar", 0)), alpha)
     cm_out = matrix_elements.CenterOfMassState.trapped(
@@ -225,7 +227,7 @@ def _eval_icm0(params, fixed):
     return {"icm0_re": v.real, "icm0_im": v.imag}
 
 
-def _eval_triple_bessel(params, fixed):
+def _eval_triple_bessel(params):
     r = matrix_elements.triple_bessel(
         params["k_perp"], params["k_perp_R"], params["k_perp_Rp"],
         int(params.get("m", 0)), int(params.get("m_R", 0)),
@@ -233,9 +235,9 @@ def _eval_triple_bessel(params, fixed):
     return {"value": r.value, "abs_error_estimate": r.abs_error_estimate}
 
 
-def _eval_suppression(params, fixed):
+def _eval_suppression(params):
     return {"value": matrix_elements.suppression_factor(
-        params["k_perp"], params.get("alpha", fixed.get("alpha", 1.0)))}
+        params["k_perp"], params.get("alpha", 1.0))}
 
 
 _QUANTITIES = {
@@ -263,9 +265,16 @@ def _write_csv(path, names, rows, int_cols):
             fh.write(",".join(cells) + "\r\n")
 
 
+class _Required(dict):
+    """A scan config mapping whose missing keys are domain errors."""
+
+    def __missing__(self, key):
+        raise TwistkitError(f"scan config: missing {key!r}")
+
+
 def cmd_scan(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh)
+        config = json.load(fh, object_hook=_Required)
     quantity = config["quantity"]
     if quantity not in _QUANTITIES:
         raise TwistkitError(f"unknown scan quantity {quantity!r}")
@@ -277,7 +286,9 @@ def cmd_scan(args) -> int:
     for name, vals in axes:
         points = [dict(p, **{name: v}) for p in points for v in vals]
 
-    outputs = [_QUANTITIES[quantity](p, fixed) for p in points]
+    # One namespace per point: grid values win over fixed ones.
+    outputs = [_QUANTITIES[quantity](_Required({**fixed, **p}))
+               for p in points]
 
     param_names = [name for name, _ in axes]
     out_names = list(outputs[0].keys()) if outputs else []

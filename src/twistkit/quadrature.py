@@ -164,18 +164,6 @@ def _apply_oscillation_filters(sums, thetas):
     return seq
 
 
-def _panel_recursive(f, a, b, tol, depth=0):
-    """One K15 panel, bisected only on estimate failure (cells are at
-    most a half-period of the fastest oscillation, so this is rare)."""
-    v, e = _gauss_kronrod(f, a, b)
-    if e <= tol or depth >= 10:
-        return v, e, 15
-    m = 0.5 * (a + b)
-    v1, e1, n1 = _panel_recursive(f, a, m, 0.5 * tol, depth + 1)
-    v2, e2, n2 = _panel_recursive(f, m, b, 0.5 * tol, depth + 1)
-    return v1 + v2, e1 + e2, n1 + n2 + 15
-
-
 def _accelerate(sums, thetas):
     """Filter out the known oscillations, then Wynn-accelerate two tail
     windows (the filtered residue is a short sum of geometric
@@ -191,36 +179,37 @@ def _accelerate(sums, thetas):
 def _zero_partition(f, scale, tol, frequencies=None):
     """Uniform cells on the fastest oscillation half-period, with
     frequency-annihilation filters plus Wynn acceleration of the
-    partial sums."""
+    partial sums.  Each cell is one K15 panel whose estimate is summed
+    into the error."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
     sums = []
-    total = 0.0
-    evals = 0
+    total = cell_err = 0.0
     best = None
     best_err = math.inf
-    cell_tol = max(tol * 1e-3, 1e-15)
     while len(sums) < _ZP_MAX_CELLS:
         for _ in range(16):
             a = len(sums) * width
-            v, _e, ev = _panel_recursive(f, a, a + width, cell_tol)
+            v, e = _gauss_kronrod(f, a, a + width)
             total += v
-            evals += ev
+            cell_err += e
             sums.append(total)
         if len(sums) < 64:
             continue
         val, ierr = _accelerate(sums, thetas)
         err = ierr if best is None else max(ierr, abs(val - best))
-        best, best_err = val, err
-        if err < tol:
-            return QuadResult(best, err, evals, True)
-    return QuadResult(best, best_err, evals, False)
+        best, best_err = val, err + cell_err
+        if best_err < tol:
+            return QuadResult(best, best_err, 15 * len(sums), True)
+    return QuadResult(best, best_err, 15 * len(sums), False)
 
 
 def _eps_regularized(f, scale, tol, frequencies=None):
     """Damp by exp(-eps x) on a geometric eps ladder kept inside the
     analyticity radius (the smallest beat frequency), accelerate each
-    damped sum, and polynomially extrapolate eps -> 0 (Neville)."""
+    damped sum, and polynomially extrapolate eps -> 0 (Neville).  Each
+    cell is one K15 panel whose estimate is summed into its rung's
+    error."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
     pos = [abs(x) for x in (frequencies or [scale]) if abs(x) > 1e-12]
@@ -228,20 +217,18 @@ def _eps_regularized(f, scale, tol, frequencies=None):
     eps_ladder = [0.25 * rho * 2.0 ** (-j) for j in range(7)]
     values = []
     inner_err = 0.0
-    evals = 0
-    cell_tol = max(tol * 1e-3, 1e-15)
     for eps in eps_ladder:
-        g = lambda x, e=eps: f(x) * math.exp(-e * x)
+        g = lambda x, d=eps: f(x) * math.exp(-d * x)
         sums = []
-        total = 0.0
+        total = cell_err = 0.0
         for j in range(_EPS_CELLS):
             a = j * width
-            v, _e, ev = _panel_recursive(g, a, a + width, cell_tol)
+            v, e = _gauss_kronrod(g, a, a + width)
             total += v
-            evals += ev
+            cell_err += e
             sums.append(total)
         val, err = _accelerate(sums, thetas)
-        inner_err = max(inner_err, err)
+        inner_err = max(inner_err, err + cell_err)
         values.append(val)
     # Neville extrapolation to eps = 0; the error estimate combines the
     # last diagonal increment with the worst accelerated-sum estimate.
@@ -254,7 +241,8 @@ def _eps_regularized(f, scale, tol, frequencies=None):
                 eps_ladder[i + j] - eps_ladder[i])
         diag_prev, diag = diag, tab[0]
     err = 4.0 * abs(diag - diag_prev) + inner_err
-    return QuadResult(tab[0], max(err, 1e-15), evals, err < 10 * tol)
+    return QuadResult(tab[0], max(err, 1e-15), 15 * n * _EPS_CELLS,
+                      err < 10 * tol)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
@@ -310,51 +298,50 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
 # Finite-difference operators on Cartesian stencils.
 # ---------------------------------------------------------------------------
 
-def _central_diff(g, x, h):
-    return (g(x + h) - g(x - h)) / (2.0 * h)
+def _stencil(field, p, axis, h):
+    """F at p shifted along axis by h, -h, 2h, -2h (4 field calls)."""
+    return [field(*(c + step if i == axis else c for i, c in enumerate(p)))
+            for step in (h, -h, 2.0 * h, -2.0 * h)]
 
 
-def _richardson_diff(g, x, h):
-    d1 = _central_diff(g, x, h)
-    d2 = _central_diff(g, x, 2.0 * h)
-    return (4.0 * d1 - d2) / 3.0
+def _richardson_first(field, p, axis, h):
+    """d/d(axis) of every component of F at p: central differences at
+    h and 2h, Richardson-combined."""
+    fp, fm, fp2, fm2 = _stencil(field, p, axis, h)
+    return [(4.0 * ((a - b) / (2.0 * h)) - (c - d) / (2.0 * (2.0 * h))) / 3.0
+            for a, b, c, d in zip(fp, fm, fp2, fm2)]
 
 
-def _second_diff(g, x, h):
-    return (g(x + h) - 2.0 * g(x) + g(x - h)) / (h * h)
-
-
-def _richardson_second(g, x, h):
-    d1 = _second_diff(g, x, h)
-    d2 = _second_diff(g, x, 2.0 * h)
-    return (4.0 * d1 - d2) / 3.0
+def _richardson_second(field, p, f0, axis, h):
+    """d^2/d(axis)^2 of every component of F at p, given f0 = F(p):
+    second differences at h and 2h, Richardson-combined."""
+    h2 = 2.0 * h
+    fp, fm, fp2, fm2 = _stencil(field, p, axis, h)
+    return [(4.0 * ((a - 2.0 * c0 + b) / (h * h))
+             - (c - 2.0 * c0 + d) / (h2 * h2)) / 3.0
+            for a, b, c, d, c0 in zip(fp, fm, fp2, fm2, f0)]
 
 
 def fd_divergence(field, x, y, z, h):
-    """div F at the Cartesian point (x, y, z); field returns (Fx, Fy, Fz)."""
-    dx = _richardson_diff(lambda s: field(s, y, z)[0], x, h)
-    dy = _richardson_diff(lambda s: field(x, s, z)[1], y, h)
-    dz = _richardson_diff(lambda s: field(x, y, s)[2], z, h)
-    return dx + dy + dz
+    """div F at the Cartesian point (x, y, z); field returns (Fx, Fy, Fz).
+    Richardson-combined central differences at h and 2h along each axis:
+    12 field calls."""
+    dx, dy, dz = (_richardson_first(field, (x, y, z), i, h) for i in range(3))
+    return dx[0] + dy[1] + dz[2]
 
 
 def fd_curl(field, x, y, z, h):
-    """curl F at (x, y, z) as a 3-tuple."""
-    dFz_dy = _richardson_diff(lambda s: field(x, s, z)[2], y, h)
-    dFy_dz = _richardson_diff(lambda s: field(x, y, s)[1], z, h)
-    dFx_dz = _richardson_diff(lambda s: field(x, y, s)[0], z, h)
-    dFz_dx = _richardson_diff(lambda s: field(s, y, z)[2], x, h)
-    dFy_dx = _richardson_diff(lambda s: field(s, y, z)[1], x, h)
-    dFx_dy = _richardson_diff(lambda s: field(x, s, z)[0], y, h)
-    return (dFz_dy - dFy_dz, dFx_dz - dFz_dx, dFy_dx - dFx_dy)
+    """curl F at (x, y, z) as a 3-tuple, from the same stencil as
+    fd_divergence: 12 field calls."""
+    dx, dy, dz = (_richardson_first(field, (x, y, z), i, h) for i in range(3))
+    return (dy[2] - dz[1], dz[0] - dx[2], dx[1] - dy[0])
 
 
 def fd_laplacian(field, x, y, z, h):
-    """Componentwise Laplacian of F at (x, y, z) as a 3-tuple."""
-    out = []
-    for i in range(3):
-        lap = (_richardson_second(lambda s: field(s, y, z)[i], x, h)
-               + _richardson_second(lambda s: field(x, s, z)[i], y, h)
-               + _richardson_second(lambda s: field(x, y, s)[i], z, h))
-        out.append(lap)
-    return tuple(out)
+    """Componentwise Laplacian of F at (x, y, z) as a 3-tuple.
+    Richardson-combined second differences at h and 2h along each axis,
+    sharing the centre value: 13 field calls."""
+    p = (x, y, z)
+    f0 = field(x, y, z)
+    dxx, dyy, dzz = (_richardson_second(field, p, f0, i, h) for i in range(3))
+    return tuple(a + b + c for a, b, c in zip(dxx, dyy, dzz))

@@ -205,6 +205,61 @@ class TestScan:
             assert code == 3
             assert "domain error" in err
 
+    def _json_rows(self, tmp_path, capsys, **overrides):
+        out = tmp_path / "out.json"
+        path, _ = self._config(tmp_path, output={"path": str(out),
+                                                 "format": "json"},
+                               **overrides)
+        assert cli.main(["scan", "--config", str(path)]) == 0
+        capsys.readouterr()
+        return json.loads(out.read_text())
+
+    def test_fixed_values_reach_the_evaluator(self, tmp_path, capsys):
+        # A fixed value that is not on the grid is used, not ignored.
+        rows = self._json_rows(
+            tmp_path, capsys, quantity="icm0", fixed={"order": 1},
+            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1}})
+        cm = matrix_elements.CenterOfMassState.trapped(0, 0, 1.0)
+        want = matrix_elements.icm0(cm, cm, 1.0, 1.0, 1)
+        assert rows[0]["icm0_re"] == want.real
+        assert rows[0]["icm0_re"] != matrix_elements.icm0(
+            cm, cm, 1.0, 1.0, 0).real
+
+    def test_fixed_required_value(self, tmp_path, capsys):
+        rows = self._json_rows(
+            tmp_path, capsys, quantity="triple_bessel",
+            fixed={"k_perp": 1.0},
+            grid={"k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1},
+                  "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
+        want = matrix_elements.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
+        assert rows[0]["value"] == want.value
+        assert "k_perp" not in rows[0]
+
+    def test_grid_value_wins_over_fixed(self, tmp_path, capsys):
+        rows = self._json_rows(
+            tmp_path, capsys, fixed={"alpha": 1.2, "k_perp": 9.0},
+            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1}})
+        want = matrix_elements.suppression_factor(1.0, 1.2)
+        assert rows[0] == {"k_perp": 1.0, "value": want}
+
+    def test_missing_required_value_exits_3(self, tmp_path, capsys):
+        path, _ = self._config(
+            tmp_path, quantity="triple_bessel",
+            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
+                  "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and "k_perp_R" in err
+
+    @pytest.mark.parametrize("key", ["quantity", "grid"])
+    def test_missing_config_key_exits_3(self, tmp_path, capsys, key):
+        path, cfg = self._config(tmp_path)
+        del cfg[key]
+        path.write_text(json.dumps(cfg))
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and key in err
+
     def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
         # Shift the eps-regularized value by 1e-3: the consistency gate,
         # which always runs, must catch it in the library and in a scan.

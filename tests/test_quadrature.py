@@ -76,6 +76,17 @@ class TestSemiInfinite:
         with pytest.raises(InvalidArgumentError):
             quadrature.integrate_bessel_semiinfinite(f, 0.0)
 
+    def test_cell_error_is_not_hidden(self):
+        # A unit step inside the first cell: no K15 panel resolves it, so
+        # each scheme must either say so or carry an estimate that covers
+        # its true error.
+        f = lambda x: bessel_j_any(0, x) + (1.0 if x < 0.3 else 0.0)
+        for scheme in (quadrature._zero_partition,
+                       quadrature._eps_regularized,
+                       quadrature.integrate_bessel_semiinfinite):
+            r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
+            assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
+
 
 class TestFiniteDifferenceOperators:
     @staticmethod
@@ -102,3 +113,18 @@ class TestFiniteDifferenceOperators:
         got = quadrature.fd_laplacian(self._field, x, y, z, 1e-3)
         for g, w in zip(got, want):
             assert g == pytest.approx(w, abs=1e-7)
+
+    @pytest.mark.parametrize("op, calls", [(quadrature.fd_divergence, 12),
+                                           (quadrature.fd_curl, 12),
+                                           (quadrature.fd_laplacian, 13)])
+    def test_field_calls_per_point(self, op, calls):
+        # One call per stencil point: +-h, +-2h on each axis (plus the
+        # shared centre for the Laplacian).
+        points = []
+
+        def field(x, y, z):
+            points.append((x, y, z))
+            return self._field(x, y, z)
+        op(field, 0.3, 0.2, -0.5, 1e-3)
+        assert len(points) == calls
+        assert len(set(points)) == calls
