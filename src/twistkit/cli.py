@@ -145,8 +145,22 @@ def cmd_amplitude(args) -> int:
 # scan
 # ---------------------------------------------------------------------------
 
+_NUMBER = (int, float)
+
+
+def _require(what, value, kind):
+    """value, if it is a kind (a JSON true/false is not a number); else a
+    domain error."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise TwistkitError(f"scan config: {what} has the wrong type: {value!r}")
+    return value
+
+
 def _grid_axis(name, spec):
-    start, stop, count = spec["start"], spec["stop"], int(spec["count"])
+    _require(f"grid axis {name}", spec, dict)
+    start, stop, count = (_require(f"grid axis {name}: {key}", spec[key], _NUMBER)
+                          for key in ("start", "stop", "count"))
+    count = int(count)
     if count < 1:
         raise TwistkitError(f"grid axis {name}: count must be >= 1")
     if start > stop:
@@ -274,13 +288,17 @@ class _Required(dict):
 
 def cmd_scan(args) -> int:
     with open(args.config) as fh:
-        config = json.load(fh, object_hook=_Required)
-    quantity = config["quantity"]
+        config = _require("the top level", json.load(fh, object_hook=_Required),
+                          dict)
+    quantity = _require("quantity", config["quantity"], str)
     if quantity not in _QUANTITIES:
         raise TwistkitError(f"unknown scan quantity {quantity!r}")
-    fixed = config.get("fixed", {})
+    fixed = _require("fixed", config.get("fixed", {}), dict)
+    for name, value in fixed.items():
+        # The mode kind is the one parameter given by name.
+        _require(f"fixed {name}", value, str if name == "kind" else _NUMBER)
     axes = [(name, _grid_axis(name, spec))
-            for name, spec in config["grid"].items()]
+            for name, spec in _require("grid", config["grid"], dict).items()]
     # Lexicographic order over grid indices.
     points = [{}]
     for name, vals in axes:
@@ -293,11 +311,12 @@ def cmd_scan(args) -> int:
     param_names = [name for name, _ in axes]
     out_names = list(outputs[0].keys()) if outputs else []
     rows = [dict(p, **o) for p, o in zip(points, outputs)]
-    out_cfg = config.get("output", {})
+    out_cfg = _require("output", config.get("output", {}), dict)
     path = args.out or out_cfg.get("path")
     fmt = args.format or out_cfg.get("format", "csv")
     if path is None:
         raise TwistkitError("no output path (config output.path or --out)")
+    _require("output path", path, str)
     if fmt == "csv":
         _write_csv(path, param_names + out_names, rows, _INT_PARAMS)
     elif fmt == "json":

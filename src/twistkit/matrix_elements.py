@@ -15,6 +15,7 @@ the independent oracle for the zero/nonzero classification.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fields, quadrature, specfun
-from .errors import InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
 
 # ---------------------------------------------------------------------------
@@ -400,18 +401,70 @@ def _bessel_beats(*ks: float) -> List[float]:
     return sorted({abs(b) for b in beats})
 
 
+# Terms of each Hankel expansion, and of their product in 1/R, kept in
+# the closed-form triple-Bessel tail.
+_TAIL_TERMS = 12
+
+
+def _hankel_coefficients(order: int, k: float) -> List[complex]:
+    """c_j of H^(1)_order(k R) ~ sqrt(2/(pi k R)) e^{i(k R - order pi/2 - pi/4)}
+    sum_j c_j R^{-j} (A&S 9.2.5-9.2.10): c_j = c_{j-1} i (4 order^2 - (2j-1)^2)
+    / (8 j k), j = 0.._TAIL_TERMS.  Valid for negative orders as well."""
+    mu = 4.0 * order * order
+    c = [1.0 + 0j]
+    for j in range(1, _TAIL_TERMS + 1):
+        c.append(c[-1] * 1j * (mu - (2 * j - 1) ** 2) / (8.0 * j * k))
+    return c
+
+
+def _triple_bessel_tail(ks: Tuple[float, float, float],
+                        orders: Tuple[int, int, int],
+                        power: int) -> Callable[[float], float]:
+    """T(x0) = int_x0^inf J_m1(k1 R) J_m2(k2 R) J_m3(k3 R) R^power dR from the
+    Hankel expansions J = (H^(1) + conj H^(1)) / 2.  A sign pattern s gives
+    terms R^{-p} e^{i w R}, w = s.k, p = 3/2 - power + j, each integrated
+    exactly as x0^{1-p} E_p(-i w x0); the patterns with s_1 = -1 are the
+    conjugates of those with s_1 = +1, hence 2 Re over four patterns."""
+    series = [_hankel_coefficients(m, k) for m, k in zip(orders, ks)]
+    amp = 0.25 * (2.0 / math.pi) ** 1.5 / math.sqrt(ks[0] * ks[1] * ks[2])
+    patterns = []
+    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
+        phase = sum(s * (m * 0.5 * math.pi + 0.25 * math.pi)
+                    for s, m in zip(signs, orders))
+        prod = [amp * cmath.exp(-1j * phase)]
+        for s, c in zip(signs, series):
+            c = c if s == 1 else [x.conjugate() for x in c]
+            prod = [sum(prod[i] * c[j - i]
+                        for i in range(min(j, len(prod) - 1) + 1))
+                    for j in range(_TAIL_TERMS + 1)]
+        patterns.append((sum(s * k for s, k in zip(signs, ks)), prod))
+
+    def tail(x0: float) -> float:
+        total = 0j
+        for w, prod in patterns:
+            z = -1j * w * x0
+            for j, c in enumerate(prod):
+                p = 1.5 - power + j
+                total += c * x0 ** (1.0 - p) * specfun.expint_e(p, z)
+        return total.real
+    return tail
+
+
 def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
                           m3: int, power: int, tol: float) -> quadrature.QuadResult:
-    """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR by the
-    dual-method oscillatory oracle."""
+    """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
+    plus the closed-form Hankel tail, with the dual-method oscillatory
+    oracle as the fallback (quadrature.integrate_bessel_semiinfinite)."""
     def f(R: float) -> float:
         if R == 0.0:
             return 0.0
         return (bessel_j_any(m1, k1 * R) * R ** power
                 * bessel_j_any(m2, k2 * R) * bessel_j_any(m3, k3 * R))
 
+    tail = _triple_bessel_tail((k1, k2, k3), (m1, m2, m3), power)
     return quadrature.integrate_bessel_semiinfinite(
-        f, k1 + k2 + k3, tol=tol, frequencies=_bessel_beats(k1, k2, k3))
+        f, k1 + k2 + k3, tol=tol, frequencies=_bessel_beats(k1, k2, k3),
+        tail=(min(k1, k2, k3), tail))
 
 
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
@@ -421,7 +474,8 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
 
         int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR
 
-    by the dual-method oscillatory oracle.  For n <= m + m_R it vanishes
+    as a finite body plus the closed-form Hankel tail, with the dual-method
+    oscillatory oracle as the fallback.  For n <= m + m_R it vanishes
     (transverse momentum conservation) whenever k^R' > k + k^R; at
     n = m + m_R + 1 the third order is -1 and it need not.
     """
@@ -511,9 +565,10 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     """Radial center-of-mass overlap I_CM^(0) against J_order(k_perp R).
 
     Free Bessel states: the conditionally convergent triple-Bessel radial
-    integral (dual-method oracle); the axial delta is reported via
-    axial_momentum_constraint, not folded into the value.  Trapped states:
-    the normalized Laguerre-Gauss-Bessel overlap by finite quadrature.
+    integral (body plus Hankel tail, dual-method fallback); the axial
+    delta is reported via axial_momentum_constraint, not folded into the
+    value.  Trapped states: the normalized Laguerre-Gauss-Bessel overlap
+    by finite quadrature.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
@@ -603,19 +658,33 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
 
     z = k^2 alpha^2 / 4.  Kummer's transformation (DLMF 13.2.39) sums it as
     (m+n_bar-n)!/(m+n_bar)! e^{-z} 1F1(n; m+n_bar+1; z): positive terms,
-    so no digits are lost to cancellation at large k alpha.
+    so no digits are lost to cancellation at large k alpha.  Each term is
+    exp(log t_k - z), t_k the 1F1 term: past z ~ 709 e^{-z} underflows
+    and t_k overflows, while their product stays finite.
     """
     if m < 0 or not (0 <= n <= m):
         raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar))
-            * math.factorial(m + n_bar - n) / math.factorial(m + n_bar)
-            * math.exp(-z))
-    res = specfun.hyp2f2(n, 1, m + n_bar + 1, 1, z, tol=tol)
-    return specfun.SeriesResult(
-        value=pref * res.value, terms_used=res.terms_used,
-        truncation_estimate=abs(pref) * res.truncation_estimate)
+            * math.factorial(m + n_bar - n) / math.factorial(m + n_bar))
+    # Terms rise while their ratio is >= 1, so stop only past the peak.
+    b = m + n_bar + 1
+    log_t = -z
+    total = math.exp(log_t)
+    for k in range(specfun.MAX_TERMS):
+        ratio = (n + k) * z / ((b + k) * (k + 1))
+        nxt = 0.0
+        if ratio > 0.0:
+            log_t += math.log(ratio)
+            nxt = math.exp(log_t)
+        if ratio < 1.0 and nxt <= tol * total:
+            return specfun.SeriesResult(
+                value=pref * total, terms_used=k + 1,
+                truncation_estimate=2.0 * abs(pref) * nxt)
+        total += nxt
+    raise ConvergenceError("ho_vortex_series exceeded the term cap",
+                           partial=pref * total)
 
 
 def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,

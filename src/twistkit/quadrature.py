@@ -1,8 +1,9 @@
 """Independent numerical oracles.
 
-Adaptive Gauss-Kronrod quadrature on finite intervals, two mutually
-cross-checking schemes for semi-infinite oscillatory Bessel-product
-integrals, and Richardson-extrapolated finite-difference operators used
+Adaptive Gauss-Kronrod quadrature on finite intervals; semi-infinite
+oscillatory Bessel-product integrals as a finite body plus a caller's
+closed-form tail, with two mutually cross-checking schemes as the
+fallback; and Richardson-extrapolated finite-difference operators used
 to verify the closed-form fields.
 """
 
@@ -10,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyError
 
@@ -24,6 +25,11 @@ _ZP_MAX_CELLS = 1152
 _EPS_CELLS = 224
 _FILTER_PASSES = 2
 _WYNN_WINDOW = 64
+
+# Body-plus-tail path: the two cut-offs, in units of 1/k of the slowest
+# factor, and the relative floor of its error estimate.
+_TAIL_CUTS = (12.0, 16.0)
+_TAIL_REL_FLOOR = 1e-13
 
 # 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
 _XGK = (
@@ -245,24 +251,50 @@ def _eps_regularized(f, scale, tol, frequencies=None):
                       err < 10 * tol)
 
 
+def _body_plus_tail(f, scale, tol, wavenumber, tail):
+    """Half-period cells, one K15 panel each, up to the cut-offs x_a < x_b
+    (the body to x_b extends the body to x_a), plus the closed-form tail
+    at each.  The estimate is |v(x_a) - v(x_b)| + the summed cell
+    estimates + a relative floor; v(x_b) is returned."""
+    width = math.pi / scale
+    n_a, n_b = (math.ceil(cut / (wavenumber * width)) for cut in _TAIL_CUTS)
+    body = err = 0.0
+    for j in range(n_b):
+        if j == n_a:
+            body_a = body
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
+        body += v
+        err += e
+    v_a = body_a + tail(n_a * width)
+    v_b = body + tail(n_b * width)
+    est = abs(v_a - v_b) + err + _TAIL_REL_FLOOR * abs(v_b)
+    return QuadResult(v_b, est, 15 * n_b, est <= tol)
+
+
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
                                   oscillation_scale: float,
                                   tol: float = DEFAULT_OSC_TOL,
-                                  frequencies: Sequence[float] = None
+                                  frequencies: Sequence[float] = None,
+                                  tail: Optional[Tuple[float, Callable]] = None
                                   ) -> QuadResult:
     """Semi-infinite integral of an oscillatory Bessel-type integrand.
 
     ``oscillation_scale`` is the largest wavenumber present (the slowest
     zero spacing is pi/scale); ``frequencies`` may list every asymptotic
     oscillation frequency (e.g. the beat combinations of a Bessel
-    product), which the accelerators then annihilate exactly.  Both
+    product), which the accelerators then annihilate exactly.
+
+    ``tail = (k, T)``: T(x0) is the closed-form integral of f from x0 to
+    infinity, valid once k x0 is large (k the slowest wavenumber).  The
+    result is then a finite body plus T at two cut-offs.  If that
+    estimate exceeds tol, or a listed frequency is zero, both fallback
     schemes run and must agree within 3x their combined error estimates,
     otherwise OracleInconsistencyError; the zero-partition value is
-    returned.
+    returned.  On either path ``converged`` is ``abs_error_estimate <= tol``.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
-    # Both schemes sample the same uniform-cell panel nodes: memoize the
+    # Every path samples the same uniform-cell panel nodes: memoize the
     # (expensive) integrand, keeping only nodes inside the first
     # _EPS_CELLS cells (the ones _eps_regularized reuses on every rung);
     # the zero-partition tail beyond them is evaluated once, not stored.
@@ -277,6 +309,11 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
                 _c[x] = v
         return v
 
+    # A zero beat leaves tail terms that do not oscillate: fall back.
+    if tail is not None and not (frequencies and min(map(abs, frequencies)) == 0.0):
+        r = _body_plus_tail(fc, oscillation_scale, tol, *tail)
+        if r.converged:
+            return r
     rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
@@ -288,10 +325,9 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"zero-partition ({rz.value:.6e}) and eps-regularized "
             f"({re.value:.6e}) disagree beyond 3x combined estimates "
             f"({combined:.3e})", value_a=rz.value, value_b=re.value)
-    return QuadResult(rz.value,
-                      max(rz.abs_error_estimate, abs(rz.value - re.value)),
-                      rz.evaluations + re.evaluations,
-                      rz.converged or re.converged)
+    est = max(rz.abs_error_estimate, abs(rz.value - re.value))
+    return QuadResult(rz.value, est, rz.evaluations + re.evaluations,
+                      est <= tol)
 
 
 # ---------------------------------------------------------------------------

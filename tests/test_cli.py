@@ -260,15 +260,36 @@ class TestScan:
         assert code == 3
         assert "domain error" in err and key in err
 
+    def test_top_level_list_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "scan.json"
+        path.write_text("[1, 2]")
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
+
+    def test_non_numeric_fixed_value_exits_3(self, tmp_path, capsys):
+        path, _ = self._config(tmp_path, fixed={"alpha": "x"})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and "alpha" in err
+
     def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
-        # Shift the eps-regularized value by 1e-3: the consistency gate,
-        # which always runs, must catch it in the library and in a scan.
+        # Shift the closed-form tail by 1e-3 x0, so the two cut-offs
+        # disagree and the dual-method fallback runs, and shift its
+        # eps-regularized value by 1e-3: the consistency gate must catch
+        # it in the library and in a scan.
         original = quadrature._eps_regularized
+        original_tail = matrix_elements._triple_bessel_tail
 
         def shifted(*args, **kwargs):
             r = original(*args, **kwargs)
             return dataclasses.replace(r, value=r.value + 1e-3)
+
+        def shifted_tail(*args):
+            tail = original_tail(*args)
+            return lambda x0: tail(x0) + 1e-3 * x0
         monkeypatch.setattr(quadrature, "_eps_regularized", shifted)
+        monkeypatch.setattr(matrix_elements, "_triple_bessel_tail", shifted_tail)
         with pytest.raises(OracleInconsistencyError):
             matrix_elements.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
         path, _ = self._config(

@@ -3,6 +3,7 @@ internal integrals, spin couplings, and the candidate-closed-form
 comparisons."""
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -133,6 +134,61 @@ class TestTripleBessel:
         with pytest.raises(InvalidArgumentError):
             me.triple_bessel(1.0, 1.0, 1.0, 0, 0, 2)
 
+    def test_outside_cone_n2_vanishes(self):
+        # The dual-method schemes disagree here beyond their gate.
+        r = me.triple_bessel(1.5973384447144974, 0.6650369522286923,
+                             2.7096154924789113, 3, 1, 2)
+        assert abs(r.value) <= 1e-12
+
+    def test_body_plus_tail_evaluations(self):
+        # Both dual-method schemes together take ~25k evaluations here.
+        assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
+
+    @staticmethod
+    def _closed_form_cases():
+        rng = random.Random(8)
+        cases = []
+        for nu in (0, 1, 2):
+            for _ in range(6):
+                a, b = rng.uniform(0.4, 1.8), rng.uniform(0.4, 1.8)
+                c = abs(a - b) + (a + b - abs(a - b)) * rng.uniform(0.1, 0.9)
+                s = 0.5 * (a + b + c)
+                area = math.sqrt(s * (s - a) * (s - b) * (s - c))
+                # Sonine-Gegenbauer: 2^{nu-1} D^{2nu-1} / ((abc)^nu
+                # Gamma(nu + 1/2) sqrt(pi)), D the triangle's area.
+                want = (2.0 ** (nu - 1) * area ** (2 * nu - 1)
+                        / ((a * b * c) ** nu * math.gamma(nu + 0.5)
+                           * math.sqrt(math.pi)))
+                cases.append(((a, b, c, nu, nu, nu), want))
+        for _ in range(6):
+            a, b = rng.uniform(0.4, 1.8), rng.uniform(0.4, 1.8)
+            c = (a + b) * rng.uniform(1.05, 1.5)
+            # Weber-Schafheitlin outside the cone, and a vanishing point.
+            cases.append(((a, b, c, 0, 1, 2), -b / (2.0 * c)))
+            cases.append(((a, b, c, rng.randrange(4), rng.randrange(4), 0), 0.0))
+        return cases
+
+    def test_closed_forms_within_estimate(self):
+        for args, want in self._closed_form_cases():
+            r = me.triple_bessel(*args)
+            assert r.converged, args
+            assert abs(r.value - want) <= r.abs_error_estimate + 1e-12, args
+
+    def test_corrupted_tail_falls_back(self, monkeypatch):
+        # A tail off by 1e-3 x0 makes the two cut-offs disagree: the
+        # dual-method fallback runs and the value is still right.
+        original = me._triple_bessel_tail
+        monkeypatch.setattr(me, "_triple_bessel_tail",
+                            lambda *args: (lambda x0, t=original(*args):
+                                           t(x0) + 1e-3 * x0))
+        a, b, c = 1.0, 0.7, 1.4
+        s = 0.5 * (a + b + c)
+        want = 1.0 / (2.0 * math.pi * math.sqrt(s * (s - a) * (s - b) * (s - c)))
+        r = me.triple_bessel(a, b, c, 0, 0, 0)
+        assert r.evaluations > 1500
+        assert r.converged
+        assert abs(r.value - want) <= 2e-9
+
     @pytest.mark.xfail(
         reason="the bare integral is not monotonically suppressed in the "
                "axial-gradient index n; e.g. (0.9, 1.1, 1.3, m=2, m_R=1) "
@@ -190,6 +246,23 @@ class TestCenterOfMassIntegrals:
                             assert abs(got - want) <= 1e-11 * abs(want)
                         checked += 1
         assert checked == 600
+
+    @pytest.mark.parametrize("k_alpha", [55.0, 60.0])
+    @pytest.mark.parametrize("n_bar, m, n", [(0, 3, 1), (1, 2, 1), (2, 4, 2)])
+    def test_vortex_series_large_k_alpha(self, n_bar, m, n, k_alpha):
+        # Past k alpha ~ 53, e^{-z} underflows and the 1F1 terms overflow.
+        got = me.ho_vortex_series(n_bar, 1.0, k_alpha, m, n).value
+        with mpmath.workdps(30):
+            z = mpmath.mpf(k_alpha) ** 2 / 4
+            want = ((mpmath.mpf(k_alpha) / 2) ** m * z ** n_bar
+                    / (2 * mpmath.factorial(n_bar))
+                    * mpmath.factorial(m + n_bar - n) / mpmath.factorial(m + n_bar)
+                    * mpmath.hyp1f1(m + n_bar - n + 1, m + n_bar + 1, -z))
+        assert abs(got - want) <= 1e-10 * abs(want)
+        # The quadrature's own error is up to 1.7e-10 relative here (the
+        # integrand cancels to ~1e-3 of its size).
+        q = me.ho_vortex_integral(n_bar, 1.0, k_alpha, m, n)
+        assert got == pytest.approx(q, rel=1e-9)
 
     def test_vortex_rejects_divergent_exponent(self):
         with pytest.raises(InvalidArgumentError):

@@ -87,6 +87,19 @@ class TestSemiInfinite:
             r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
             assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
 
+    def test_converged_means_within_tol(self):
+        # Only the zero-partition scheme converges on this triple-Bessel
+        # integrand; the fallback estimate (4e-7) exceeds tol.
+        k1, k2, k3 = 1.2373301541579083, 0.42380202133415146, 1.520407063435965
+        f = lambda x: (bessel_j_any(1, k1 * x) * x * bessel_j_any(1, k2 * x)
+                       * bessel_j_any(2, k3 * x))
+        beats = sorted({abs(k1 + s2 * k2 + s3 * k3)
+                        for s2 in (1, -1) for s3 in (1, -1)})
+        r = quadrature.integrate_bessel_semiinfinite(
+            f, k1 + k2 + k3, tol=1e-9, frequencies=beats)
+        assert r.abs_error_estimate > 1e-9
+        assert not r.converged
+
 
 class TestFiniteDifferenceOperators:
     @staticmethod

@@ -131,6 +131,24 @@ class TestHyp2F2:
             specfun.hyp2f2(1.0, 1.0, -3.0, 2.0, 0.5)
 
 
+class TestExpintE:
+    @pytest.mark.parametrize("p", [0.5, 1.5, 2.5, 6.5, 14.5])
+    def test_imaginary_axis_against_mpmath(self, p):
+        # The triple-Bessel tail needs E_p(-i w x0) on both sides of the
+        # |z| = 2 switch between the series and the continued fraction.
+        for y in (1e-4, 0.3, 1.0, 1.99, 2.0, 2.01, 5.0, 30.0, 300.0):
+            for z in (complex(0.0, -y), complex(0.0, y)):
+                want = complex(mpmath.expint(p, z))
+                assert abs(specfun.expint_e(p, z) - want) <= 1e-14 * abs(want)
+
+    def test_rejects_bad_arguments(self):
+        for p in (1.0, 0.0, -0.5):
+            with pytest.raises(InvalidArgumentError):
+                specfun.expint_e(p, 1j)
+        with pytest.raises(InvalidArgumentError):
+            specfun.expint_e(0.5, 0j)
+
+
 class TestGegenbauerCoeff:
     def test_against_mpmath(self):
         rng = np.random.RandomState(3)
