@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fields, quadrature, specfun
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
 
 # ---------------------------------------------------------------------------
@@ -658,9 +658,9 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
 
     z = k^2 alpha^2 / 4.  Kummer's transformation (DLMF 13.2.39) sums it as
     (m+n_bar-n)!/(m+n_bar)! e^{-z} 1F1(n; m+n_bar+1; z): positive terms,
-    so no digits are lost to cancellation at large k alpha.  Each term is
-    exp(log t_k - z), t_k the 1F1 term: past z ~ 709 e^{-z} underflows
-    and t_k overflows, while their product stays finite.
+    so no digits are lost to cancellation at large k alpha.  The e^{-z}
+    enters each term in log space (specfun.hyp2f2's log_scale), so past
+    z ~ 709 neither it nor the terms leave the float range.
     """
     if m < 0 or not (0 <= n <= m):
         raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
@@ -668,23 +668,9 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar))
             * math.factorial(m + n_bar - n) / math.factorial(m + n_bar))
-    # Terms rise while their ratio is >= 1, so stop only past the peak.
-    b = m + n_bar + 1
-    log_t = -z
-    total = math.exp(log_t)
-    for k in range(specfun.MAX_TERMS):
-        ratio = (n + k) * z / ((b + k) * (k + 1))
-        nxt = 0.0
-        if ratio > 0.0:
-            log_t += math.log(ratio)
-            nxt = math.exp(log_t)
-        if ratio < 1.0 and nxt <= tol * total:
-            return specfun.SeriesResult(
-                value=pref * total, terms_used=k + 1,
-                truncation_estimate=2.0 * abs(pref) * nxt)
-        total += nxt
-    raise ConvergenceError("ho_vortex_series exceeded the term cap",
-                           partial=pref * total)
+    s = specfun.hyp2f2(n, 1.0, m + n_bar + 1, 1.0, z, tol=tol, log_scale=-z)
+    return specfun.SeriesResult(value=pref * s.value, terms_used=s.terms_used,
+                                truncation_estimate=abs(pref) * s.truncation_estimate)
 
 
 def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,

@@ -252,23 +252,36 @@ def _eps_regularized(f, scale, tol, frequencies=None):
 
 
 def _body_plus_tail(f, scale, tol, wavenumber, tail):
-    """Half-period cells, one K15 panel each, up to the cut-offs x_a < x_b
-    (the body to x_b extends the body to x_a), plus the closed-form tail
-    at each.  The estimate is |v(x_a) - v(x_b)| + the summed cell
-    estimates + a relative floor; v(x_b) is returned."""
+    """Half-period cells, one K15 panel each, up to the cut-offs x_a < x_b,
+    plus the closed-form tail at each.  The estimate is |v(x_a) - v(x_b)|
+    + the summed cell estimates + a relative floor; v(x_b) is returned.
+
+    It gives up (converged False, value nan) before any cell when x_b
+    needs more than _ZP_MAX_CELLS cells, and after only the cells between
+    the cut-offs when those alone put the estimate above tol (the tail
+    does not hold at x_a)."""
     width = math.pi / scale
     n_a, n_b = (math.ceil(cut / (wavenumber * width)) for cut in _TAIL_CUTS)
-    body = err = 0.0
-    for j in range(n_b):
-        if j == n_a:
-            body_a = body
+    if n_b > _ZP_MAX_CELLS:
+        return QuadResult(math.nan, math.inf, 0, False)
+    # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
+    shell = err = 0.0
+    for j in range(n_a, n_b):
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
+        shell += v
+        err += e
+    t_b = tail(n_b * width)
+    gap = abs(tail(n_a * width) - t_b - shell)
+    if gap + err > tol:
+        return QuadResult(math.nan, gap + err, 15 * (n_b - n_a), False)
+    body = 0.0
+    for j in range(n_a):
         v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
         body += v
         err += e
-    v_a = body_a + tail(n_a * width)
-    v_b = body + tail(n_b * width)
-    est = abs(v_a - v_b) + err + _TAIL_REL_FLOOR * abs(v_b)
-    return QuadResult(v_b, est, 15 * n_b, est <= tol)
+    value = body + shell + t_b
+    est = gap + err + _TAIL_REL_FLOOR * abs(value)
+    return QuadResult(value, est, 15 * n_b, est <= tol)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
@@ -287,10 +300,12 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     ``tail = (k, T)``: T(x0) is the closed-form integral of f from x0 to
     infinity, valid once k x0 is large (k the slowest wavenumber).  The
     result is then a finite body plus T at two cut-offs.  If that
-    estimate exceeds tol, or a listed frequency is zero, both fallback
-    schemes run and must agree within 3x their combined error estimates,
-    otherwise OracleInconsistencyError; the zero-partition value is
-    returned.  On either path ``converged`` is ``abs_error_estimate <= tol``.
+    estimate exceeds tol, the cut-offs need more than _ZP_MAX_CELLS
+    cells, or a listed frequency is zero, both fallback schemes run and
+    must agree within 3x their combined error estimates, otherwise
+    OracleInconsistencyError; the zero-partition value is returned and
+    ``evaluations`` includes those of the abandoned body.  On either path
+    ``converged`` is ``abs_error_estimate <= tol``.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
@@ -310,10 +325,12 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
         return v
 
     # A zero beat leaves tail terms that do not oscillate: fall back.
+    spent = 0
     if tail is not None and not (frequencies and min(map(abs, frequencies)) == 0.0):
         r = _body_plus_tail(fc, oscillation_scale, tol, *tail)
         if r.converged:
             return r
+        spent = r.evaluations
     rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
@@ -326,8 +343,8 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"({re.value:.6e}) disagree beyond 3x combined estimates "
             f"({combined:.3e})", value_a=rz.value, value_b=re.value)
     est = max(rz.abs_error_estimate, abs(rz.value - re.value))
-    return QuadResult(rz.value, est, rz.evaluations + re.evaluations,
-                      est <= tol)
+    return QuadResult(rz.value, est,
+                      spent + rz.evaluations + re.evaluations, est <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -183,28 +183,38 @@ def pochhammer(a: float, n: int) -> float:
 
 
 def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float,
-           tol: float = DEFAULT_TOL) -> SeriesResult:
-    """Generalized hypergeometric 2F2(a1, a2; b1, b2; x) by direct summation.
+           tol: float = DEFAULT_TOL, log_scale: float = 0.0) -> SeriesResult:
+    """e^{log_scale} 2F2(a1, a2; b1, b2; x) by direct summation.
 
-    Terms are added until |term| < tol * |partial sum|.  Raises
-    ConvergenceError (carrying the partial sum) past MAX_TERMS.
+    Each term is carried as a sign and log|t_k| + log_scale, so a scale
+    that offsets the growth of the terms (log_scale = -x for e^{-x} 1F1 at
+    large x, where e^{-x} underflows and the terms overflow) keeps them
+    finite.  Terms are added until, past the largest one, |term| <= tol *
+    |partial sum|.  Raises ConvergenceError (carrying the partial sum)
+    past MAX_TERMS.
     """
     for b in (b1, b2):
         if b <= 0.0 and b == int(b):
             raise InvalidArgumentError("b parameters must not be non-positive integers")
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be > 0")
-    if not all(math.isfinite(v) for v in (a1, a2, b1, b2, x)):
+    if not all(math.isfinite(v) for v in (a1, a2, b1, b2, x, log_scale)):
         raise InvalidArgumentError("arguments must be finite")
-    term = 1.0
-    total = 1.0
+    sign = 1.0
+    log_t = log_scale
+    total = math.exp(log_t)
     for k in range(MAX_TERMS):
-        nxt = term * (a1 + k) * (a2 + k) * x / ((b1 + k) * (b2 + k) * (k + 1))
-        if abs(nxt) < tol * abs(total):
+        ratio = (a1 + k) * (a2 + k) * x / ((b1 + k) * (b2 + k) * (k + 1))
+        nxt = 0.0
+        if ratio != 0.0:
+            if ratio < 0.0:
+                sign = -sign
+            log_t += math.log(abs(ratio))
+            nxt = sign * math.exp(log_t)
+        if abs(ratio) < 1.0 and abs(nxt) <= tol * abs(total):
             return SeriesResult(value=total, terms_used=k + 1,
                                 truncation_estimate=2.0 * abs(nxt))
-        term = nxt
-        total += term
+        total += nxt
     raise ConvergenceError("hyp2f2 exceeded the term cap", partial=total)
 
 

@@ -144,6 +144,15 @@ class TestTripleBessel:
         # Both dual-method schemes together take ~25k evaluations here.
         assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
 
+    @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
+                                      (1.0, 0.5, 1.4, 10, 0, 0)])
+    def test_fallback_cost_is_bounded(self, args):
+        # k_perp_R = 1e-6 would put the cut-offs ~1e7 cells out: no body
+        # is integrated.  Order 10 is beyond the k x = 12 cut-off: only
+        # the cells between the two cut-offs are.  The dual-method path
+        # itself takes at most 15 (1152 + 7 x 224) = 40800 evaluations.
+        assert me.triple_bessel(*args).evaluations <= 40800 + 150
+
     @staticmethod
     def _closed_form_cases():
         rng = random.Random(8)

@@ -87,6 +87,17 @@ class TestSemiInfinite:
             r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
             assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
 
+    def test_wrong_tail_falls_back_and_counts_its_cells(self):
+        # The tail 0 is wrong at both cut-offs (k x = 12, 16: cells 4..5 of
+        # width pi), so only those two cells are spent before the fallback.
+        f = lambda x: bessel_j_any(0, x)
+        r = quadrature.integrate_bessel_semiinfinite(
+            f, 1.0, tol=1e-10, frequencies=[1.0], tail=(1.0, lambda x0: 0.0))
+        rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
+        re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
+        assert r.value == rz.value
+        assert r.evaluations == 30 + rz.evaluations + re.evaluations
+
     def test_converged_means_within_tol(self):
         # Only the zero-partition scheme converges on this triple-Bessel
         # integrand; the fallback estimate (4e-7) exceeds tol.

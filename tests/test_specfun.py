@@ -124,6 +124,14 @@ class TestHyp2F2:
         assert abs(complex(res.value).real - exact) <= 10 * max(
             res.truncation_estimate, 1e-15)
 
+    def test_log_scale_past_overflow(self):
+        # e^{-x} 1F1(2; 5; x) at x = 800: e^{-x} underflows and the
+        # terms overflow, but their products stay in range.
+        x = 800.0
+        res = specfun.hyp2f2(2.0, 1.0, 5.0, 1.0, x, log_scale=-x)
+        want = float(mpmath.exp(-x) * mpmath.hyp1f1(2, 5, x))
+        assert res.value == pytest.approx(want, rel=1e-10)
+
     def test_rejects_bad_b_parameters(self):
         with pytest.raises(InvalidArgumentError):
             specfun.hyp2f2(1.0, 1.0, 0.0, 2.0, 0.5)
