@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fields, quadrature, specfun
-from .errors import InvalidArgumentError
+from .errors import ConvergenceError, InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
 
 # ---------------------------------------------------------------------------
@@ -567,14 +567,19 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     Free Bessel states: the conditionally convergent triple-Bessel radial
     integral (body plus Hankel tail, dual-method fallback); the axial
     delta is reported via axial_momentum_constraint, not folded into the
-    value.  Trapped states: the normalized Laguerre-Gauss-Bessel overlap
-    by finite quadrature.
+    value; ConvergenceError (the QuadResult as ``partial``) when its
+    error estimate exceeds tol.  Trapped states: the normalized
+    Laguerre-Gauss-Bessel overlap by finite quadrature.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if cm_in.variant == FREE_BESSEL:
         r = _triple_bessel_oracle(k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
                                   order, cm_in.m_R, cm_out.m_R, 1, tol)
+        if not r.converged:
+            raise ConvergenceError(
+                f"free icm0: estimate {r.abs_error_estimate:.3e} exceeds "
+                f"tol {tol:.3e}", partial=r)
         return complex(r.value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")

@@ -31,20 +31,51 @@ _WYNN_WINDOW = 64
 _TAIL_CUTS = (12.0, 16.0)
 _TAIL_REL_FLOOR = 1e-13
 
-# 7-point Gauss / 15-point Kronrod nodes and weights on [-1, 1].
-_XGK = (
-    0.991455371120813, 0.949107912342759, 0.864864423359769,
-    0.741531185599394, 0.586087235467691, 0.405845151377397,
-    0.207784955007898, 0.0,
+# Gauss-Kronrod rules on [-1, 1] as (nodes, Kronrod weights, Gauss
+# weights).  The nodes are the positive ones, largest first, then the
+# centre; the Gauss rule takes every second node from the second, then the
+# centre (weight 0 when the Gauss rule has an even number of nodes).
+# G7/K15:
+_GK15 = (
+    (0.991455371120813, 0.949107912342759, 0.864864423359769,
+     0.741531185599394, 0.586087235467691, 0.405845151377397,
+     0.207784955007898, 0.0),
+    (0.022935322010529, 0.063092092629979, 0.104790010322250,
+     0.140653259715525, 0.169004726639267, 0.190350578064785,
+     0.204432940075298, 0.209482141084728),
+    (0.129484966168870, 0.279705391489277, 0.381830050505119,
+     0.417959183673469),
 )
-_WGK = (
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-)
-_WG = (
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
+# G10/K21 (QUADPACK qk21, Piessens et al. 1983):
+_GK21 = (
+    (0.995657163025808080735527280689003,
+     0.973906528517171720077964012084452,
+     0.930157491355708226001207180059508,
+     0.865063366688984510732096688423493,
+     0.780817726586416897063717578345042,
+     0.679409568299024406234327365114874,
+     0.562757134668604683339000099272694,
+     0.433395394129247190799265943165784,
+     0.294392862701460198131126603103866,
+     0.148874338981631210884826001129720,
+     0.0),
+    (0.011694638867371874278064396062192,
+     0.032558162307964727478818972459390,
+     0.054755896574351996031381300244580,
+     0.075039674810919952767043140916190,
+     0.093125454583697605535065465083366,
+     0.109387158802297641899210590325805,
+     0.123491976262065851077958109831074,
+     0.134709217311473325928054001771707,
+     0.142775938577060080797094273138717,
+     0.147739104901338491374841515972068,
+     0.149445554002916905664936468389821),
+    (0.066671344308688137593568809893332,
+     0.149451349150580593145776339657697,
+     0.219086362515982043995534934228163,
+     0.269266719309996355091226921569469,
+     0.295524224714752870173892994651338,
+     0.0),
 )
 
 
@@ -60,19 +91,21 @@ class QuadResult:
             raise InvalidArgumentError("abs_error_estimate must be >= 0")
 
 
-def _gauss_kronrod(f, a, b):
-    """One G7/K15 panel; returns (kronrod, error_estimate)."""
+def _gauss_kronrod(f, a, b, rule):
+    """One Gauss-Kronrod panel of the given rule (_GK15 or _GK21);
+    returns (kronrod, error_estimate)."""
+    xgk, wgk, wg = rule
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
-    kron = _WGK[7] * fc
-    gauss = _WG[3] * fc
-    for i in range(7):
-        x = h * _XGK[i]
+    kron = wgk[-1] * fc
+    gauss = wg[-1] * fc
+    for i in range(len(xgk) - 1):
+        x = h * xgk[i]
         fsum = f(c - x) + f(c + x)
-        kron += _WGK[i] * fsum
+        kron += wgk[i] * fsum
         if i % 2 == 1:
-            gauss += _WG[i // 2] * fsum
+            gauss += wg[i // 2] * fsum
     kron *= h
     gauss *= h
     err = abs(kron - gauss)
@@ -89,7 +122,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         raise InvalidArgumentError("need a < b")
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be > 0")
-    value, err = _gauss_kronrod(f, a, b)
+    value, err = _gauss_kronrod(f, a, b, _GK15)
     intervals = [(err, a, b, value)]
     evals = 15
     total = value
@@ -99,8 +132,8 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         worst = intervals.pop()
         _, wa, wb, wv = worst
         mid = 0.5 * (wa + wb)
-        v1, e1 = _gauss_kronrod(f, wa, mid)
-        v2, e2 = _gauss_kronrod(f, mid, wb)
+        v1, e1 = _gauss_kronrod(f, wa, mid, _GK15)
+        v2, e2 = _gauss_kronrod(f, mid, wb, _GK15)
         evals += 30
         intervals.append((e1, wa, mid, v1))
         intervals.append((e2, mid, wb, v2))
@@ -196,7 +229,7 @@ def _zero_partition(f, scale, tol, frequencies=None):
     while len(sums) < _ZP_MAX_CELLS:
         for _ in range(16):
             a = len(sums) * width
-            v, e = _gauss_kronrod(f, a, a + width)
+            v, e = _gauss_kronrod(f, a, a + width, _GK15)
             total += v
             cell_err += e
             sums.append(total)
@@ -229,7 +262,7 @@ def _eps_regularized(f, scale, tol, frequencies=None):
         total = cell_err = 0.0
         for j in range(_EPS_CELLS):
             a = j * width
-            v, e = _gauss_kronrod(g, a, a + width)
+            v, e = _gauss_kronrod(g, a, a + width, _GK15)
             total += v
             cell_err += e
             sums.append(total)
@@ -252,36 +285,39 @@ def _eps_regularized(f, scale, tol, frequencies=None):
 
 
 def _body_plus_tail(f, scale, tol, wavenumber, tail):
-    """Half-period cells, one K15 panel each, up to the cut-offs x_a < x_b,
-    plus the closed-form tail at each.  The estimate is |v(x_a) - v(x_b)|
-    + the summed cell estimates + a relative floor; v(x_b) is returned.
+    """Cells three half-periods wide (3 pi/scale), one G10/K21 panel each,
+    up to the cut-offs x_a < x_b, plus the closed-form tail at each.  The
+    estimate is |v(x_a) - v(x_b)| + the summed cell estimates + a relative
+    floor; v(x_b) is returned.
 
-    It gives up (converged False, value nan) before any cell when x_b
-    needs more than _ZP_MAX_CELLS cells, and after only the cells between
-    the cut-offs when those alone put the estimate above tol (the tail
-    does not hold at x_a)."""
-    width = math.pi / scale
+    At least one cell lies between the cut-offs: with none, the gap would
+    be 0 whatever the tail.  It gives up (converged False, value nan)
+    before any cell when x_b lies beyond _ZP_MAX_CELLS half-periods, and
+    after only the cells between the cut-offs when those alone put the
+    estimate above tol (the tail does not hold at x_a)."""
+    width = 3.0 * math.pi / scale
     n_a, n_b = (math.ceil(cut / (wavenumber * width)) for cut in _TAIL_CUTS)
-    if n_b > _ZP_MAX_CELLS:
+    n_b = max(n_b, n_a + 1)
+    if 3 * n_b > _ZP_MAX_CELLS:
         return QuadResult(math.nan, math.inf, 0, False)
     # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
     shell = err = 0.0
     for j in range(n_a, n_b):
-        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width, _GK21)
         shell += v
         err += e
     t_b = tail(n_b * width)
     gap = abs(tail(n_a * width) - t_b - shell)
     if gap + err > tol:
-        return QuadResult(math.nan, gap + err, 15 * (n_b - n_a), False)
+        return QuadResult(math.nan, gap + err, 21 * (n_b - n_a), False)
     body = 0.0
     for j in range(n_a):
-        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width, _GK21)
         body += v
         err += e
     value = body + shell + t_b
     est = gap + err + _TAIL_REL_FLOOR * abs(value)
-    return QuadResult(value, est, 15 * n_b, est <= tol)
+    return QuadResult(value, est, 21 * n_b, est <= tol)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
@@ -300,19 +336,27 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     ``tail = (k, T)``: T(x0) is the closed-form integral of f from x0 to
     infinity, valid once k x0 is large (k the slowest wavenumber).  The
     result is then a finite body plus T at two cut-offs.  If that
-    estimate exceeds tol, the cut-offs need more than _ZP_MAX_CELLS
-    cells, or a listed frequency is zero, both fallback schemes run and
-    must agree within 3x their combined error estimates, otherwise
-    OracleInconsistencyError; the zero-partition value is returned and
-    ``evaluations`` includes those of the abandoned body.  On either path
-    ``converged`` is ``abs_error_estimate <= tol``.
+    estimate exceeds tol, the cut-offs lie beyond _ZP_MAX_CELLS
+    half-periods, or a listed frequency is zero, both fallback schemes
+    run and must agree within 3x their combined error estimates,
+    otherwise OracleInconsistencyError; the zero-partition value is
+    returned and ``evaluations`` includes those of the abandoned body.
+    On either path ``converged`` is ``abs_error_estimate <= tol``.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
-    # Every path samples the same uniform-cell panel nodes: memoize the
-    # (expensive) integrand, keeping only nodes inside the first
-    # _EPS_CELLS cells (the ones _eps_regularized reuses on every rung);
-    # the zero-partition tail beyond them is evaluated once, not stored.
+    # A zero beat leaves tail terms that do not oscillate: fall back.
+    spent = 0
+    if tail is not None and not (frequencies and min(map(abs, frequencies)) == 0.0):
+        r = _body_plus_tail(f, oscillation_scale, tol, *tail)
+        if r.converged:
+            return r
+        spent = r.evaluations
+    # Both fallback schemes sample the same half-period panel nodes:
+    # memoize the (expensive) integrand, keeping only nodes inside the
+    # first _EPS_CELLS cells (the ones _eps_regularized reuses on every
+    # rung); the zero-partition tail beyond them is evaluated once, not
+    # stored.
     cache = {}
     limit = _EPS_CELLS * math.pi / oscillation_scale
 
@@ -324,13 +368,6 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
                 _c[x] = v
         return v
 
-    # A zero beat leaves tail terms that do not oscillate: fall back.
-    spent = 0
-    if tail is not None and not (frequencies and min(map(abs, frequencies)) == 0.0):
-        r = _body_plus_tail(fc, oscillation_scale, tol, *tail)
-        if r.converged:
-            return r
-        spent = r.evaluations
     rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
     re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14

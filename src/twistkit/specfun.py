@@ -32,8 +32,10 @@ DEFAULT_TOL = 1e-12
 _SERIES_X_MAX = 8.0
 
 # Hankel's asymptotic expansion is tried from here on.  Its guard first
-# accepts at x = 18.55 (m = 0; no order accepts below it), and a rejected
-# attempt costs about as much as the Miller call that follows it.
+# accepts at x = 18.55 (m = 0; no order accepts below it).  Up to x ~ 27 an
+# accepted expansion costs more than the Miller call it replaces (18 vs
+# 8 us at x = 19, m = 0), but a threshold of 27 moved recoil_scan's
+# ops_per_ref_s by +1 % (better in 7 of 10 paired 30 s runs): not a gain.
 _HANKEL_X_MIN = 18.5
 
 
@@ -82,30 +84,38 @@ def _bessel_j_series(order: int, x: float) -> float:
 
 
 def _bessel_j_miller(order: int, x: float) -> float:
-    # Backward recurrence from well above both the order and the turning
-    # point x, normalized by the closure sum J_0 + 2*sum J_{2k} = 1.
-    # The recurrence is contractive only above the turning point; the
-    # extra margin sets the achievable accuracy (~1e-13 at x ~ 40).
-    start = int(order + max(36, 1.6 * x) + 40)
-    if start % 2 == 1:
-        start += 1
-    jp = 0.0
-    jc = 1e-300
+    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from an arbitrary
+    # start, normalized by the closure sum J_0 + 2*sum J_{2k} = 1.  The
+    # start's error decays only above the turning point max(order, x),
+    # across a transition layer ~x^(1/3) wide, so the margin is counted in
+    # that unit: with 10 x^(1/3) + 8 what remains is the rounding of the
+    # ~x steps (at most ~1e-15 up to x = 3000; a fixed margin of 30 loses
+    # 2e-4 there).  Each pass takes an odd then an even index.  The
+    # coefficient 2k/x is formed at each step: k times a hoisted 2/x
+    # loses 3e-15 at x ~ 2000.
+    start = math.ceil(max(order, x) + 10.0 * x ** (1.0 / 3.0) + 8.0)
+    start += start % 2
+    # The pass at even k sets J_{k-1} and J_{k-2}; the order falls in the
+    # pass at k_order, as the odd or the even one of the two.
+    k_order = order + 2 - order % 2
+    odd_order = order % 2 == 1
+    odd = 0.0
+    even = 1e-300
     target = 0.0
     closure = 0.0
-    for k in range(start, 0, -1):
-        jm = (2.0 * k / x) * jc - jp
-        jp, jc = jc, jm
-        if k - 1 == order:
-            target = jc
-        if (k - 1) % 2 == 0:
-            closure += jc if k - 1 == 0 else 2.0 * jc
-        if abs(jc) > 1e250:
-            jc *= 1e-250
-            jp *= 1e-250
+    for k in range(start, 0, -2):
+        odd = (2.0 * k / x) * even - odd
+        even = (2.0 * (k - 1) / x) * odd - even
+        closure += even
+        if k == k_order:
+            target = odd if odd_order else even
+        if abs(even) > 1e250:
+            odd *= 1e-250
+            even *= 1e-250
             target *= 1e-250
             closure *= 1e-250
-    return target / closure
+    # closure holds J_0 + sum_{k>=1} J_{2k}; the sum counts twice.
+    return target / (2.0 * closure - even)
 
 
 def _bessel_j_hankel(order: int, x: float) -> float | None:

@@ -133,6 +133,17 @@ class TestAmplitude:
         assert code == 3
         assert "k_z = 0" in err
 
+    def test_free_non_convergence_exits_3(self, capsys):
+        # The scan's icm0 builds trapped states; free ones reach icm0
+        # through the amplitude.  Here its beat k + k_R - k_R' is -0.003.
+        code, _, err = run(["amplitude", "--kind", "tm", "--m", "-7",
+                            "--kperp", "0.6637396546184631", "--kz", "1.0",
+                            "--cm-in", "free:3,1.112411615751372",
+                            "--cm-out", "free:10,1.779393968169778",
+                            "--int-in", "2p:0", "--int-out", "1s"], capsys)
+        assert code == 3
+        assert "free icm0" in err
+
 
 class TestScan:
     @staticmethod

@@ -9,7 +9,8 @@ import mpmath
 import pytest
 
 from twistkit import matrix_elements as me
-from twistkit.errors import InvalidArgumentError, SingularNormalizationError
+from twistkit.errors import (ConvergenceError, InvalidArgumentError,
+                             SingularNormalizationError)
 from twistkit.fields import ModeKind, ModeSpec
 from twistkit.quadrature import integrate_finite
 
@@ -144,6 +145,11 @@ class TestTripleBessel:
         # Both dual-method schemes together take ~25k evaluations here.
         assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
 
+    def test_body_in_three_half_period_k21_cells(self):
+        # 8 cells of width 3 pi / 3.1 reach 0.7 x >= 16, 21 evaluations
+        # each (half-period K15 cells took 345).
+        assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 200
+
     @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
                                       (1.0, 0.5, 1.4, 10, 0, 0)])
     def test_fallback_cost_is_bounded(self, args):
@@ -222,6 +228,26 @@ class TestCenterOfMassIntegrals:
             got = me.icm0(cm, cm, k, 1.0, 0).real
             assert got == pytest.approx(me.suppression_factor(k, alpha),
                                         abs=1e-10)
+
+    def test_free_non_convergence_raises(self):
+        # A beat of -0.003 (k + k_R - k_R') and orders up to 10: the body
+        # plus tail does not hold and the dual-method estimate is ~4.
+        cm_in = me.CenterOfMassState.free(3, 1.112411615751372)
+        cm_out = me.CenterOfMassState.free(10, 1.779393968169778)
+        with pytest.raises(ConvergenceError) as info:
+            me.icm0(cm_in, cm_out, 0.6637396546184631, 1.0, -6)
+        assert not info.value.partial.converged
+        assert info.value.partial.abs_error_estimate > 1e-9
+
+    def test_free_order_8_converges(self):
+        # With half-period K15 cells this point fell back to the
+        # dual-method path, whose estimate (5e-7) missed tol, and icm0
+        # returned the value anyway.
+        cm_in = me.CenterOfMassState.free(3, 1.7)
+        cm_out = me.CenterOfMassState.free(-5, 1.4)
+        r = me._triple_bessel_oracle(0.5, 1.7, 1.4, 8, 3, -5, 1, 1e-9)
+        assert r.converged
+        assert me.icm0(cm_in, cm_out, 0.5, 1.0, 8) == r.value
 
     def test_vortex_series_matches_quadrature(self):
         alpha = 1.3

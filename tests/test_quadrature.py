@@ -30,6 +30,11 @@ class TestIntegrateFinite:
         r = quadrature.integrate_finite(math.sqrt, 0.0, 1.0, tol=1e-10)
         assert r.value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_k21_rule_exact_to_degree_30(self):
+        v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0,
+                                         quadrature._GK21)
+        assert abs(v - 2.0 / 31.0) <= 1e-15
+
     def test_result_validation(self):
         with pytest.raises(InvalidArgumentError):
             quadrature.QuadResult(value=1.0, abs_error_estimate=-1.0,
@@ -88,15 +93,16 @@ class TestSemiInfinite:
             assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
 
     def test_wrong_tail_falls_back_and_counts_its_cells(self):
-        # The tail 0 is wrong at both cut-offs (k x = 12, 16: cells 4..5 of
-        # width pi), so only those two cells are spent before the fallback.
+        # The tail 0 is wrong at both cut-offs (k x = 12 and 16 both round
+        # up to 6 pi, so the second moves one 3 pi cell out), so only the
+        # one K21 cell between them is spent before the fallback.
         f = lambda x: bessel_j_any(0, x)
         r = quadrature.integrate_bessel_semiinfinite(
             f, 1.0, tol=1e-10, frequencies=[1.0], tail=(1.0, lambda x0: 0.0))
         rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
         re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
         assert r.value == rz.value
-        assert r.evaluations == 30 + rz.evaluations + re.evaluations
+        assert r.evaluations == 21 + rz.evaluations + re.evaluations
 
     def test_converged_means_within_tol(self):
         # Only the zero-partition scheme converges on this triple-Bessel
