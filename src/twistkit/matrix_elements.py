@@ -343,6 +343,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     phi_r = phi[None, :]
     n, v, s = o
     grids: Dict[int, np.ndarray] = {}
+    scale = 0.0  # sum of |coupling * radial|: what cancellation starts from
     for comp in comps:
         a = abs(comp.mu)
         if a == 0:
@@ -361,6 +362,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
                       * math.comb(a, n) * (_KR_Q / _KR_R) ** n)
             term = (radial * np.cos((v - 2 * s) * (phi_R - phi_r))
                     * np.exp(-1j * sgn * ((a - n) * phi_R + n * phi_r)))
+        scale += abs(comp.coupling * radial)
         d_spin = comp.sigma if spin_mode else 0
         vec = 1.0 if spin_mode else np.exp(1j * comp.sigma * phi_r)
         contrib = comp.coupling * term * vec
@@ -370,7 +372,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
                for d_spin, grid in grids.items()}
     peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
     table: Dict[Tuple[int, int, int], float] = {}
-    if peak < 1e-13:
+    if peak <= 1e-13 * scale:
         return table  # everything cancelled: no allowed channels
     half = _N_PHI // 2
     for d_spin, mags in spectra.items():
@@ -408,13 +410,20 @@ _TAIL_TERMS = 12
 
 def _hankel_coefficients(order: int, k: float) -> List[complex]:
     """c_j of H^(1)_order(k R) ~ sqrt(2/(pi k R)) e^{i(k R - order pi/2 - pi/4)}
-    sum_j c_j R^{-j} (A&S 9.2.5-9.2.10): c_j = c_{j-1} i (4 order^2 - (2j-1)^2)
-    / (8 j k), j = 0.._TAIL_TERMS.  Valid for negative orders as well."""
-    mu = 4.0 * order * order
+    sum_j c_j R^{-j} (A&S 9.2.5-9.2.10): c_j = c_{j-1} i a_j / k with
+    specfun's Hankel ratios a_j, j = 0.._TAIL_TERMS.  Valid for negative
+    orders as well."""
+    ratios = specfun.hankel_ratios(order, _TAIL_TERMS)
     c = [1.0 + 0j]
-    for j in range(1, _TAIL_TERMS + 1):
-        c.append(c[-1] * 1j * (mu - (2 * j - 1) ** 2) / (8.0 * j * k))
+    for j in range(_TAIL_TERMS):
+        c.append(c[-1] * 1j * ratios[j] / k)
     return c
+
+
+def _convolve(a: List[complex], b: List[complex]) -> List[complex]:
+    """The first _TAIL_TERMS + 1 coefficients of the product of two series."""
+    return [sum(a[i] * b[j - i] for i in range(j + 1))
+            for j in range(_TAIL_TERMS + 1)]
 
 
 def _triple_bessel_tail(ks: Tuple[float, float, float],
@@ -423,29 +432,30 @@ def _triple_bessel_tail(ks: Tuple[float, float, float],
     """T(x0) = int_x0^inf J_m1(k1 R) J_m2(k2 R) J_m3(k3 R) R^power dR from the
     Hankel expansions J = (H^(1) + conj H^(1)) / 2.  A sign pattern s gives
     terms R^{-p} e^{i w R}, w = s.k, p = 3/2 - power + j, each integrated
-    exactly as x0^{1-p} E_p(-i w x0); the patterns with s_1 = -1 are the
-    conjugates of those with s_1 = +1, hence 2 Re over four patterns."""
-    series = [_hankel_coefficients(m, k) for m, k in zip(orders, ks)]
+    exactly as x0^{1-p} E_p(-i w x0), one E_p ladder per pattern; the
+    patterns with s_1 = -1 are the conjugates of those with s_1 = +1, hence
+    2 Re over four patterns, whose products share c1 * c2 and c1 * conj c2."""
+    c1, c2, c3 = (_hankel_coefficients(m, k) for m, k in zip(orders, ks))
+    c2_bar = [x.conjugate() for x in c2]
+    c3_bar = [x.conjugate() for x in c3]
     amp = 0.25 * (2.0 / math.pi) ** 1.5 / math.sqrt(ks[0] * ks[1] * ks[2])
+    p0 = 1.5 - power
     patterns = []
-    for signs in ((1, 1, 1), (1, 1, -1), (1, -1, 1), (1, -1, -1)):
-        phase = sum(s * (m * 0.5 * math.pi + 0.25 * math.pi)
-                    for s, m in zip(signs, orders))
-        prod = [amp * cmath.exp(-1j * phase)]
-        for s, c in zip(signs, series):
-            c = c if s == 1 else [x.conjugate() for x in c]
-            prod = [sum(prod[i] * c[j - i]
-                        for i in range(min(j, len(prod) - 1) + 1))
-                    for j in range(_TAIL_TERMS + 1)]
-        patterns.append((sum(s * k for s, k in zip(signs, ks)), prod))
+    for s2, c12 in ((1, _convolve(c1, c2)), (-1, _convolve(c1, c2_bar))):
+        for s3, c3s in ((1, c3), (-1, c3_bar)):
+            signs = (1, s2, s3)
+            phase = sum(s * (m * 0.5 * math.pi + 0.25 * math.pi)
+                        for s, m in zip(signs, orders))
+            scale = amp * cmath.exp(-1j * phase)
+            prod = [scale * c for c in _convolve(c12, c3s)]
+            patterns.append((sum(s * k for s, k in zip(signs, ks)), prod))
 
     def tail(x0: float) -> float:
+        x0_powers = [x0 ** (power - 0.5 - j) for j in range(_TAIL_TERMS + 1)]
         total = 0j
         for w, prod in patterns:
-            z = -1j * w * x0
-            for j, c in enumerate(prod):
-                p = 1.5 - power + j
-                total += c * x0 ** (1.0 - p) * specfun.expint_e(p, z)
+            ladder = specfun.expint_e_ladder(p0, _TAIL_TERMS + 1, -1j * w * x0)
+            total += sum(c * x * e for c, x, e in zip(prod, x0_powers, ladder))
         return total.real
     return tail
 

@@ -4,9 +4,15 @@ Integer-order Bessel J (ascending series for small x; Hankel's asymptotic
 expansion for x >= 18.5 while its terms keep falling to 1e-17; else Miller's
 backward recurrence), generalized Laguerre polynomials, Pochhammer
 symbols, the 2F2 hypergeometric series, the generalized exponential
-integral E_p at half-integer p, and the Gegenbauer cosine-sum
-coefficient that drives the cylindrical addition theorem.  Everything is
-a pure function of its arguments; no module-level mutable state.
+integral E_p at half-integer p (alone, or as a ladder of consecutive p
+from one direct evaluation), and the Gegenbauer cosine-sum coefficient
+that drives the cylindrical addition theorem.
+
+Every function is a pure function of its arguments.  The one piece of
+module-level mutable state is a memo of the Hankel-expansion ratios
+(4m^2 - (2k-1)^2) / (8k), a list per order m that grows only as far as a
+call has read it; its entries depend on (m, k) alone, so the memo changes
+no result.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List
+from typing import Dict, List
 
 from .errors import ConvergenceError, InvalidArgumentError
 
@@ -32,10 +38,11 @@ DEFAULT_TOL = 1e-12
 _SERIES_X_MAX = 8.0
 
 # Hankel's asymptotic expansion is tried from here on.  Its guard first
-# accepts at x = 18.55 (m = 0; no order accepts below it).  Up to x ~ 27 an
-# accepted expansion costs more than the Miller call it replaces (18 vs
-# 8 us at x = 19, m = 0), but a threshold of 27 moved recoil_scan's
-# ops_per_ref_s by +1 % (better in 7 of 10 paired 30 s runs): not a gain.
+# accepts at x = 18.55 (m = 0; no order accepts below it).  With the
+# memoized ratios an accepted expansion costs what the Miller call it
+# replaces costs at x = 18.6 (8-9 us each, m = 0..3) and less beyond (5-6
+# vs 8-10 us at x = 22), so the crossover is the guard's own first
+# acceptance and the threshold stays there.
 _HANKEL_X_MIN = 18.5
 
 
@@ -118,23 +125,48 @@ def _bessel_j_miller(order: int, x: float) -> float:
     return target / (2.0 * closure - even)
 
 
+# Per order m >= 0, the ratios a_k = (4m^2 - (2k-1)^2) / (8k), k = 1, 2, ...,
+# of Hankel's expansion (A&S 9.2.5-9.2.10), filled by hankel_ratios.
+_HANKEL_RATIOS: Dict[int, List[float]] = {}
+
+
+def hankel_ratios(order: int, n: int) -> List[float]:
+    """The memoized ratios a_1, a_2, ... of order |order|, at least n of
+    them: a_k = (4 order^2 - (2k-1)^2) / (8k), so that the k-th term of
+    Hankel's expansion of J_order(x) or H_order(x) is the (k-1)-th times
+    a_k / x.  The returned list is the memo itself; do not modify it."""
+    ratios = _HANKEL_RATIOS.setdefault(abs(order), [])
+    mu = 4.0 * order * order
+    for k in range(len(ratios) + 1, n + 1):
+        ratios.append((mu - (2 * k - 1) ** 2) / (8.0 * k))
+    return ratios
+
+
 def _bessel_j_hankel(order: int, x: float) -> float | None:
     # J_m(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (2m+1) pi/4
-    # (A&S 9.2.5-9.2.10); t_k = t_{k-1} (4m^2 - (2k-1)^2) / (8 k x) feeds
-    # P = t_0 - t_2 + ..., Q = t_1 - t_3 + ...  None unless |t_k| keeps
-    # falling to 1e-17 (|P| + |Q|).
-    mu = 4.0 * order * order
-    pq = [1.0, 0.0]
+    # (A&S 9.2.5-9.2.10); t_k = t_{k-1} a_k / x feeds P = t_0 - t_2 + t_4 ...,
+    # Q = t_1 - t_3 + ...  Each pass adds a Q then a P term, the sign of
+    # t_{2j} folded into the running term.  None unless |t_k| keeps falling
+    # (|a_k / x| < 1, checked for both terms of a pass before they are
+    # added) until a pass ends on a P term below 1e-17 (|P| + |Q|); a Q
+    # term below it is followed by one smaller P term.
+    ratios = _HANKEL_RATIOS.get(order) or hankel_ratios(order, 2)
+    p = 1.0
+    q = 0.0
     term = 1.0
-    for k in range(1, MAX_TERMS):
-        nxt = term * (mu - (2 * k - 1) ** 2) / (8.0 * k * x)
-        if abs(nxt) >= abs(term):
+    for k in range(0, MAX_TERMS, 2):
+        if k + 2 > len(ratios):
+            hankel_ratios(order, k + 2)
+        r_q = ratios[k] / x
+        r_p = ratios[k + 1] / x
+        if not (-1.0 < r_q < 1.0 and -1.0 < r_p < 1.0):
             return None
-        term = nxt
-        pq[k % 2] += term if k % 4 < 2 else -term
-        if abs(term) <= 1e-17 * (abs(pq[0]) + abs(pq[1])):
+        term *= r_q
+        q += term
+        term *= -r_p
+        p += term
+        if abs(term) <= 1e-17 * (abs(p) + abs(q)):
             break
-    p, q = pq
     # cos/sin of (2m+1) pi/4 are exactly +-1/sqrt(2); expanding
     # cos(x - phase) keeps x unrounded (x - phase would lose ~x 1e-16).
     c = 1.0 if (order + 1) % 4 < 2 else -1.0
@@ -266,6 +298,28 @@ def expint_e(p: float, z: complex) -> complex:
             if abs(step - 1.0) <= 1e-16:
                 return h * cmath.exp(-z)
     raise ConvergenceError("expint_e exceeded the term cap")
+
+
+def expint_e_ladder(p0: float, n: int, z: complex) -> List[complex]:
+    """[E_p0(z), E_{p0+1}(z), ..., E_{p0+n-1}(z)] for half-integer p0 > 0.
+
+    One direct expint_e at the rung p nearest |z|, then the recurrence
+    p E_{p+1}(z) + z E_p(z) = e^{-z} (DLMF 8.19.12): downward below that
+    rung, E_p = (e^{-z} - p E_{p+1}) / z, and upward above it, E_{p+1} =
+    (e^{-z} - z E_p) / p.  An error is multiplied by p / |z| a step going
+    down and by |z| / p going up, so by at most ~1 either way.
+    """
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    r = min(n - 1, max(0, round(abs(z) - p0)))
+    out = [0j] * n
+    out[r] = expint_e(p0 + r, z)
+    ez = cmath.exp(-z)
+    for i in range(r - 1, -1, -1):
+        out[i] = (ez - (p0 + i) * out[i + 1]) / z
+    for i in range(r + 1, n):
+        out[i] = (ez - z * out[i - 1]) / (p0 + i - 1)
+    return out
 
 
 def gegenbauer_coefficients(l: int, v: int) -> List[float]:

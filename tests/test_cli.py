@@ -313,6 +313,40 @@ class TestScan:
         assert "oracle inconsistency" in err
 
 
+class TestRepeatedMain:
+    def test_reused_parser_gives_what_a_fresh_one_gives(self, tmp_path,
+                                                         capsys, monkeypatch):
+        # main() builds its parser on the first call and keeps it; a scan,
+        # a malformed flag that exits 2, a channel table and the same scan
+        # again must each come out as from a parser built for that call.
+        path, _ = TestScan._config(
+            tmp_path, quantity="triple_bessel",
+            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
+                  "k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1},
+                  "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
+        out = tmp_path / "out.csv"
+        calls = [["scan", "--config", str(path)],
+                 ["scan", "--config", str(path), "--format", "xml"],
+                 ["channels", "--m", "2", "--kind", "tm",
+                  "--interaction", "dipole"],
+                 ["scan", "--config", str(path)]]
+
+        def one(argv):
+            out.unlink(missing_ok=True)
+            code, stdout, stderr = run(argv, capsys)
+            return code, stdout, stderr, out.exists() and out.read_bytes()
+
+        fresh = []
+        for argv in calls:
+            monkeypatch.setattr(cli, "_PARSER", None)
+            fresh.append(one(argv))
+        monkeypatch.setattr(cli, "_PARSER", None)
+        reused = [one(argv) for argv in calls]
+        assert [r[0] for r in reused] == [0, 2, 0, 0]
+        assert reused == fresh
+        assert reused[0][3] and reused[0] == reused[3]
+
+
 class TestVerify:
     def test_fast_battery_passes(self, capsys):
         code, out, _ = run(["verify", "--only", "overlap"], capsys)

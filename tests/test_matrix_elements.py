@@ -59,6 +59,22 @@ class TestSelectionChannels:
                                                           order=o))
                     assert got == want, (m, kind, inter, o)
 
+    def test_matches_azimuthal_oracle_at_large_m(self):
+        # The radial weights J_{|m|+v}(1.3) J_{|m|+v}(0.7) fall below 1e-13
+        # here, so the oracle must judge cancellation relative to them.
+        # Kind and general order cycle with m to keep the test short.
+        orders = [me.TermOrder(0, 0, 0), me.TermOrder(0, 1, 0),
+                  me.TermOrder(0, 1, 1), me.TermOrder(1, 0, 0)]
+        for i, m in enumerate([*range(-20, -7), *range(8, 21)]):
+            kind = (ModeKind.TE, ModeKind.TM)[i % 2]
+            cases = [("dipole", None), ("spin", None),
+                     ("general", orders[i // 2 % 4])]
+            for inter, o in cases:
+                sym = me.symbolic_channels(m, kind, inter, order=o)
+                got = {(c.delta_m_R, c.delta_m_r, c.delta_spin_e) for c in sym}
+                want = set(me.azimuthal_channel_table(m, kind, inter, order=o))
+                assert got and got == want, (m, kind, inter, o)
+
     def test_dipole_counts(self):
         assert len(me.symbolic_channels(2, ModeKind.TM, "dipole")) == 3
         assert len(me.symbolic_channels(0, ModeKind.TE, "dipole")) == 2

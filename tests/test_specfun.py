@@ -50,6 +50,21 @@ class TestBesselJ:
             assert specfun.bessel_j(order, x) == pytest.approx(want, abs=1e-15)
         assert accepted > 100
 
+    def test_hankel_branch_against_mpmath(self):
+        # Hankel's expansion alone where its guard accepts, orders 0..12,
+        # x log-uniform on [18.5, 200]: within 3e-16 absolute.
+        rng = np.random.RandomState(12)
+        accepted = 0
+        for _ in range(300):
+            order = int(rng.randint(0, 13))
+            x = float(np.exp(rng.uniform(np.log(18.5), np.log(200.0))))
+            got = specfun._bessel_j_hankel(order, x)
+            if got is None:
+                continue
+            accepted += 1
+            assert abs(got - float(mpmath.besselj(order, x))) <= 3e-16
+        assert accepted > 200
+
     def test_miller_against_mpmath(self):
         # Miller's recurrence alone, orders 0..60, x log-uniform on
         # [8, 3000] past the series region.  Its rounding grows with the
@@ -164,12 +179,29 @@ class TestExpintE:
                 want = complex(mpmath.expint(p, z))
                 assert abs(specfun.expint_e(p, z) - want) <= 1e-14 * abs(want)
 
+    @pytest.mark.parametrize("p0", [0.5, 1.5, 2.5])
+    def test_ladder_against_mpmath(self, p0):
+        # The tail's z = -i w x0, |w| from 1e-3 to 30 and x0 from 5 to 60,
+        # puts |z| below, inside and above the rungs p0 .. p0 + n - 1.
+        cases = [(w, x0) for w in (1e-3, -0.02, 0.3, -1.0, 2.7, -9.0, 30.0)
+                 for x0 in (5.0, 12.0, 60.0)]
+        for i, (w, x0) in enumerate(cases):
+            n = 13 + i % 3
+            z = complex(0.0, -w * x0)
+            got = specfun.expint_e_ladder(p0, n, z)
+            assert len(got) == n
+            for j, e in enumerate(got):
+                want = complex(mpmath.expint(p0 + j, z))
+                assert abs(e - want) <= 1e-14 * abs(want), (n, w, x0, j)
+
     def test_rejects_bad_arguments(self):
         for p in (1.0, 0.0, -0.5):
             with pytest.raises(InvalidArgumentError):
                 specfun.expint_e(p, 1j)
         with pytest.raises(InvalidArgumentError):
             specfun.expint_e(0.5, 0j)
+        with pytest.raises(InvalidArgumentError):
+            specfun.expint_e_ladder(0.5, 0, 1j)
 
 
 class TestGegenbauerCoeff:
