@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from . import fields, quadrature, specfun
-from .errors import ConvergenceError, InvalidArgumentError
+from .errors import InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
 
 # ---------------------------------------------------------------------------
@@ -394,15 +394,6 @@ def suppression_factor(k_perp: float, alpha: float) -> float:
     return math.exp(-0.25 * (k_perp * alpha) ** 2)
 
 
-def _bessel_beats(*ks: float) -> List[float]:
-    """Asymptotic beat frequencies of a product of Bessel factors:
-    every combination sum(+-k_i)."""
-    beats = {0.0}
-    for k in ks:
-        beats = {b + s * k for b in beats for s in (+1.0, -1.0)}
-    return sorted({abs(b) for b in beats})
-
-
 # Terms of each Hankel expansion, and of their product in 1/R, kept in
 # the closed-form triple-Bessel tail.
 _TAIL_TERMS = 12
@@ -463,18 +454,27 @@ def _triple_bessel_tail(ks: Tuple[float, float, float],
 def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
                           m3: int, power: int, tol: float) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
-    plus the closed-form Hankel tail, with the dual-method oscillatory
-    oracle as the fallback (quadrature.integrate_bessel_semiinfinite)."""
+    plus the closed-form Hankel tail through
+    quadrature.integrate_bessel_semiinfinite, ConvergenceError when its
+    estimate misses tol.
+
+    The Hankel expansion of order m holds once k x >~ m^2, so each factor
+    asks for x_a >= max(12, m^2) / k and x_b >= max(16, m^2 + 4) / k, and
+    the cut-offs are the largest of these.  The rule is measured, not
+    derived: a per-factor bound from the size of the last Hankel term, or
+    m^2 / 2, missed on high-order points."""
     def f(R: float) -> float:
         if R == 0.0:
             return 0.0
         return (bessel_j_any(m1, k1 * R) * R ** power
                 * bessel_j_any(m2, k2 * R) * bessel_j_any(m3, k3 * R))
 
-    tail = _triple_bessel_tail((k1, k2, k3), (m1, m2, m3), power)
+    ks, orders = (k1, k2, k3), (m1, m2, m3)
+    x_a = max(max(12.0, m * m) / k for m, k in zip(orders, ks))
+    x_b = max(max(16.0, m * m + 4.0) / k for m, k in zip(orders, ks))
+    tail = _triple_bessel_tail(ks, orders, power)
     return quadrature.integrate_bessel_semiinfinite(
-        f, k1 + k2 + k3, tol=tol, frequencies=_bessel_beats(k1, k2, k3),
-        tail=(min(k1, k2, k3), tail))
+        f, k1 + k2 + k3, tol=tol, tail=((x_a, x_b), tail))
 
 
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
@@ -484,10 +484,14 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
 
         int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR
 
-    as a finite body plus the closed-form Hankel tail, with the dual-method
-    oscillatory oracle as the fallback.  For n <= m + m_R it vanishes
+    as a finite body plus the closed-form Hankel tail, from cut-offs that
+    grow with the orders; ConvergenceError (the QuadResult as ``partial``)
+    when its error estimate exceeds tol.  For n <= m + m_R it vanishes
     (transverse momentum conservation) whenever k^R' > k + k^R; at
-    n = m + m_R + 1 the third order is -1 and it need not.
+    n = m + m_R + 1 the third order is -1 and it need not.  A degenerate
+    triangle (a zero beat, e.g. k^R' = k + k^R) integrates its
+    non-oscillating tail terms in closed form where they converge (n >= 1)
+    and raises InvalidArgumentError where they do not (n = 0).
     """
     for k in (k_perp, k_perp_R, k_perp_Rp):
         if not k > 0.0:
@@ -575,22 +579,19 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     """Radial center-of-mass overlap I_CM^(0) against J_order(k_perp R).
 
     Free Bessel states: the conditionally convergent triple-Bessel radial
-    integral (body plus Hankel tail, dual-method fallback); the axial
-    delta is reported via axial_momentum_constraint, not folded into the
-    value; ConvergenceError (the QuadResult as ``partial``) when its
-    error estimate exceeds tol.  Trapped states: the normalized
+    integral (body plus Hankel tail); the axial delta is reported via
+    axial_momentum_constraint, not folded into the value; ConvergenceError
+    (the QuadResult as ``partial``) when its error estimate exceeds tol,
+    InvalidArgumentError at a zero beat (k_perp +- k_R +- k_R' = 0), where
+    the integral diverges.  Trapped states: the normalized
     Laguerre-Gauss-Bessel overlap by finite quadrature.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if cm_in.variant == FREE_BESSEL:
-        r = _triple_bessel_oracle(k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
-                                  order, cm_in.m_R, cm_out.m_R, 1, tol)
-        if not r.converged:
-            raise ConvergenceError(
-                f"free icm0: estimate {r.abs_error_estimate:.3e} exceeds "
-                f"tol {tol:.3e}", partial=r)
-        return complex(r.value)
+        return complex(_triple_bessel_oracle(
+            k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
+            order, cm_in.m_R, cm_out.m_R, 1, tol).value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
     alpha = cm_in.alpha

@@ -1,10 +1,11 @@
 """Independent numerical oracles.
 
 Adaptive Gauss-Kronrod quadrature on finite intervals; semi-infinite
-oscillatory Bessel-product integrals as a finite body plus a caller's
-closed-form tail, with two mutually cross-checking schemes as the
-fallback; and Richardson-extrapolated finite-difference operators used
-to verify the closed-form fields.
+oscillatory Bessel-product integrals, either as a finite body plus a
+caller's closed-form tail from caller-chosen cut-offs (ConvergenceError
+on a miss) or, without a tail, by two mutually cross-checking schemes;
+and Richardson-extrapolated finite-difference operators used to verify
+the closed-form fields.
 """
 
 from __future__ import annotations
@@ -18,17 +19,16 @@ from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyE
 DEFAULT_FINITE_TOL = 1e-12
 DEFAULT_OSC_TOL = 1e-9
 
-# integrate_finite evaluations, zero-partition cells, eps-ladder cells per
-# rung (the nodes worth caching), filter passes, Wynn tail window in cells.
+# integrate_finite evaluations, zero-partition cells (also the body-plus-
+# tail reach in half-periods), eps-ladder cells per rung, filter passes,
+# Wynn tail window in cells.
 _FINITE_MAX_EVALS = 200_000
 _ZP_MAX_CELLS = 1152
 _EPS_CELLS = 224
 _FILTER_PASSES = 2
 _WYNN_WINDOW = 64
 
-# Body-plus-tail path: the two cut-offs, in units of 1/k of the slowest
-# factor, and the relative floor of its error estimate.
-_TAIL_CUTS = (12.0, 16.0)
+# Relative floor of the body-plus-tail error estimate.
 _TAIL_REL_FLOOR = 1e-13
 
 # Gauss-Kronrod rules on [-1, 1] as (nodes, Kronrod weights, Gauss
@@ -284,22 +284,26 @@ def _eps_regularized(f, scale, tol, frequencies=None):
                       err < 10 * tol)
 
 
-def _body_plus_tail(f, scale, tol, wavenumber, tail):
+def _body_plus_tail(f, scale, tol, cuts, tail):
     """Cells three half-periods wide (3 pi/scale), one G10/K21 panel each,
     up to the cut-offs x_a < x_b, plus the closed-form tail at each.  The
     estimate is |v(x_a) - v(x_b)| + the summed cell estimates + a relative
     floor; v(x_b) is returned.
 
     At least one cell lies between the cut-offs: with none, the gap would
-    be 0 whatever the tail.  It gives up (converged False, value nan)
-    before any cell when x_b lies beyond _ZP_MAX_CELLS half-periods, and
-    after only the cells between the cut-offs when those alone put the
-    estimate above tol (the tail does not hold at x_a)."""
+    be 0 whatever the tail.  ConvergenceError (the partial QuadResult,
+    value nan until the body is integrated) before any cell when x_b lies
+    beyond _ZP_MAX_CELLS half-periods, after only the cells between the
+    cut-offs when those alone put the estimate above tol (the tail does
+    not hold at x_a), and after the body when the whole estimate does."""
     width = 3.0 * math.pi / scale
-    n_a, n_b = (math.ceil(cut / (wavenumber * width)) for cut in _TAIL_CUTS)
+    n_a, n_b = (math.ceil(cut / width) for cut in cuts)
     n_b = max(n_b, n_a + 1)
     if 3 * n_b > _ZP_MAX_CELLS:
-        return QuadResult(math.nan, math.inf, 0, False)
+        raise ConvergenceError(
+            f"body plus tail: cut-off x = {cuts[1]:.3e} lies beyond "
+            f"{_ZP_MAX_CELLS} half-periods",
+            partial=QuadResult(math.nan, math.inf, 0, False))
     # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
     shell = err = 0.0
     for j in range(n_a, n_b):
@@ -309,7 +313,10 @@ def _body_plus_tail(f, scale, tol, wavenumber, tail):
     t_b = tail(n_b * width)
     gap = abs(tail(n_a * width) - t_b - shell)
     if gap + err > tol:
-        return QuadResult(math.nan, gap + err, 21 * (n_b - n_a), False)
+        raise ConvergenceError(
+            f"body plus tail: the cut-offs disagree by {gap + err:.3e} > "
+            f"tol {tol:.3e}",
+            partial=QuadResult(math.nan, gap + err, 21 * (n_b - n_a), False))
     body = 0.0
     for j in range(n_a):
         v, e = _gauss_kronrod(f, j * width, (j + 1) * width, _GK21)
@@ -317,59 +324,46 @@ def _body_plus_tail(f, scale, tol, wavenumber, tail):
         err += e
     value = body + shell + t_b
     est = gap + err + _TAIL_REL_FLOOR * abs(value)
-    return QuadResult(value, est, 21 * n_b, est <= tol)
+    if est > tol:
+        raise ConvergenceError(
+            f"body plus tail: estimate {est:.3e} exceeds tol {tol:.3e}",
+            partial=QuadResult(value, est, 21 * n_b, False))
+    return QuadResult(value, est, 21 * n_b, True)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
                                   oscillation_scale: float,
                                   tol: float = DEFAULT_OSC_TOL,
                                   frequencies: Sequence[float] = None,
-                                  tail: Optional[Tuple[float, Callable]] = None
+                                  tail: Optional[Tuple[Tuple[float, float],
+                                                       Callable]] = None
                                   ) -> QuadResult:
     """Semi-infinite integral of an oscillatory Bessel-type integrand.
 
     ``oscillation_scale`` is the largest wavenumber present (the slowest
-    zero spacing is pi/scale); ``frequencies`` may list every asymptotic
-    oscillation frequency (e.g. the beat combinations of a Bessel
-    product), which the accelerators then annihilate exactly.
+    zero spacing is pi/scale).
 
-    ``tail = (k, T)``: T(x0) is the closed-form integral of f from x0 to
-    infinity, valid once k x0 is large (k the slowest wavenumber).  The
-    result is then a finite body plus T at two cut-offs.  If that
-    estimate exceeds tol, the cut-offs lie beyond _ZP_MAX_CELLS
-    half-periods, or a listed frequency is zero, both fallback schemes
-    run and must agree within 3x their combined error estimates,
-    otherwise OracleInconsistencyError; the zero-partition value is
-    returned and ``evaluations`` includes those of the abandoned body.
-    On either path ``converged`` is ``abs_error_estimate <= tol``.
+    ``tail = ((x_a, x_b), T)``: T(x0) is the closed-form integral of f
+    from x0 to infinity, valid from the cut-off x_a on (the caller owns
+    the expansion behind T, so it knows where it holds).  The result is a
+    finite body plus T at both cut-offs, their disagreement the estimate;
+    ConvergenceError when that estimate exceeds tol or the cut-offs lie
+    beyond _ZP_MAX_CELLS half-periods.
+
+    Without a tail, two independent schemes run (the dual-method oracle):
+    ``frequencies`` may list every asymptotic oscillation frequency (e.g.
+    the beat combinations of a Bessel product), which their accelerators
+    then annihilate exactly.  They must agree within 3x their combined
+    error estimates, otherwise OracleInconsistencyError; the
+    zero-partition value is returned, ``converged`` meaning
+    ``abs_error_estimate <= tol``.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
-    # A zero beat leaves tail terms that do not oscillate: fall back.
-    spent = 0
-    if tail is not None and not (frequencies and min(map(abs, frequencies)) == 0.0):
-        r = _body_plus_tail(f, oscillation_scale, tol, *tail)
-        if r.converged:
-            return r
-        spent = r.evaluations
-    # Both fallback schemes sample the same half-period panel nodes:
-    # memoize the (expensive) integrand, keeping only nodes inside the
-    # first _EPS_CELLS cells (the ones _eps_regularized reuses on every
-    # rung); the zero-partition tail beyond them is evaluated once, not
-    # stored.
-    cache = {}
-    limit = _EPS_CELLS * math.pi / oscillation_scale
-
-    def fc(x, _f=f, _c=cache):
-        v = _c.get(x)
-        if v is None:
-            v = _f(x)
-            if x < limit:
-                _c[x] = v
-        return v
-
-    rz = _zero_partition(fc, oscillation_scale, tol, frequencies=frequencies)
-    re = _eps_regularized(fc, oscillation_scale, tol, frequencies=frequencies)
+    if tail is not None:
+        return _body_plus_tail(f, oscillation_scale, tol, *tail)
+    rz = _zero_partition(f, oscillation_scale, tol, frequencies=frequencies)
+    re = _eps_regularized(f, oscillation_scale, tol, frequencies=frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
     # Flag only gross disagreement (one method silently wrong), not the
     # last digit of two honest estimates: allow a small relative floor.
@@ -380,8 +374,8 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"({re.value:.6e}) disagree beyond 3x combined estimates "
             f"({combined:.3e})", value_a=rz.value, value_b=re.value)
     est = max(rz.abs_error_estimate, abs(rz.value - re.value))
-    return QuadResult(rz.value, est,
-                      spent + rz.evaluations + re.evaluations, est <= tol)
+    return QuadResult(rz.value, est, rz.evaluations + re.evaluations,
+                      est <= tol)
 
 
 # ---------------------------------------------------------------------------

@@ -264,15 +264,18 @@ def expint_e(p: float, z: complex) -> complex:
     """Generalized exponential integral E_p(z) = int_1^inf e^{-z t} t^{-p} dt
     (analytically continued, principal branch) for half-integer p > 0.
 
-    |z| < 2: DLMF 8.19.10, Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)).
-    Otherwise the continued fraction of Numerical Recipes 6.3 by modified
-    Lentz.  Both stop at a 1e-16 relative step; ConvergenceError past
-    MAX_TERMS.
+    z = 0: 1/(p-1) for p > 1; InvalidArgumentError for p < 1, where the
+    integral diverges.  |z| < 2: DLMF 8.19.10,
+    Gamma(1-p) z^{p-1} - sum_k (-z)^k / (k! (1-p+k)).  Otherwise the
+    continued fraction of Numerical Recipes 6.3 by modified Lentz.  Both
+    stop at a 1e-16 relative step; ConvergenceError past MAX_TERMS.
     """
     if not (p > 0.0 and (2.0 * p) % 2.0 == 1.0):
         raise InvalidArgumentError(f"p must be a positive half-integer, got {p!r}")
     if z == 0:
-        raise InvalidArgumentError("z must be nonzero")
+        if p < 1.0:
+            raise InvalidArgumentError(f"E_{p}(0) diverges")
+        return complex(1.0 / (p - 1.0))
     if abs(z) < 2.0:
         total = 0j
         term = 1.0 + 0j

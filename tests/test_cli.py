@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from twistkit import cli, matrix_elements, quadrature
+from twistkit import cli, fields, matrix_elements, quadrature
 from twistkit.errors import OracleInconsistencyError
 
 
@@ -135,14 +135,15 @@ class TestAmplitude:
 
     def test_free_non_convergence_exits_3(self, capsys):
         # The scan's icm0 builds trapped states; free ones reach icm0
-        # through the amplitude.  Here its beat k + k_R - k_R' is -0.003.
+        # through the amplitude.  k_R = 1e-6 puts the cut-offs beyond
+        # 1152 half-periods.
         code, _, err = run(["amplitude", "--kind", "tm", "--m", "-7",
                             "--kperp", "0.6637396546184631", "--kz", "1.0",
-                            "--cm-in", "free:3,1.112411615751372",
+                            "--cm-in", "free:3,1e-6",
                             "--cm-out", "free:10,1.779393968169778",
                             "--int-in", "2p:0", "--int-out", "1s"], capsys)
         assert code == 3
-        assert "free icm0" in err
+        assert "body plus tail" in err
 
 
 class TestScan:
@@ -284,16 +285,26 @@ class TestScan:
         assert code == 3
         assert "domain error" in err and "alpha" in err
 
+    @staticmethod
+    def _triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp):
+        point = {"k_perp": 1.0, "k_perp_R": k_perp_R, "k_perp_Rp": k_perp_Rp}
+        return TestScan._config(
+            tmp_path, quantity="triple_bessel",
+            grid={name: {"start": v, "stop": v, "count": 1}
+                  for name, v in point.items()})
+
     def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
-        # Shift the closed-form tail by 1e-3 x0, so the two cut-offs
-        # disagree and the dual-method fallback runs, and shift its
-        # eps-regularized value by 1e-3: the consistency gate must catch
-        # it in the library and in a scan.
-        original = quadrature._eps_regularized
+        # Make the eps-regularized scheme confidently wrong: the
+        # zero-partition result shifted by 1e-3 (the real scheme's own
+        # estimate on verify's two-Bessel integrand is ~1e13, wider than
+        # any shift).  The dual-method consistency gate must catch it in
+        # the library and in verify.  A recoil integral never reaches that
+        # oracle: a scan whose tail is shifted by 1e-3 x0 misses tol and
+        # exits 3.
         original_tail = matrix_elements._triple_bessel_tail
 
         def shifted(*args, **kwargs):
-            r = original(*args, **kwargs)
+            r = quadrature._zero_partition(*args, **kwargs)
             return dataclasses.replace(r, value=r.value + 1e-3)
 
         def shifted_tail(*args):
@@ -301,16 +312,33 @@ class TestScan:
             return lambda x0: tail(x0) + 1e-3 * x0
         monkeypatch.setattr(quadrature, "_eps_regularized", shifted)
         monkeypatch.setattr(matrix_elements, "_triple_bessel_tail", shifted_tail)
+        a, b = 0.6, 1.1
+        f = lambda x: (fields.bessel_j_any(0, a * x)
+                       * fields.bessel_j_any(1, b * x))
         with pytest.raises(OracleInconsistencyError):
-            matrix_elements.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
-        path, _ = self._config(
-            tmp_path, quantity="triple_bessel",
-            grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
-                  "k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1},
-                  "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
-        code, _, err = run(["scan", "--config", str(path)], capsys)
+            quadrature.integrate_bessel_semiinfinite(
+                f, a + b, tol=1e-10, frequencies=[a + b, b - a])
+        code, _, err = run(["verify", "--only", "quadrature"], capsys)
         assert code == 4
         assert "oracle inconsistency" in err
+        path, _ = self._triple_bessel_config(tmp_path, 0.7, 1.4)
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "body plus tail" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("k_perp_R, k_perp_Rp", [(1e-6, 1.0), (1.0, 2.0)],
+                             ids=["unconverged", "divergent_zero_beat"])
+    def test_failed_point_exits_3_and_writes_no_row(self, tmp_path, capsys,
+                                                    k_perp_R, k_perp_Rp):
+        # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods; k_R' =
+        # k + k_R at n = 0 leaves a zero-beat tail term ~ R^{-1/2}.
+        path, _ = self._triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp)
+        code, out, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
 
 
 class TestRepeatedMain:

@@ -169,11 +169,15 @@ class TestTripleBessel:
     @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
                                       (1.0, 0.5, 1.4, 10, 0, 0)])
     def test_fallback_cost_is_bounded(self, args):
-        # k_perp_R = 1e-6 would put the cut-offs ~1e7 cells out: no body
-        # is integrated.  Order 10 is beyond the k x = 12 cut-off: only
-        # the cells between the two cut-offs are.  The dual-method path
-        # itself takes at most 15 (1152 + 7 x 224) = 40800 evaluations.
-        assert me.triple_bessel(*args).evaluations <= 40800 + 150
+        # k_perp_R = 1e-6 would put the cut-offs ~1e7 cells out: it raises
+        # before integrating any cell.  Order 10 moves the cut-offs out to
+        # k x = 100 and 104, where the Hankel tail holds.
+        if args[1] < 1e-3:
+            with pytest.raises(ConvergenceError) as info:
+                me.triple_bessel(*args)
+            assert info.value.partial.evaluations == 0
+        else:
+            assert me.triple_bessel(*args).evaluations <= 1500
 
     @staticmethod
     def _closed_form_cases():
@@ -205,20 +209,31 @@ class TestTripleBessel:
             assert r.converged, args
             assert abs(r.value - want) <= r.abs_error_estimate + 1e-12, args
 
-    def test_corrupted_tail_falls_back(self, monkeypatch):
-        # A tail off by 1e-3 x0 makes the two cut-offs disagree: the
-        # dual-method fallback runs and the value is still right.
+    def test_corrupted_tail_raises(self, monkeypatch):
+        # A tail off by 1e-3 x0 makes the two cut-offs disagree:
+        # ConvergenceError after only the two K21 cells between them
+        # (0.7 x = 12 and 16 round up to 6 and 8 cells of 3 pi / 3.1).
         original = me._triple_bessel_tail
         monkeypatch.setattr(me, "_triple_bessel_tail",
                             lambda *args: (lambda x0, t=original(*args):
                                            t(x0) + 1e-3 * x0))
-        a, b, c = 1.0, 0.7, 1.4
-        s = 0.5 * (a + b + c)
-        want = 1.0 / (2.0 * math.pi * math.sqrt(s * (s - a) * (s - b) * (s - c)))
-        r = me.triple_bessel(a, b, c, 0, 0, 0)
-        assert r.evaluations > 1500
+        with pytest.raises(ConvergenceError) as info:
+            me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
+        assert not info.value.partial.converged
+        assert info.value.partial.abs_error_estimate > 1e-9
+        assert info.value.partial.evaluations == 2 * 21
+
+    def test_zero_beat_converges(self):
+        # k^R' = k + k^R: the zero-beat tail terms R^{-p}, p = 3/2 + j at
+        # n = 1, integrate to x0^{1-p} / (p - 1); the integral vanishes.
+        r = me.triple_bessel(0.5, 0.7, 1.2, 1, 0, 1)
         assert r.converged
-        assert abs(r.value - want) <= 2e-9
+        assert abs(r.value) <= 1e-14
+
+    def test_zero_beat_divergent_raises(self):
+        # At n = 0 the zero-beat term is ~ R^{-1/2}: the integral diverges.
+        with pytest.raises(InvalidArgumentError):
+            me.triple_bessel(1.0, 1.0, 2.0, 0, 0, 0)
 
     @pytest.mark.xfail(
         reason="the bare integral is not monotonically suppressed in the "
@@ -230,6 +245,120 @@ class TestTripleBessel:
         vals = [abs(me.triple_bessel(0.9, 1.1, 1.3, 2, 1, n).value)
                 for n in (0, 1, 2)]
         assert vals[0] >= vals[1] >= vals[2]
+
+
+# Free icm0 (k_perp, k_R_in, k_R_out, order, m_R_in, m_R_out) and
+# triple_bessel (k, k_R, k_R', m, m_R, n) points with Bessel orders up to
+# |10| (drawn from random.Random(30): k in [0.4, 1.8], icm0 orders in
+# -10..10, m and m_R in 0..7 with |m + m_R - n| <= 10), the beat -0.003
+# icm0 point, and three with an order of 30 in the fastest factor.  Each
+# reference is mpmath quadrature over half-period cells to x = 260 plus
+# perfbench/reference.py's _asymptotic_tail (30 Hankel terms) beyond it;
+# the same to x = 200 agrees within 3e-21 on every point.
+_HIGH_ORDER_POINTS = [
+    ("icm0",
+     (1.1547141904481348, 0.8048750210956087, 0.4420516719715779, 10, -4, -2),
+     0.4798548781777117),
+    ("icm0",
+     (0.4678663980668602, 0.9266507349774943, 0.5876997022653796, -8, 4, -10),
+     1.0715111891818014),
+    ("icm0",
+     (1.7908790106423362, 1.789600791822079, 0.7397457498028206, -8, -5, 9),
+     0.20043078706108267),
+    ("icm0",
+     (1.1431536069843748, 0.9624906358200068, 1.5646380299046139, 1, 7, -8),
+     0.09354706998161572),
+    ("icm0",
+     (0.9619760322042858, 0.7480651134804784, 1.1879449750539481, -2, 3, 8),
+     -0.2742471400589829),
+    ("icm0",
+     (0.5336815546710137, 0.7898017249570186, 1.187197786966308, -7, 9, 5),
+     0.5886458652813604),
+    ("icm0",
+     (1.7072445946400734, 0.5810833942970848, 0.832071876733808, -1, -2, 6),
+     -0.002077525561762495),
+    ("icm0",
+     (0.5124794721132021, 0.7405130787129458, 0.8404610065067806, -10, 3, 6),
+     -0.3196246402968581),
+    ("icm0",
+     (0.8213365707600632, 1.133239481600282, 0.6609161590101837, 10, 0, 6),
+     0.19619770640087653),
+    ("icm0",
+     (1.031770539341324, 1.3198026979554291, 0.8651517251731887, 0, -8, -10),
+     0.24528346493321526),
+    ("icm0",
+     (1.7121796244271743, 1.7227813612208611, 1.0639553236168116, 5, -2, 5),
+     -0.18116836437131156),
+    ("icm0",
+     (0.7551362530353363, 0.7578382749267286, 1.3733215080841854, -5, -5, -5),
+     0.4127434868626016),
+    ("triple_bessel",
+     (1.1173862695600956, 0.9882011572390104, 0.7157098599421983, 3, 7, 5),
+     -8.09931824450702e-06),
+    ("triple_bessel",
+     (1.7087383196088126, 1.6578790875934244, 1.5408295427862035, 4, 6, 10),
+     1.957045382844444e-06),
+    ("triple_bessel",
+     (1.2756255454339456, 0.9351908655611917, 1.5162260527680882, 7, 5, 6),
+     6.82020839446441e-06),
+    ("triple_bessel",
+     (1.1250560864367674, 1.4097406105854957, 1.7393393919938358, 5, 0, 5),
+     0.00023139452154597478),
+    ("triple_bessel",
+     (0.6643364397239229, 1.481293818864641, 1.1871655154658836, 4, 6, 11),
+     -9.586515335369776e-08),
+    ("triple_bessel",
+     (1.5025384064902325, 1.2895630057481906, 0.4517595886074809, 7, 0, 2),
+     0.0033615975565445483),
+    ("triple_bessel",
+     (1.5524707468826162, 1.0950830463812309, 1.5905750045336853, 4, 7, 9),
+     8.536558667643594e-08),
+    ("triple_bessel",
+     (0.594026513298519, 1.6143900684055046, 0.9455702464163882, 1, 5, 0),
+     -4.235164736271502e-22),
+    ("triple_bessel",
+     (0.6710738299080758, 1.2084294674205913, 1.0667550906876087, 2, 6, 1),
+     0.054009431398014084),
+    ("triple_bessel",
+     (0.9329551245952091, 1.4623936758162848, 1.4643858776874161, 0, 5, 2),
+     -0.005983172368350553),
+    ("icm0",
+     (0.6637396546184631, 1.112411615751372, 1.779393968169778, -6, 3, 10),
+     2.7932478690807327),
+    ("icm0",
+     (1.7, 0.9, 1.1, 30, 4, -7),
+     -0.18277343583888117),
+    ("icm0",
+     (0.8, 1.2, 1.65, 6, -11, -30),
+     -0.11617822469866354),
+    ("triple_bessel",
+     (0.9, 1.7, 1.3, 3, 27, 0),
+     -0.27100801507057054),
+]
+
+
+class TestHighOrderRecoil:
+    @pytest.mark.parametrize(
+        "kind, args, want", _HIGH_ORDER_POINTS,
+        ids=["_".join(map(str, (kind,) + args[3:]))
+             for kind, args, _ in _HIGH_ORDER_POINTS])
+    def test_against_mpmath(self, kind, args, want):
+        if kind == "icm0":
+            k, k_in, k_out, order, m_in, m_out = args
+            orders = (order, m_in, m_out)
+            r = me._triple_bessel_oracle(k, k_in, k_out, *orders, 1, 1e-9)
+            assert me.icm0(me.CenterOfMassState.free(m_in, k_in),
+                           me.CenterOfMassState.free(m_out, k_out),
+                           k, 1.0, order) == r.value
+        else:
+            m, m_R, n = args[3:]
+            orders = (m, m_R, m + m_R - n)
+            r = me.triple_bessel(*args)
+        assert r.converged
+        assert abs(r.value - want) <= 1e-12
+        assert abs(r.value - want) <= r.abs_error_estimate + 1e-13
+        if max(map(abs, orders)) <= 10:
+            assert r.evaluations <= 1500
 
 
 class TestCenterOfMassIntegrals:
@@ -246,9 +375,8 @@ class TestCenterOfMassIntegrals:
                                         abs=1e-10)
 
     def test_free_non_convergence_raises(self):
-        # A beat of -0.003 (k + k_R - k_R') and orders up to 10: the body
-        # plus tail does not hold and the dual-method estimate is ~4.
-        cm_in = me.CenterOfMassState.free(3, 1.112411615751372)
+        # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods.
+        cm_in = me.CenterOfMassState.free(3, 1e-6)
         cm_out = me.CenterOfMassState.free(10, 1.779393968169778)
         with pytest.raises(ConvergenceError) as info:
             me.icm0(cm_in, cm_out, 0.6637396546184631, 1.0, -6)

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from twistkit import quadrature
-from twistkit.errors import InvalidArgumentError
+from twistkit.errors import ConvergenceError, InvalidArgumentError
 from twistkit.fields import bessel_j_any
 
 
@@ -92,17 +92,17 @@ class TestSemiInfinite:
             r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
             assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
 
-    def test_wrong_tail_falls_back_and_counts_its_cells(self):
-        # The tail 0 is wrong at both cut-offs (k x = 12 and 16 both round
+    def test_wrong_tail_raises_after_the_cells_between_the_cut_offs(self):
+        # The tail 0 is wrong at both cut-offs (x = 12 and 16 both round
         # up to 6 pi, so the second moves one 3 pi cell out), so only the
-        # one K21 cell between them is spent before the fallback.
+        # one K21 cell between them is spent before ConvergenceError.
         f = lambda x: bessel_j_any(0, x)
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, 1.0, tol=1e-10, frequencies=[1.0], tail=(1.0, lambda x0: 0.0))
-        rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
-        re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
-        assert r.value == rz.value
-        assert r.evaluations == 21 + rz.evaluations + re.evaluations
+        with pytest.raises(ConvergenceError) as info:
+            quadrature.integrate_bessel_semiinfinite(
+                f, 1.0, tol=1e-10, tail=((12.0, 16.0), lambda x0: 0.0))
+        assert not info.value.partial.converged
+        assert info.value.partial.abs_error_estimate > 1e-10
+        assert info.value.partial.evaluations == 21
 
     def test_converged_means_within_tol(self):
         # Only the zero-partition scheme converges on this triple-Bessel

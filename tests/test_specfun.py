@@ -194,6 +194,19 @@ class TestExpintE:
                 want = complex(mpmath.expint(p0 + j, z))
                 assert abs(e - want) <= 1e-14 * abs(want), (n, w, x0, j)
 
+    def test_zero_argument_against_mpmath(self):
+        # A degenerate triangle gives the tail a zero beat: z = 0, where
+        # E_p(0) = 1/(p-1) for p > 1 (E_1/2(0) diverges and is rejected).
+        for p in (1.5, 2.5, 6.5, 14.5):
+            assert specfun.expint_e(p, 0j) == pytest.approx(
+                float(mpmath.expint(p, 0)), rel=1e-15)
+        got = specfun.expint_e_ladder(1.5, 14, 0j)
+        for j, e in enumerate(got):
+            want = float(mpmath.expint(1.5 + j, 0))
+            assert abs(e - want) <= 1e-15 * want, j
+        with pytest.raises(InvalidArgumentError):
+            specfun.expint_e_ladder(0.5, 14, 0j)
+
     def test_rejects_bad_arguments(self):
         for p in (1.0, 0.0, -0.5):
             with pytest.raises(InvalidArgumentError):
