@@ -61,7 +61,10 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     rho = |R - q|:
 
         2^l (l-1)! sum_v (l+v) J_{l+v}(kR) J_{l+v}(kq)
-                          / ((kR)^l (kq)^l) C_v^l(phi_R - phi_q).
+                          / ((kR)^l (kq)^l) C_v^l(cos(phi_R - phi_q)),
+
+    the Bessel values from one bessel_j_run per argument, the C_v^l from
+    gegenbauer_run's recurrence in v.
     """
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
@@ -80,12 +83,13 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
         raise SingularConfigurationError(
             f"(kR)^l (kq)^l = {den!r} at l = {l}: the ratio form is singular")
     pref = 2.0 ** l * math.factorial(l - 1) / den
+    jr = specfun.bessel_j_run(l, v_max + 1, xr)
+    jq = specfun.bessel_j_run(l, v_max + 1, xq)
+    cv = specfun.gegenbauer_run(l, v_max + 1, dphi)
     total = 0.0
     last = 0.0
     for v in range(v_max + 1):
-        last = (pref * (l + v) * specfun.bessel_j(l + v, xr)
-                * specfun.bessel_j(l + v, xq)
-                * specfun.gegenbauer_coeff(l, v, dphi))
+        last = pref * (l + v) * jr[v] * jq[v] * cv[v]
         total += last
     return SeriesResult(value=total, terms_used=v_max + 1,
                         truncation_estimate=abs(last))
@@ -128,10 +132,11 @@ def psi_shifted_terms(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     xq = k_perp * q.r
     dphi = R.phi - q.phi
     pref_m = 2.0 ** m * math.factorial(m - 1) / xq ** m
+    jr = specfun.bessel_j_run(m, v_max + 1, xr)
+    jq = specfun.bessel_j_run(m, v_max + 1, xq)
     terms: List[ExpansionTerm] = []
     for v in range(v_max + 1):
-        radial = pref_m * (m + v) * specfun.bessel_j(m + v, xr) \
-            * specfun.bessel_j(m + v, xq)
+        radial = pref_m * (m + v) * jr[v] * jq[v]
         for s, coeff in enumerate(specfun.gegenbauer_coefficients(m, v)):
             ang = coeff * math.cos((v - 2 * s) * dphi)
             for n in range(m + 1):
@@ -161,11 +166,12 @@ def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
         xr = k_perp * R.r
         xq = k_perp * q.r
         dphi = R.phi - q.phi
-        total = specfun.bessel_j(0, xr) * specfun.bessel_j(0, xq)
+        jr = specfun.bessel_j_run(0, v_max + 1, xr)
+        jq = specfun.bessel_j_run(0, v_max + 1, xq)
+        total = jr[0] * jq[0]
         last = total
         for v in range(1, v_max + 1):
-            last = (2.0 * specfun.bessel_j(v, xr) * specfun.bessel_j(v, xq)
-                    * math.cos(v * dphi))
+            last = 2.0 * jr[v] * jq[v] * math.cos(v * dphi)
             total += last
         return SeriesResult(value=total, terms_used=v_max + 1,
                             truncation_estimate=abs(last))

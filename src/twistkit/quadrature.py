@@ -1,6 +1,6 @@
 """Independent numerical oracles.
 
-Adaptive Gauss-Kronrod quadrature on finite intervals; semi-infinite
+Adaptive G10/K21 Gauss-Kronrod quadrature on finite intervals; semi-infinite
 oscillatory Bessel-product integrals, either as a finite body plus a
 caller's closed-form tail from caller-chosen cut-offs (ConvergenceError
 on a miss) or, without a tail, by two mutually cross-checking schemes;
@@ -35,7 +35,7 @@ _TAIL_REL_FLOOR = 1e-13
 # weights).  The nodes are the positive ones, largest first, then the
 # centre; the Gauss rule takes every second node from the second, then the
 # centre (weight 0 when the Gauss rule has an even number of nodes).
-# G7/K15:
+# G7/K15, truncated to 15 digits; only the dual-method schemes use it:
 _GK15 = (
     (0.991455371120813, 0.949107912342759, 0.864864423359769,
      0.741531185599394, 0.586087235467691, 0.405845151377397,
@@ -46,7 +46,8 @@ _GK15 = (
     (0.129484966168870, 0.279705391489277, 0.381830050505119,
      0.417959183673469),
 )
-# G10/K21 (QUADPACK qk21, Piessens et al. 1983):
+# G10/K21 (QUADPACK qk21, Piessens et al. 1983), for integrate_finite and
+# the body-plus-tail cells:
 _GK21 = (
     (0.995657163025808080735527280689003,
      0.973906528517171720077964012084452,
@@ -117,14 +118,18 @@ def _gauss_kronrod(f, a, b, rule):
 
 def integrate_finite(f: Callable[[float], float], a: float, b: float,
                      tol: float = DEFAULT_FINITE_TOL) -> QuadResult:
-    """Adaptive bisection with an embedded G7/K15 error estimate."""
+    """Adaptive bisection on full-precision G10/K21 panels (QUADPACK
+    qk21): the panel with the largest estimate is halved until the summed
+    estimates are <= tol (absolute), 21 + 42 j evaluations after j
+    halvings.  ConvergenceError (the partial QuadResult) past
+    _FINITE_MAX_EVALS."""
     if not (a < b):
         raise InvalidArgumentError("need a < b")
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be > 0")
-    value, err = _gauss_kronrod(f, a, b, _GK15)
+    value, err = _gauss_kronrod(f, a, b, _GK21)
     intervals = [(err, a, b, value)]
-    evals = 15
+    evals = 21
     total = value
     total_err = err
     while total_err > tol and evals < _FINITE_MAX_EVALS:
@@ -132,9 +137,9 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         worst = intervals.pop()
         _, wa, wb, wv = worst
         mid = 0.5 * (wa + wb)
-        v1, e1 = _gauss_kronrod(f, wa, mid, _GK15)
-        v2, e2 = _gauss_kronrod(f, mid, wb, _GK15)
-        evals += 30
+        v1, e1 = _gauss_kronrod(f, wa, mid, _GK21)
+        v2, e2 = _gauss_kronrod(f, mid, wb, _GK21)
+        evals += 42
         intervals.append((e1, wa, mid, v1))
         intervals.append((e2, mid, wb, v2))
         total = sum(it[3] for it in intervals)

@@ -2,11 +2,13 @@
 
 Integer-order Bessel J (ascending series for small x; Hankel's asymptotic
 expansion for x >= 18.5 while its terms keep falling to 1e-17; else Miller's
-backward recurrence), generalized Laguerre polynomials, Pochhammer
-symbols, the 2F2 hypergeometric series, the generalized exponential
-integral E_p at half-integer p (alone, or as a ladder of consecutive p
-from one direct evaluation), and the Gegenbauer cosine-sum coefficient
-that drives the cylindrical addition theorem.
+backward recurrence; a run of consecutive orders from one Miller pass),
+generalized Laguerre polynomials, Pochhammer symbols, the 2F2
+hypergeometric series, the generalized exponential integral E_p at
+half-integer p (alone, or as a ladder of consecutive p from one direct
+evaluation), and the Gegenbauer polynomials that drive the cylindrical
+addition theorem (a run of degrees by recurrence; one degree by its
+cosine sum, the reference).
 
 Every function is a pure function of its arguments.  The one piece of
 module-level mutable state is a memo of the Hankel-expansion ratios
@@ -20,7 +22,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError
 
@@ -44,6 +46,11 @@ _SERIES_X_MAX = 8.0
 # vs 8-10 us at x = 22), so the crossover is the guard's own first
 # acceptance and the threshold stays there.
 _HANKEL_X_MIN = 18.5
+
+# bessel_j_run's Miller pass takes ~x/2 steps; beyond this x its run is
+# scalar bessel_j calls (Hankel's expansion where it holds).  Miller stays
+# within ~1e-15 absolute up to x = 3000.
+_RUN_X_MAX = 2000.0
 
 
 @dataclass(frozen=True)
@@ -90,39 +97,85 @@ def _bessel_j_series(order: int, x: float) -> float:
     raise ConvergenceError("bessel_j series did not converge", partial=total)
 
 
-def _bessel_j_miller(order: int, x: float) -> float:
-    # Backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1} from an arbitrary
-    # start, normalized by the closure sum J_0 + 2*sum J_{2k} = 1.  The
-    # start's error decays only above the turning point max(order, x),
-    # across a transition layer ~x^(1/3) wide, so the margin is counted in
-    # that unit: with 10 x^(1/3) + 8 what remains is the rounding of the
-    # ~x steps (at most ~1e-15 up to x = 3000; a fixed margin of 30 loses
-    # 2e-4 there).  Each pass takes an odd then an even index.  The
-    # coefficient 2k/x is formed at each step: k times a hoisted 2/x
-    # loses 3e-15 at x ~ 2000.
-    start = math.ceil(max(order, x) + 10.0 * x ** (1.0 / 3.0) + 8.0)
-    start += start % 2
-    # The pass at even k sets J_{k-1} and J_{k-2}; the order falls in the
-    # pass at k_order, as the odd or the even one of the two.
-    k_order = order + 2 - order % 2
-    odd_order = order % 2 == 1
+def _miller_start(top: int, x: float) -> int:
+    start = math.ceil(max(top, x) + 10.0 * x ** (1.0 / 3.0) + 8.0)
+    return start + start % 2
+
+
+def _miller_pass(order: int, n: int, x: float) -> Tuple[List[float], float]:
+    # [J_order(x), ..., J_{order+n-1}(x)] times a common factor, and that
+    # factor, by the backward recurrence
+    # J_{k-1} = (2k/x) J_k - J_{k+1} from an arbitrary start, normalized by
+    # the closure sum J_0 + 2*sum J_{2k} = 1.  The start's error decays only
+    # above the turning point max(order + n - 1, x), across a transition
+    # layer ~x^(1/3) wide, so the margin is counted in that unit: with
+    # 10 x^(1/3) + 8 what remains is the rounding of the ~x steps (at most
+    # ~1e-15 up to x = 3000; a fixed margin of 30 loses 2e-4 there).  Each
+    # pass takes an odd then an even index.  The coefficient 2k/x is formed
+    # at each step: k times a hoisted 2/x loses 3e-15 at x ~ 2000.
+    start = _miller_start(order + n - 1, x)
+    # The pass at even k sets J_{k-1} (index k - 1 - order of the run) and
+    # J_{k-2}, so the even k in [order + 1, order + n + 1] keep values;
+    # k_keep is the next of them, -1 once the run is complete.
+    lo = order + 1
+    k_keep = order + n + 1
+    k_keep -= k_keep % 2
+    out = [0.0] * n
     odd = 0.0
     even = 1e-300
-    target = 0.0
     closure = 0.0
     for k in range(start, 0, -2):
         odd = (2.0 * k / x) * even - odd
         even = (2.0 * (k - 1) / x) * odd - even
         closure += even
-        if k == k_order:
-            target = odd if odd_order else even
-        if abs(even) > 1e250:
+        if k == k_keep:
+            i = k - lo
+            if i < n:
+                out[i] = odd
+            if i > 0:
+                out[i - 1] = even
+            k_keep = k - 2 if k - 2 >= lo else -1
+        # Two compares cost less than an abs() call a step.
+        if even > 1e250 or even < -1e250:
             odd *= 1e-250
             even *= 1e-250
-            target *= 1e-250
             closure *= 1e-250
+            out = [v * 1e-250 for v in out]
     # closure holds J_0 + sum_{k>=1} J_{2k}; the sum counts twice.
-    return target / (2.0 * closure - even)
+    return out, 2.0 * closure - even
+
+
+def _bessel_j_miller(order: int, x: float) -> float:
+    out, norm = _miller_pass(order, 1, x)
+    return out[0] / norm
+
+
+def bessel_j_run(order: int, n: int, x: float) -> List[float]:
+    """[J_order(x), J_{order+1}(x), ..., J_{order+n-1}(x)] for order >= 0,
+    n >= 1, x >= 0.
+
+    One Miller backward pass, the one of bessel_j's Miller branch, started
+    above the run's top order, max(order + n - 1, x) + 10 x^(1/3) + 8, and
+    keeping every order of the run on the way down; the values already
+    kept are rescaled with the pass.  Exact at x = 0.  Beyond
+    x = _RUN_X_MAX the pass would take ~x/2 steps, and at an x so small
+    that one pass step could overflow it cannot start; there the run is
+    n bessel_j calls.
+    """
+    if order < 0:
+        raise InvalidArgumentError("order must be >= 0")
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    if not math.isfinite(x) or x < 0.0:
+        raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
+    if x == 0.0:
+        return [1.0 if order + i == 0 else 0.0 for i in range(n)]
+    # A pass multiplies |even| by up to (2 start / x)^2 between rescales,
+    # which must stay under 1e58 to keep 1e250 from overflowing.
+    if x > _RUN_X_MAX or 2.0 * _miller_start(order + n - 1, x) > 1e28 * x:
+        return [bessel_j(order + i, x) for i in range(n)]
+    out, norm = _miller_pass(order, n, x)
+    return [v / norm for v in out]
 
 
 # Per order m >= 0, the ratios a_k = (4m^2 - (2k-1)^2) / (8k), k = 1, 2, ...,
@@ -353,3 +406,19 @@ def gegenbauer_coeff(l: int, v: int, delta_phi: float) -> float:
     for s, coeff in enumerate(gegenbauer_coefficients(l, v)):
         total += coeff * math.cos((v - 2 * s) * delta_phi)
     return total
+
+
+def gegenbauer_run(l: int, n: int, delta_phi: float) -> List[float]:
+    """[C_0^l(t), C_1^l(t), ..., C_{n-1}^l(t)], t = cos delta_phi, by the
+    three-term recurrence v C_v^l = 2 t (v + l - 1) C_{v-1}^l
+    - (v + 2l - 2) C_{v-2}^l (DLMF 18.9.1, Table 18.9.1): O(n) where
+    gegenbauer_coeff's cosine sums take O(n^2)."""
+    if l < 1:
+        raise InvalidArgumentError("l must be >= 1")
+    if n < 1:
+        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    t2 = 2.0 * math.cos(delta_phi)
+    out = [1.0, t2 * l]
+    for v in range(2, n):
+        out.append((t2 * (v + l - 1) * out[-1] - (v + 2 * l - 2) * out[-2]) / v)
+    return out[:n]

@@ -374,6 +374,25 @@ class TestCenterOfMassIntegrals:
             assert got == pytest.approx(me.suppression_factor(k, alpha),
                                         abs=1e-10)
 
+    def test_trapped_ground_state_on_k21_panels(self, monkeypatch):
+        # e^{-k^2 alpha^2 / 4} to rounding, in at most 150 evaluations.
+        evaluations = []
+        finite = me.quadrature.integrate_finite
+
+        def counted(*args, **kwargs):
+            r = finite(*args, **kwargs)
+            evaluations.append(r.evaluations)
+            return r
+        monkeypatch.setattr(me.quadrature, "integrate_finite", counted)
+        for alpha in (0.8, 1.0, 1.4):
+            cm = me.CenterOfMassState.trapped(0, 0, alpha)
+            for k_alpha in (0.5, 1.0, 2.0, 3.0):
+                k = k_alpha / alpha
+                got = me.icm0(cm, cm, k, 1.0, 0)
+                assert abs(got - me.suppression_factor(k, alpha)) <= 1e-14
+        assert len(evaluations) == 12
+        assert max(evaluations) <= 150
+
     def test_free_non_convergence_raises(self):
         # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods.
         cm_in = me.CenterOfMassState.free(3, 1e-6)

@@ -30,6 +30,16 @@ class TestIntegrateFinite:
         r = quadrature.integrate_finite(math.sqrt, 0.0, 1.0, tol=1e-10)
         assert r.value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
+    def test_evaluations_are_k21_panels(self):
+        # One K21 panel, then two per halving: 21 + 42 j evaluations.
+        assert quadrature.integrate_finite(math.sin, 0.0, math.pi).evaluations == 21
+        for f, b in ((lambda x: x * x * math.exp(-x * x), 12.0),
+                     (math.sqrt, 1.0),
+                     (lambda x: math.cos(7.0 * x) * math.exp(-x), 20.0)):
+            r = quadrature.integrate_finite(f, 0.0, b, tol=1e-10)
+            assert r.evaluations > 21
+            assert (r.evaluations - 21) % 42 == 0
+
     def test_k21_rule_exact_to_degree_30(self):
         v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0,
                                          quadrature._GK21)

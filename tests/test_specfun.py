@@ -104,6 +104,74 @@ class TestBesselJ:
             specfun.bessel_j(0, math.nan)
 
 
+class TestBesselJRun:
+    def test_against_mpmath_no_worse_than_scalar(self):
+        # Orders 0..80, x in [1e-3, 60], run lengths 1..60: the worst
+        # absolute error, and the worst relative one above the turning
+        # point (order > x, no zeros), are at most the scalar's.
+        rng = np.random.RandomState(21)
+        xs = [1e-3, 7.9, 8.0, 18.5, 60.0]
+        xs += [float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 115))]
+        run_abs = scalar_abs = run_rel = scalar_rel = 0.0
+        for x in xs:
+            order = int(rng.randint(0, 81))
+            n = int(rng.randint(1, 61))
+            run = specfun.bessel_j_run(order, n, x)
+            assert len(run) == n
+            for i in range(0, n, 2):
+                want = mpmath.besselj(order + i, x)
+                scalar = specfun.bessel_j(order + i, x)
+                e_run = float(abs(run[i] - want))
+                e_scalar = float(abs(scalar - want))
+                run_abs = max(run_abs, e_run)
+                scalar_abs = max(scalar_abs, e_scalar)
+                if order + i > x and abs(want) > 1e-290:
+                    run_rel = max(run_rel, e_run / float(abs(want)))
+                    scalar_rel = max(scalar_rel, e_scalar / float(abs(want)))
+        assert run_abs <= 1e-15
+        assert run_abs <= scalar_abs
+        assert run_rel <= scalar_rel
+
+    def test_at_zero_exact(self):
+        assert specfun.bessel_j_run(0, 4, 0.0) == [1.0, 0.0, 0.0, 0.0]
+        assert specfun.bessel_j_run(3, 2, 0.0) == [0.0, 0.0]
+
+    def test_underflow_is_zero(self):
+        # J_70..J_80(1e-3) lie below 1e-308.
+        assert mpmath.besselj(70, 1e-3) < 1e-308
+        assert specfun.bessel_j_run(70, 11, 1e-3) == [0.0] * 11
+        run = specfun.bessel_j_run(0, 81, 1e-3)
+        assert all(math.isfinite(v) for v in run)
+        assert run[80] == 0.0
+        assert run[40] == pytest.approx(float(mpmath.besselj(40, 1e-3)), rel=1e-13)
+
+    def test_long_run_through_the_rescale(self):
+        # From J_1688(500) ~ 6e-686 the pass crosses 1e250 once, at order 884;
+        # the orders above it were kept before the rescale.
+        x = 500.0
+        run = specfun.bessel_j_run(400, 1201, x)
+        assert all(math.isfinite(v) for v in run)
+        for order in range(400, 1101, 25):
+            want = mpmath.besselj(order, x)
+            if order <= x:
+                assert abs(run[order - 400] - want) <= 1e-15
+            else:
+                assert abs(run[order - 400] - want) <= 1e-13 * abs(want)
+        assert mpmath.besselj(1600, x) < 1e-308
+        assert abs(run[-1]) < 1e-300
+
+    def test_scalar_calls_outside_the_pass_range(self):
+        for order, n, x in ((3, 5, 1e-30), (0, 4, 2500.0)):
+            want = [specfun.bessel_j(order + i, x) for i in range(n)]
+            assert specfun.bessel_j_run(order, n, x) == want
+
+    def test_rejects_bad_arguments(self):
+        for args in ((-1, 3, 1.0), (0, 0, 1.0), (0, 3, -1.0),
+                     (0, 3, math.nan), (0, 3, math.inf)):
+            with pytest.raises(InvalidArgumentError):
+                specfun.bessel_j_run(*args)
+
+
 class TestLaguerre:
     def test_against_mpmath(self):
         rng = np.random.RandomState(11)
@@ -236,6 +304,42 @@ class TestGegenbauerCoeff:
             specfun.gegenbauer_coeff(0, 1, 0.5)
         with pytest.raises(InvalidArgumentError):
             specfun.gegenbauer_coeff(1, -1, 0.5)
+
+
+class TestGegenbauerRun:
+    def test_against_mpmath(self):
+        # The recurrence stays within 3e-14 of C_v^l(1), the largest
+        # |C_v^l| on [-1, 1].
+        rng = np.random.RandomState(8)
+        for l in range(1, 8):
+            for dphi in [0.0, math.pi, 1e-9] + list(rng.uniform(-7.0, 7.0, 4)):
+                run = specfun.gegenbauer_run(l, 61, float(dphi))
+                assert len(run) == 61
+                for v in range(0, 61, 4):
+                    want = mpmath.gegenbauer(v, l, math.cos(dphi))
+                    assert abs(run[v] - want) <= 3e-14 * math.comb(v + 2 * l - 1, v)
+
+    def test_matches_cosine_sum_reference(self):
+        # gegenbauer_coeff sums the same polynomial a different way; every
+        # degree of the run agrees with it within 3e-14 of C_v^l(1)
+        # (measured worst 2.0e-14).
+        rng = np.random.RandomState(9)
+        for l in range(1, 8):
+            for dphi in [0.0, math.pi, 1e-9, 2.0] + list(rng.uniform(-7.0, 7.0, 6)):
+                run = specfun.gegenbauer_run(l, 61, float(dphi))
+                for v in range(61):
+                    ref = specfun.gegenbauer_coeff(l, v, float(dphi))
+                    assert abs(run[v] - ref) <= 3e-14 * math.comb(v + 2 * l - 1, v)
+
+    def test_short_runs(self):
+        assert specfun.gegenbauer_run(3, 1, 0.4) == [1.0]
+        assert specfun.gegenbauer_run(3, 2, 0.0) == [1.0, 6.0]
+
+    def test_rejects_invalid_indices(self):
+        with pytest.raises(InvalidArgumentError):
+            specfun.gegenbauer_run(0, 3, 0.5)
+        with pytest.raises(InvalidArgumentError):
+            specfun.gegenbauer_run(1, 0, 0.5)
 
 
 class TestSeriesResult:
