@@ -86,10 +86,9 @@ class FieldSample:
     z: complex
 
     def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            c = complex(c)
-            if not (math.isfinite(c.real) and math.isfinite(c.imag)):
-                raise InvalidArgumentError("field components must be finite")
+        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)
+                and cmath.isfinite(self.z)):
+            raise InvalidArgumentError("field components must be finite")
 
     def scaled(self, factor: complex) -> "FieldSample":
         return FieldSample(factor * self.x, factor * self.y, factor * self.z)
@@ -170,36 +169,50 @@ def lr_decomposition(kind: ModeKind, m: int, k_perp: float,
                              base_m=m - 1)
 
 
-def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
-    """A (curl=False) or B = curl A (curl=True); L/R composed from TE/TM.
+def mode_terms(mode: ModeSpec, curl: bool):
+    """The one TE/TM term table: (pref, ((mu, slot, c), ...)) with
 
-    The curl swaps the two elementary shapes: A_TM and B_TE carry
-    [psi_{m-1}, -psi_{m+1}] plus an axial psi_m term, A_TE and B_TM carry
-    [psi_{m-1}, psi_{m+1}] and no axial term; only the prefactor differs.
-    """
+        A (curl=False) or B = curl A (curl=True)
+            = pref e^{i(k_z z - w t)} sum c psi_mu e_slot,
+
+    e_{+1} = e_x + i e_y, e_{-1} = e_x - i e_y, e_0 = e_z.  The curl swaps
+    the two elementary shapes: A_TM and B_TE carry [psi_{m-1}, -psi_{m+1}]
+    plus an axial psi_m term, A_TE and B_TM carry [psi_{m-1}, psi_{m+1}]
+    and no axial term; only the prefactor differs.  L/R modes compose from
+    TE/TM through lr_decomposition."""
+    tm = mode.kind is ModeKind.TM
+    if not tm and mode.kind is not ModeKind.TE:
+        raise InvalidArgumentError(
+            "mode terms cover TE/TM modes; L/R compose through lr_decomposition")
+    _require_kz(mode)
+    e0 = normalization_e0(mode.k_perp, mode.k_z)
+    w = mode.omega()
+    if tm:
+        pref = e0 * w / (2.0 * mode.k_z) if curl else e0 / (2.0 * w)
+    else:
+        pref = 1j * e0 / 2.0 if curl else 1j * e0 / (2.0 * mode.k_z)
+    m = mode.m
+    if tm != curl:
+        return pref, ((m - 1, 1, 1.0), (m + 1, -1, -1.0),
+                      (m, 0, -2j * mode.k_perp / mode.k_z))
+    return pref, ((m - 1, 1, 1.0), (m + 1, -1, 1.0))
+
+
+def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
+    """A (curl=False) or B = curl A (curl=True) from mode_terms; L/R
+    composed from TE/TM."""
     if mode.kind in (ModeKind.L, ModeKind.R):
         dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
         base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
         base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
         return (_mode_field(base_tm, p, curl).scaled(dec.c_tm)
                 + _mode_field(base_te, p, curl).scaled(dec.c_te))
-    _require_kz(mode)
-    e0 = normalization_e0(mode.k_perp, mode.k_z)
-    w = mode.omega()
-    g = _phase(mode, p)
-    pm1 = psi(mode.m - 1, mode.k_perp, p.rho, p.phi)
-    pp1 = psi(mode.m + 1, mode.k_perp, p.rho, p.phi)
-    tm = mode.kind is ModeKind.TM
-    if tm:
-        pref = g * e0 * w / (2.0 * mode.k_z) if curl else g * e0 / (2.0 * w)
-    else:
-        pref = g * 1j * e0 / 2.0 if curl else g * 1j * e0 / (2.0 * mode.k_z)
-    if tm != curl:
-        p0 = psi(mode.m, mode.k_perp, p.rho, p.phi)
-        return _circular_sample(
-            pref * pm1, -pref * pp1,
-            pref * (-1j) * (2.0 * mode.k_perp / mode.k_z) * p0)
-    return _circular_sample(pref * pm1, pref * pp1, 0.0)
+    pref, terms = mode_terms(mode, curl)
+    pref *= _phase(mode, p)
+    slots = [0.0, 0.0, 0.0]  # indexed by slot: e_z, e_x + i e_y, e_x - i e_y
+    for mu, slot, c in terms:
+        slots[slot] = pref * c * psi(mu, mode.k_perp, p.rho, p.phi)
+    return _circular_sample(slots[1], slots[-1], slots[0])
 
 
 def vector_potential(mode: ModeSpec, p: CylPoint) -> FieldSample:

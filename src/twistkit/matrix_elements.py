@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fields, quadrature, specfun
 from .errors import InvalidArgumentError
-from .fields import ModeKind, ModeSpec, bessel_j_any, normalization_e0
+from .fields import ModeKind, ModeSpec, bessel_j_any
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -177,46 +177,19 @@ class CandidateComparison:
 
 
 # ---------------------------------------------------------------------------
-# Mode components: conjugated (emission) coefficients of the brackets.
+# Selection rules
 # ---------------------------------------------------------------------------
 
-class _Component(NamedTuple):
-    mu: int          # azimuthal order of the psi factor
-    sigma: int       # phi_r exponent of the vector/spin factor
-    coupling: complex
-
-
-def _i1_components(mode_kind: ModeKind, m: int, k_ratio: float = 1.0):
-    """Conjugated A* components dotted with r; k_ratio = k_perp / k_z."""
-    if mode_kind is ModeKind.TM:
-        return [
-            _Component(m - 1, -1, 1.0),
-            _Component(m + 1, +1, -1.0),
-            _Component(m, 0, 2j * k_ratio),
-        ]
-    if mode_kind is ModeKind.TE:
-        return [
-            _Component(m - 1, -1, 1.0),
-            _Component(m + 1, +1, 1.0),
-        ]
-    raise InvalidArgumentError("selection engine covers TE/TM modes")
-
-
-def _i3_components(mode_kind: ModeKind, m: int, k_ratio: float = 1.0):
-    """Conjugated B* components paired with spin ladder operators: the
-    sigma slot carries delta_spin.  B = curl A swaps the TE and TM
-    shapes, so these are the A* components of the other kind."""
-    partner = {ModeKind.TE: ModeKind.TM, ModeKind.TM: ModeKind.TE}
-    return _i1_components(partner.get(mode_kind, mode_kind), m, k_ratio)
-
-
-def _interaction_components(mode_kind: ModeKind, m: int, interaction: str):
-    """Components of the H_I1 ("dipole", "general") or H_I3 ("spin") bracket."""
-    if interaction in ("dipole", "general"):
-        return _i1_components(mode_kind, m)
-    if interaction == "spin":
-        return _i3_components(mode_kind, m)
-    raise InvalidArgumentError(f"unknown interaction {interaction!r}")
+def _conjugated_terms(mode_kind: ModeKind, m: int, interaction: str):
+    """(mu, sigma, coupling) of the emission bracket: the conjugated
+    fields.mode_terms of A (H_I1: "dipole", "general") or B = curl A (H_I3:
+    "spin") at k_perp = k_z, without the prefactor.  sigma = -slot is the
+    phi_r exponent of r . e_slot* (H_I1) or the spin change (H_I3)."""
+    if interaction not in ("dipole", "general", "spin"):
+        raise InvalidArgumentError(f"unknown interaction {interaction!r}")
+    _, terms = fields.mode_terms(ModeSpec(mode_kind, m, 1.0, 1.0),
+                                 curl=interaction == "spin")
+    return [(mu, -slot, c.conjugate()) for mu, slot, c in terms]
 
 
 def _term_exponents(mu: int, order: TermOrder):
@@ -268,7 +241,7 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     leading order; the internal spatial state is unchanged).
     """
     mode_kind = ModeKind(mode_kind)
-    comps = _interaction_components(mode_kind, m, interaction)
+    terms = _conjugated_terms(mode_kind, m, interaction)
     if interaction == "general":
         orders = [order] if order is not None else _enumerate_orders(max_multipole)
         markers = {}
@@ -282,18 +255,18 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     # keep a channel only if some group survives.
     sums: Dict[tuple, complex] = {}
     for o in orders:
-        for comp in comps:
-            for exp_r, exp_q, parity in _term_exponents(comp.mu, o):
+        for mu, sigma, coupling in terms:
+            for exp_r, exp_q, parity in _term_exponents(mu, o):
                 if interaction == "spin":
-                    d_spin = comp.sigma
+                    d_spin = sigma
                     d_m_R = exp_r
                     d_m_r = exp_q
                 else:
                     d_spin = 0
                     d_m_R = exp_r
-                    d_m_r = comp.sigma + exp_q
-                key = (d_m_R, d_m_r, d_spin, markers.get(o, o), abs(comp.mu))
-                sums[key] = sums.get(key, 0.0) + parity * comp.coupling
+                    d_m_r = sigma + exp_q
+                key = (d_m_R, d_m_r, d_spin, markers.get(o, o), abs(mu))
+                sums[key] = sums.get(key, 0.0) + parity * coupling
     seen = set()
     out: List[Channel] = []
     for (d_m_R, d_m_r, d_spin, o, _a), total in sums.items():
@@ -330,7 +303,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
     """
     mode_kind = ModeKind(mode_kind)
-    comps = _interaction_components(mode_kind, m, interaction)
+    terms = _conjugated_terms(mode_kind, m, interaction)
     spin_mode = interaction == "spin"
     o = TermOrder(0, 0, 0)
     if interaction == "general":
@@ -344,8 +317,8 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     n, v, s = o
     grids: Dict[int, np.ndarray] = {}
     scale = 0.0  # sum of |coupling * radial|: what cancellation starts from
-    for comp in comps:
-        a = abs(comp.mu)
+    for mu, sigma, coupling in terms:
+        a = abs(mu)
         if a == 0:
             if n != 0 or s != 0:
                 continue
@@ -355,17 +328,17 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
         else:
             if n > a:
                 continue
-            sgn = 1 if comp.mu > 0 else -1
-            parity = 1.0 if comp.mu > 0 or a % 2 == 0 else -1.0
+            sgn = 1 if mu > 0 else -1
+            parity = 1.0 if mu > 0 or a % 2 == 0 else -1.0
             radial = (parity * specfun.bessel_j(a + v, _KR_R)
                       * specfun.bessel_j(a + v, _KR_Q)
                       * math.comb(a, n) * (_KR_Q / _KR_R) ** n)
             term = (radial * np.cos((v - 2 * s) * (phi_R - phi_r))
                     * np.exp(-1j * sgn * ((a - n) * phi_R + n * phi_r)))
-        scale += abs(comp.coupling * radial)
-        d_spin = comp.sigma if spin_mode else 0
-        vec = 1.0 if spin_mode else np.exp(1j * comp.sigma * phi_r)
-        contrib = comp.coupling * term * vec
+        scale += abs(coupling * radial)
+        d_spin = sigma if spin_mode else 0
+        vec = 1.0 if spin_mode else np.exp(1j * sigma * phi_r)
+        contrib = coupling * term * vec
         grids[d_spin] = grids.get(d_spin, 0) + contrib
 
     spectra = {d_spin: np.abs(np.fft.fft2(grid) / (_N_PHI * _N_PHI))
@@ -769,37 +742,24 @@ def dipole_amplitude(mode: ModeSpec, cm_in: CenterOfMassState,
     supplied state pair.  Channels violating
     delta_m_R + delta_m_r = -m (emission) are simply absent.
     """
-    if mode.kind not in (ModeKind.TE, ModeKind.TM):
-        raise InvalidArgumentError("dipole_amplitude covers TE/TM modes")
-    fields._require_kz(mode)
+    pref, terms = fields.mode_terms(mode, curl=False)
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if direction not in ("emission", "absorption"):
         raise InvalidArgumentError("direction must be emission or absorption")
-    emit = direction == "emission"
-    k_ratio = mode.k_perp / mode.k_z
-    e0 = normalization_e0(mode.k_perp, mode.k_z)
-    w = mode.omega()
-    if mode.kind is ModeKind.TM:
-        pref = e0 / (2.0 * w)
-    else:
-        pref = 1j * e0 / (2.0 * mode.k_z)
-    # Emission matrix elements carry A*: conjugate the mode coefficients
-    # and negate all azimuthal exponents.
-    comps = _i1_components(mode.kind, mode.m, k_ratio)
+    # Absorption pairs r with A; emission with A*, which conjugates each
+    # coupling and negates the azimuthal exponents mu and slot.
+    sign = -1 if direction == "emission" else 1
     d_m_r = int_out.m_r - int_in.m_r
     d_m_R = cm_out.m_R - cm_in.m_R
     out: List[ChannelAmplitude] = []
-    for comp in comps:
-        sigma = -comp.sigma if not emit else comp.sigma
-        mu_delta = -comp.mu if emit else comp.mu
-        if d_m_r != sigma or d_m_R != mu_delta:
+    for mu, slot, c in terms:
+        if d_m_r != sign * slot or d_m_R != sign * mu:
             continue
-        coupling = comp.coupling if emit else comp.coupling.conjugate()
-        coupling = coupling * (pref.conjugate() if emit else pref)
+        coupling = pref * c if sign > 0 else (pref * c).conjugate()
         coupling = coupling * (-1j) * charges_masses.q_e * charges_masses.energy_scale
-        cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, comp.mu)
-        rel_val = i_rel(int_in, int_out, -d_m_r if emit else d_m_r)
+        cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, mu)
+        rel_val = i_rel(int_in, int_out, sign * d_m_r)
         amp = coupling * cm_val * rel_val
         ch = Channel(delta_m_R=d_m_R, delta_m_r=d_m_r, delta_spin_e=0,
                      mode_kind=mode.kind, order=DIPOLE)
@@ -817,9 +777,7 @@ def spin_matrix_element(mode: ModeSpec, particle: SpinParticle,
     """H_I3 (spin) emission amplitude; None when the spin ladder or the
     azimuthal bookkeeping forbids the transition.  The internal spatial
     state must be unchanged at this order."""
-    if mode.kind not in (ModeKind.TE, ModeKind.TM):
-        raise InvalidArgumentError("spin_matrix_element covers TE/TM modes")
-    fields._require_kz(mode)
+    pref, terms = fields.mode_terms(mode, curl=True)
     d_spin = round(2 * (spin_out - spin_in)) / 2.0
     if d_spin not in (-1.0, 0.0, 1.0):
         return None
@@ -828,24 +786,16 @@ def spin_matrix_element(mode: ModeSpec, particle: SpinParticle,
     if (int_in.l_r, int_in.m_r) != (int_out.l_r, int_out.m_r):
         return None
     d_spin = int(d_spin)
-    k_ratio = mode.k_perp / mode.k_z
-    e0 = normalization_e0(mode.k_perp, mode.k_z)
-    w = mode.omega()
-    if mode.kind is ModeKind.TM:
-        pref = particle.g * particle.q * w * e0 / (4.0 * particle.M * mode.k_z)
-    else:
-        pref = 1j * particle.g * particle.q * e0 / (4.0 * particle.M)
-    comps = _i3_components(mode.kind, mode.m, k_ratio)
     d_m_R = cm_out.m_R - cm_in.m_R
-    for comp in comps:
-        if comp.sigma != d_spin:
-            continue
-        if d_m_R != -comp.mu:
+    # Emission pairs S with B*: the spin change and d_m_R are -slot and -mu.
+    for mu, slot, c in terms:
+        if d_spin != -slot or d_m_R != -mu:
             continue
         # spin ladder matrix element: S_+- flip = 1, S_z diagonal = s_z
         ladder = 1.0 if d_spin != 0 else spin_in
-        coupling = comp.coupling.conjugate() * pref.conjugate() * ladder
-        cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, comp.mu)
+        coupling = ((pref * c).conjugate()
+                    * (particle.g * particle.q / (2.0 * particle.M)) * ladder)
+        cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, mu)
         ch = Channel(delta_m_R=d_m_R, delta_m_r=0, delta_spin_e=d_spin,
                      mode_kind=mode.kind, order=DIPOLE)
         return ChannelAmplitude(channel=ch, amplitude=coupling * cm_val,

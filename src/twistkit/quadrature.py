@@ -31,6 +31,10 @@ _WYNN_WINDOW = 64
 # Relative floor of the body-plus-tail error estimate.
 _TAIL_REL_FLOOR = 1e-13
 
+# Relative difference (4 ulps) at which Wynn epsilon treats two entries
+# of an even column as converged.
+_WYNN_ROUNDING = 4.0 * 2.0 ** -52
+
 # Gauss-Kronrod rules on [-1, 1] as (nodes, Kronrod weights, Gauss
 # weights).  The nodes are the positive ones, largest first, then the
 # centre; the Gauss rule takes every second node from the second, then the
@@ -156,7 +160,9 @@ def _wynn_epsilon(partial: Sequence[float]):
     """Wynn epsilon acceleration of a partial-sum sequence.
 
     Returns (best_value, error_estimate) from the highest even column.
-    """
+    Two neighbours of an even column within _WYNN_ROUNDING of each other
+    have converged: the later one is returned with their difference as
+    the estimate, before the next column divides by that difference."""
     n = len(partial)
     cur = list(partial)
     prev = [0.0] * (n + 1)
@@ -167,8 +173,11 @@ def _wynn_epsilon(partial: Sequence[float]):
         nxt = []
         for i in range(len(cur) - 1):
             d = cur[i + 1] - cur[i]
-            if d == 0.0:
-                return cur[i + 1], 0.0
+            if col % 2 == 0 and abs(d) <= _WYNN_ROUNDING * max(
+                    abs(cur[i]), abs(cur[i + 1])):
+                return cur[i + 1], abs(d)
+            if d == 0.0:  # odd column: the next even one would be infinite
+                return best, abs(best - best_prev)
             nxt.append(prev[i + 1] + 1.0 / d)
         prev, cur = cur, nxt
         col += 1

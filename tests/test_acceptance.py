@@ -232,9 +232,9 @@ def test_lr_overlap_closed_form():
 
 def test_candidate_vs_oracle_report(capsys):
     """The verify command emits the candidate-vs-oracle discrepancy table
-    over the fixed 10-point parameter set, with a self-consistent
-    (dual-method cross-checked) quadrature oracle.  Discrepancies of the
-    printed closed forms are documented findings, not failures."""
+    over the fixed 10-point parameter set, with a quadrature oracle that
+    reports its own error estimate.  Discrepancies of the printed closed
+    forms are documented findings, not failures."""
     t0 = time.time()
     rows = cli.candidate_report()
     assert len(rows) == 10
@@ -243,9 +243,10 @@ def test_candidate_vs_oracle_report(capsys):
         assert math.isfinite(row["candidate"])
         assert row["oracle_err"] >= 0.0
 
-    # Oracle self-consistency on the triple-series points: the two
-    # semi-infinite methods agree within their combined estimates (the
-    # cross-check inside triple_bessel raises on disagreement).
+    # Oracle accuracy on the triple-series points: triple_bessel is a
+    # finite body plus the closed-form Hankel tail, its estimate the
+    # disagreement of two cut-offs (it raises ConvergenceError when that
+    # estimate exceeds tol).
     for kind, p in cli._CANDIDATE_POINTS:
         if kind == "triple_series":
             r = matrix_elements.triple_bessel(

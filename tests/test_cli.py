@@ -295,9 +295,8 @@ class TestScan:
 
     def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
         # Make the eps-regularized scheme confidently wrong: the
-        # zero-partition result shifted by 1e-3 (the real scheme's own
-        # estimate on verify's two-Bessel integrand is ~1e13, wider than
-        # any shift).  The dual-method consistency gate must catch it in
+        # zero-partition result, with its ~5e-12 estimate, shifted by
+        # 1e-3.  The dual-method consistency gate must catch it in
         # the library and in verify.  A recoil integral never reaches that
         # oracle: a scan whose tail is shifted by 1e-3 x0 misses tol and
         # exits 3.

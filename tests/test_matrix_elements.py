@@ -11,7 +11,8 @@ import pytest
 from twistkit import matrix_elements as me
 from twistkit.errors import (ConvergenceError, InvalidArgumentError,
                              SingularNormalizationError)
-from twistkit.fields import ModeKind, ModeSpec
+from twistkit.fields import (CylPoint, ModeKind, ModeSpec, magnetic_field, psi,
+                             vector_potential)
 from twistkit.quadrature import integrate_finite
 
 HYDROGEN_2P_1S_RADIAL = 1536.0 / (243.0 * math.sqrt(24.0))
@@ -556,6 +557,65 @@ class TestSpinMatrixElement:
         with pytest.raises(SingularNormalizationError):
             me.spin_matrix_element(mode, self.particle, -0.5, 0.5,
                                    self.cm0, cm_out, self.s1, self.s1)
+
+
+def _slot_coefficients(field, mode, rho=1.1, phi=0.4):
+    """a_slot of a field sum_slot a_slot psi_{m - slot} e_slot read at
+    z = t = 0, with e_{+1} = e_x + i e_y, e_{-1} = e_x - i e_y, e_0 = e_z."""
+    s = field(mode, CylPoint(rho, phi, 0.0, 0.0))
+    amps = {1: (s.x - 1j * s.y) / 2.0, -1: (s.x + 1j * s.y) / 2.0, 0: s.z}
+    return {slot: a / psi(mode.m - slot, mode.k_perp, rho, phi)
+            for slot, a in amps.items()}
+
+
+class TestCouplingsMatchFields:
+    """Every amplitude coupling is a coefficient of the fields themselves:
+    H_I1 pairs r with A (A* for emission), H_I3 pairs S with B* = curl A*."""
+
+    charges = me.DipoleCouplings(q_e=1.3, energy_scale=0.7)
+    particle = me.SpinParticle(g=2.0, q=-1.0, M=3.0)
+    cm0 = me.CenterOfMassState.trapped(0, 0, 1.0)
+    s1 = me.hydrogen_state(1, 0)
+
+    @pytest.mark.parametrize("m", range(-3, 4))
+    @pytest.mark.parametrize("kind", [ModeKind.TE, ModeKind.TM])
+    def test_dipole(self, kind, m):
+        mode = ModeSpec(kind, m, 0.8, 1.2)
+        scale = -1j * self.charges.q_e * self.charges.energy_scale
+        for slot, a in _slot_coefficients(vector_potential, mode).items():
+            # The channel of this slot: d_m_r = sign slot, d_m_R = sign mu.
+            p2 = me.hydrogen_state(2, 1, slot)
+            for direction, sign, want in (("emission", -1, a.conjugate() * scale),
+                                          ("absorption", 1, a * scale)):
+                cm_out = me.CenterOfMassState.trapped(sign * (m - slot), 0, 1.0)
+                states = (p2, self.s1) if sign < 0 else (self.s1, p2)
+                amps = me.dipole_amplitude(mode, self.cm0, cm_out, *states,
+                                           self.charges, direction)
+                if a == 0.0:
+                    assert amps == []
+                    continue
+                assert len(amps) == 1
+                assert abs(amps[0].coupling - want) <= 1e-13 * abs(want)
+
+    @pytest.mark.parametrize("m", range(-3, 4))
+    @pytest.mark.parametrize("kind", [ModeKind.TE, ModeKind.TM])
+    def test_spin(self, kind, m):
+        mode = ModeSpec(kind, m, 0.8, 1.2)
+        p = self.particle
+        spins = {-1: [(0.5, -0.5)], 1: [(-0.5, 0.5)],
+                 0: [(0.5, 0.5), (-0.5, -0.5)]}
+        for slot, b in _slot_coefficients(magnetic_field, mode).items():
+            # Emission: the spin change is -slot and d_m_R = -mu.
+            cm_out = me.CenterOfMassState.trapped(slot - m, 0, 1.0)
+            for s_in, s_out in spins[-slot]:
+                r = me.spin_matrix_element(mode, p, s_in, s_out, self.cm0,
+                                           cm_out, self.s1, self.s1)
+                if b == 0.0:
+                    assert r is None
+                    continue
+                ladder = s_in if slot == 0 else 1.0
+                want = b.conjugate() * (p.g * p.q / (2.0 * p.M)) * ladder
+                assert abs(r.coupling - want) <= 1e-13 * abs(want)
 
 
 class TestCandidateComparisons:

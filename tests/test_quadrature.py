@@ -71,6 +71,12 @@ class TestSemiInfinite:
         r = quadrature.integrate_bessel_semiinfinite(
             f, a + b, tol=1e-10, frequencies=[a + b, b - a])
         assert r.value == pytest.approx(1.0 / b, abs=1e-9)
+        assert r.converged
+        # The eps-regularized scheme alone: one rung converges to the last
+        # digit, so Wynn epsilon must stop there, not divide by rounding.
+        re = quadrature._eps_regularized(f, a + b, 1e-10,
+                                         frequencies=[a + b, b - a])
+        assert re.value == pytest.approx(1.0 / b, abs=1e-9)
 
     def test_scaled_argument(self):
         # int_0^inf J_0(k x) dx = 1/k.
