@@ -30,7 +30,8 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_ORACLE = 4
 
-_INT_PARAMS = {"m", "m_R", "m_R_in", "m_R_out", "n", "n_bar", "order", "v_max"}
+_INT_PARAMS = {"m", "m_R", "m_R_in", "m_R_out", "m_r_in", "m_r_out", "n",
+               "n_bar", "order", "v_max"}
 
 
 def _fmt(x: float) -> str:
@@ -170,13 +171,21 @@ def _grid_axis(name, spec):
     else:
         step = (stop - start) / (count - 1)
         vals = [start + i * step for i in range(count)]
-    if name in _INT_PARAMS:
-        vals = [int(round(v)) for v in vals]
     return vals
 
 
+def _param(name, value):
+    """value, an int for an integer parameter (which must be integral)."""
+    if name not in _INT_PARAMS:
+        return value
+    if isinstance(value, float) and not value.is_integer():
+        raise TwistkitError(f"scan config: {name} must be an integer, "
+                            f"not {value!r}")
+    return int(value)
+
+
 def _eval_field_point(params):
-    mode = ModeSpec(ModeKind(params.get("kind", "tm")), int(params["m"]),
+    mode = ModeSpec(ModeKind(params.get("kind", "tm")), params["m"],
                     params["k_perp"], params["k_z"])
     p = CylPoint(params.get("rho", 1.0), params.get("phi", 0.0),
                  params.get("z", 0.0), params.get("t", 0.0))
@@ -193,18 +202,18 @@ def _eval_field_point(params):
 
 
 def _eval_expansion_error(params):
-    m = int(params.get("m", 1))
+    m = params.get("m", 1)
     k = params["k_perp"]
     R = expansion.PlanarVec(params["R"], params.get("phi_R", 0.3))
     q = expansion.PlanarVec(params["q"], params.get("phi_q", 1.1))
-    v_max = int(params.get("v_max", expansion.default_v_max(k, R, q)))
+    v_max = params.get("v_max", expansion.default_v_max(k, R, q))
     approx = expansion.psi_shifted(m, k, R, q, v_max).value
     direct = expansion.psi_displaced_direct(m, k, R, q)
     return {"abs_error": abs(approx - direct), "direct_abs": abs(direct)}
 
 
 def _eval_channel_table(params):
-    m = int(params["m"])
+    m = params["m"]
     kind = ModeKind(params.get("kind", "tm"))
     dip = matrix_elements.symbolic_channels(m, kind, "dipole")
     spin = matrix_elements.symbolic_channels(m, kind, "spin")
@@ -213,16 +222,14 @@ def _eval_channel_table(params):
 
 def _eval_dipole_amplitude(params):
     mode = ModeSpec(ModeKind(params.get("kind", "tm")),
-                    int(params.get("m", 0)), params["k_perp"], params["k_z"])
+                    params.get("m", 0), params["k_perp"], params["k_z"])
     alpha = params.get("alpha", 1.0)
     cm_in = matrix_elements.CenterOfMassState.trapped(
-        int(params.get("m_R_in", 0)), 0, alpha)
+        params.get("m_R_in", 0), 0, alpha)
     cm_out = matrix_elements.CenterOfMassState.trapped(
-        int(params.get("m_R_out", 0)), 0, alpha)
-    int_in = matrix_elements.hydrogen_state(
-        2, 1, int(params.get("m_r_in", 0)))
-    int_out = matrix_elements.hydrogen_state(
-        1, 0, int(params.get("m_r_out", 0)))
+        params.get("m_R_out", 0), 0, alpha)
+    int_in = matrix_elements.hydrogen_state(2, 1, params.get("m_r_in", 0))
+    int_out = matrix_elements.hydrogen_state(1, 0, params.get("m_r_out", 0))
     amps = matrix_elements.dipole_amplitude(mode, cm_in, cm_out, int_in, int_out)
     total = sum((a.amplitude for a in amps), 0j)
     return {"amplitude_re": total.real, "amplitude_im": total.imag,
@@ -232,20 +239,18 @@ def _eval_dipole_amplitude(params):
 def _eval_icm0(params):
     alpha = params.get("alpha", 1.0)
     cm_in = matrix_elements.CenterOfMassState.trapped(
-        int(params.get("m_R_in", 0)), int(params.get("n_bar", 0)), alpha)
+        params.get("m_R_in", 0), params.get("n_bar", 0), alpha)
     cm_out = matrix_elements.CenterOfMassState.trapped(
-        int(params.get("m_R_out", 0)), int(params.get("n_bar", 0)), alpha)
+        params.get("m_R_out", 0), params.get("n_bar", 0), alpha)
     v = matrix_elements.icm0(cm_in, cm_out, params["k_perp"],
-                             params.get("k_z", 1.0),
-                             int(params.get("order", 0)))
+                             params.get("k_z", 1.0), params.get("order", 0))
     return {"icm0_re": v.real, "icm0_im": v.imag}
 
 
 def _eval_triple_bessel(params):
     r = matrix_elements.triple_bessel(
         params["k_perp"], params["k_perp_R"], params["k_perp_Rp"],
-        int(params.get("m", 0)), int(params.get("m_R", 0)),
-        int(params.get("n", 0)))
+        params.get("m", 0), params.get("m_R", 0), params.get("n", 0))
     return {"value": r.value, "abs_error_estimate": r.abs_error_estimate}
 
 
@@ -265,7 +270,7 @@ _QUANTITIES = {
 }
 
 
-def _write_csv(path, names, rows, int_cols):
+def _write_csv(path, names, rows):
     # RFC 4180: CRLF line endings, header row, no quoting needed for
     # purely numeric content.
     with open(path, "w", newline="") as fh:
@@ -274,8 +279,7 @@ def _write_csv(path, names, rows, int_cols):
             cells = []
             for name in names:
                 v = row[name]
-                cells.append(str(v) if name in int_cols or isinstance(v, int)
-                             else _fmt(v))
+                cells.append(str(v) if isinstance(v, int) else _fmt(v))
             fh.write(",".join(cells) + "\r\n")
 
 
@@ -297,7 +301,8 @@ def cmd_scan(args) -> int:
     for name, value in fixed.items():
         # The mode kind is the one parameter given by name.
         _require(f"fixed {name}", value, str if name == "kind" else _NUMBER)
-    axes = [(name, _grid_axis(name, spec))
+        fixed[name] = _param(name, value)
+    axes = [(name, [_param(name, v) for v in _grid_axis(name, spec)])
             for name, spec in _require("grid", config["grid"], dict).items()]
     # Lexicographic order over grid indices.
     points = [{}]
@@ -318,7 +323,7 @@ def cmd_scan(args) -> int:
         raise TwistkitError("no output path (config output.path or --out)")
     _require("output path", path, str)
     if fmt == "csv":
-        _write_csv(path, param_names + out_names, rows, _INT_PARAMS)
+        _write_csv(path, param_names + out_names, rows)
     elif fmt == "json":
         with open(path, "w") as fh:
             json.dump(rows, fh, sort_keys=True)

@@ -192,6 +192,24 @@ def psi_displaced_direct(m: int, k_perp: float, R: PlanarVec,
     return bessel_j_any(m, k_perp * rho) * cmath.exp(1j * m * phi)
 
 
+def _binomial_phase(radial: float, power: int, R: PlanarVec, d: float,
+                    phi_d: float) -> complex:
+    """radial ((R + d e^{i phi_d}) / |R|)^power, the binomial phase sum of
+    the displaced-profile truncations (d may be negative).  At R = 0 the
+    d/R factors are singular unless power is 0 (the value is radial) or
+    d is 0 (the value is 0: radial carries J_power(0) = 0); otherwise
+    SingularConfigurationError."""
+    if R.r == 0.0:
+        if power == 0:
+            return complex(radial)
+        if d == 0.0:
+            return 0j
+        raise SingularConfigurationError(
+            "R = 0 with a displacement: the (d/R)^n factors are singular")
+    return radial * (cmath.exp(1j * R.phi)
+                     + d / R.r * cmath.exp(1j * phi_d)) ** power
+
+
 def centered_cm_approx(m: int, k_perp: float, R: PlanarVec,
                        q: PlanarVec) -> complex:
     """v = 0 truncation (spatial part):
@@ -201,15 +219,8 @@ def centered_cm_approx(m: int, k_perp: float, R: PlanarVec,
     """
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
-    if m == 0:
-        return complex(specfun.bessel_j(0, k_perp * R.r))
-    if R.r == 0.0:
-        if q.r == 0.0:
-            return 0.0 + 0.0j  # vortex: J_m(0) = 0 for m > 0
-        raise SingularConfigurationError(
-            "R = 0 with q > 0: the (q/R)^n factors are singular")
-    return specfun.bessel_j(m, k_perp * R.r) * (
-        cmath.exp(1j * R.phi) - q.r / R.r * cmath.exp(1j * q.phi)) ** m
+    return _binomial_phase(specfun.bessel_j(m, k_perp * R.r), m, R,
+                           -q.r, q.phi)
 
 
 def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
@@ -219,16 +230,11 @@ def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
         [J_m(kR) - k u J_{m+1}(kR) cos(phi_R - phi_u)]
         * (e^{i phi_R} + (u/R) e^{i phi_u})^m.
     """
-    if R.r == 0.0:
-        if m == 0 and u.r == 0.0:
-            return 1.0 + 0.0j
-        raise SingularConfigurationError("R = 0 with displacement terms")
     xr = k_perp * R.r
     radial = (specfun.bessel_j(m, xr)
               - k_perp * u.r * specfun.bessel_j(m + 1, xr)
               * math.cos(R.phi - u.phi))
-    return radial * (cmath.exp(1j * R.phi)
-                     + u.r / R.r * cmath.exp(1j * u.phi)) ** m
+    return _binomial_phase(radial, m, R, u.r, u.phi)
 
 
 def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
@@ -254,8 +260,6 @@ def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
     out = a * _first_order_profile(m, k_perp, R, ue)
     if b > 0.0:
         out -= b * _first_order_profile(m, k_perp, R, un)
-    elif R.r == 0.0 and not (m == 0 and r.r == 0.0):
-        raise SingularConfigurationError("R = 0 with displacement terms")
     return out
 
 
@@ -272,11 +276,5 @@ def product_expand(m1: int, m2: int, k1: float, k2: float, R: PlanarVec,
     """
     if m1 < 0 or m2 < 0:
         raise InvalidArgumentError("orders must be >= 0")
-    u = mass_ratio * r.r
-    if R.r == 0.0:
-        if u > 0.0 and (m1 > 0 or m2 > 0):
-            raise SingularConfigurationError("R = 0 with n + n' >= 1 terms")
-        return complex(specfun.bessel_j(m1, 0.0) * specfun.bessel_j(m2, 0.0))
     radial = specfun.bessel_j(m1, k1 * R.r) * specfun.bessel_j(m2, k2 * R.r)
-    return radial * (cmath.exp(1j * R.phi)
-                     + u / R.r * cmath.exp(1j * r.phi)) ** (m1 + m2)
+    return _binomial_phase(radial, m1 + m2, R, mass_ratio * r.r, r.phi)

@@ -609,14 +609,9 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
                                candidate=cand, candidate_converged=True)
 
 
-def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
-                       m: int, n: int, tol: float = 1e-12) -> float:
-    """Vortex-overlap integral (decaying Gaussian; the printed growing
-    exponential is unnormalizable):
-
-        int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
-                  L_{n_bar}^{m-n}(R^2/alpha^2) dR.
-    """
+def _ho_vortex_quad(n_bar: int, alpha: float, k_perp: float,
+                    m: int, n: int, tol: float) -> quadrature.QuadResult:
+    """ho_vortex_integral with the quadrature's estimate."""
     if m < 0 or not (0 <= n <= m):
         raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
     if n_bar < 0:
@@ -633,7 +628,18 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
                 * specfun.laguerre(n_bar, m - n, u))
 
     cut = alpha * (7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
-    return quadrature.integrate_finite(f, 0.0, cut, tol=tol).value
+    return quadrature.integrate_finite(f, 0.0, cut, tol=tol)
+
+
+def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
+                       m: int, n: int, tol: float = 1e-12) -> float:
+    """Vortex-overlap integral (decaying Gaussian; the printed growing
+    exponential is unnormalizable):
+
+        int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
+                  L_{n_bar}^{m-n}(R^2/alpha^2) dR.
+    """
+    return _ho_vortex_quad(n_bar, alpha, k_perp, m, n, tol).value
 
 
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
@@ -681,9 +687,10 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
             converged = True
             break
         total += term
-    oracle = (math.sqrt(alpha) ** (n - m)
-              * ho_vortex_integral(n_bar, alpha, k_perp, m, n))
-    return CandidateComparison(oracle=oracle, oracle_error=1e-12,
+    scale = math.sqrt(alpha) ** (n - m)
+    quad = _ho_vortex_quad(n_bar, alpha, k_perp, m, n, 1e-12)
+    return CandidateComparison(oracle=scale * quad.value,
+                               oracle_error=scale * quad.abs_error_estimate,
                                candidate=pref * total,
                                candidate_converged=converged)
 

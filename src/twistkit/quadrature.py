@@ -1,10 +1,11 @@
 """Independent numerical oracles.
 
-Adaptive G10/K21 Gauss-Kronrod quadrature on finite intervals; semi-infinite
-oscillatory Bessel-product integrals, either as a finite body plus a
-caller's closed-form tail from caller-chosen cut-offs (ConvergenceError
-on a miss) or, without a tail, by two mutually cross-checking schemes;
-and Richardson-extrapolated finite-difference operators used to verify
+One Gauss-Kronrod rule, G10/K21, for every panel: adaptive quadrature on
+finite intervals; semi-infinite oscillatory Bessel-product integrals,
+either as a finite body plus a caller's closed-form tail from
+caller-chosen cut-offs (ConvergenceError on a miss) or, without a tail,
+by two mutually cross-checking schemes over half-period cells; and
+Richardson-extrapolated finite-difference operators used to verify
 the closed-form fields.
 """
 
@@ -35,23 +36,10 @@ _TAIL_REL_FLOOR = 1e-13
 # of an even column as converged.
 _WYNN_ROUNDING = 4.0 * 2.0 ** -52
 
-# Gauss-Kronrod rules on [-1, 1] as (nodes, Kronrod weights, Gauss
-# weights).  The nodes are the positive ones, largest first, then the
-# centre; the Gauss rule takes every second node from the second, then the
-# centre (weight 0 when the Gauss rule has an even number of nodes).
-# G7/K15, truncated to 15 digits; only the dual-method schemes use it:
-_GK15 = (
-    (0.991455371120813, 0.949107912342759, 0.864864423359769,
-     0.741531185599394, 0.586087235467691, 0.405845151377397,
-     0.207784955007898, 0.0),
-    (0.022935322010529, 0.063092092629979, 0.104790010322250,
-     0.140653259715525, 0.169004726639267, 0.190350578064785,
-     0.204432940075298, 0.209482141084728),
-    (0.129484966168870, 0.279705391489277, 0.381830050505119,
-     0.417959183673469),
-)
-# G10/K21 (QUADPACK qk21, Piessens et al. 1983), for integrate_finite and
-# the body-plus-tail cells:
+# G10/K21 on [-1, 1] (QUADPACK qk21, Piessens et al. 1983), the one rule
+# every panel applies, as (nodes, Kronrod weights, Gauss weights): the
+# positive nodes, largest first, then the centre; the Gauss rule takes
+# every second node from the second (G10 has no centre node: weight 0).
 _GK21 = (
     (0.995657163025808080735527280689003,
      0.973906528517171720077964012084452,
@@ -82,6 +70,7 @@ _GK21 = (
      0.295524224714752870173892994651338,
      0.0),
 )
+_GK_NODES = 2 * len(_GK21[0]) - 1
 
 
 @dataclass(frozen=True)
@@ -96,10 +85,9 @@ class QuadResult:
             raise InvalidArgumentError("abs_error_estimate must be >= 0")
 
 
-def _gauss_kronrod(f, a, b, rule):
-    """One Gauss-Kronrod panel of the given rule (_GK15 or _GK21);
-    returns (kronrod, error_estimate)."""
-    xgk, wgk, wg = rule
+def _gauss_kronrod(f, a, b):
+    """One G10/K21 panel; returns (kronrod, error_estimate)."""
+    xgk, wgk, wg = _GK21
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     fc = f(c)
@@ -131,9 +119,9 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         raise InvalidArgumentError("need a < b")
     if tol <= 0.0:
         raise InvalidArgumentError("tol must be > 0")
-    value, err = _gauss_kronrod(f, a, b, _GK21)
+    value, err = _gauss_kronrod(f, a, b)
     intervals = [(err, a, b, value)]
-    evals = 21
+    evals = _GK_NODES
     total = value
     total_err = err
     while total_err > tol and evals < _FINITE_MAX_EVALS:
@@ -141,9 +129,9 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         worst = intervals.pop()
         _, wa, wb, wv = worst
         mid = 0.5 * (wa + wb)
-        v1, e1 = _gauss_kronrod(f, wa, mid, _GK21)
-        v2, e2 = _gauss_kronrod(f, mid, wb, _GK21)
-        evals += 42
+        v1, e1 = _gauss_kronrod(f, wa, mid)
+        v2, e2 = _gauss_kronrod(f, mid, wb)
+        evals += 2 * _GK_NODES
         intervals.append((e1, wa, mid, v1))
         intervals.append((e2, mid, wb, v2))
         total = sum(it[3] for it in intervals)
@@ -232,8 +220,8 @@ def _accelerate(sums, thetas):
 def _zero_partition(f, scale, tol, frequencies=None):
     """Uniform cells on the fastest oscillation half-period, with
     frequency-annihilation filters plus Wynn acceleration of the
-    partial sums.  Each cell is one K15 panel whose estimate is summed
-    into the error."""
+    partial sums.  Each cell is one G10/K21 panel whose estimate is
+    summed into the error."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
     sums = []
@@ -243,7 +231,7 @@ def _zero_partition(f, scale, tol, frequencies=None):
     while len(sums) < _ZP_MAX_CELLS:
         for _ in range(16):
             a = len(sums) * width
-            v, e = _gauss_kronrod(f, a, a + width, _GK15)
+            v, e = _gauss_kronrod(f, a, a + width)
             total += v
             cell_err += e
             sums.append(total)
@@ -253,15 +241,15 @@ def _zero_partition(f, scale, tol, frequencies=None):
         err = ierr if best is None else max(ierr, abs(val - best))
         best, best_err = val, err + cell_err
         if best_err < tol:
-            return QuadResult(best, best_err, 15 * len(sums), True)
-    return QuadResult(best, best_err, 15 * len(sums), False)
+            return QuadResult(best, best_err, _GK_NODES * len(sums), True)
+    return QuadResult(best, best_err, _GK_NODES * len(sums), False)
 
 
 def _eps_regularized(f, scale, tol, frequencies=None):
     """Damp by exp(-eps x) on a geometric eps ladder kept inside the
     analyticity radius (the smallest beat frequency), accelerate each
     damped sum, and polynomially extrapolate eps -> 0 (Neville).  Each
-    cell is one K15 panel whose estimate is summed into its rung's
+    cell is one G10/K21 panel whose estimate is summed into its rung's
     error."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
@@ -276,7 +264,7 @@ def _eps_regularized(f, scale, tol, frequencies=None):
         total = cell_err = 0.0
         for j in range(_EPS_CELLS):
             a = j * width
-            v, e = _gauss_kronrod(g, a, a + width, _GK15)
+            v, e = _gauss_kronrod(g, a, a + width)
             total += v
             cell_err += e
             sums.append(total)
@@ -294,7 +282,7 @@ def _eps_regularized(f, scale, tol, frequencies=None):
                 eps_ladder[i + j] - eps_ladder[i])
         diag_prev, diag = diag, tab[0]
     err = 4.0 * abs(diag - diag_prev) + inner_err
-    return QuadResult(tab[0], max(err, 1e-15), 15 * n * _EPS_CELLS,
+    return QuadResult(tab[0], max(err, 1e-15), _GK_NODES * n * _EPS_CELLS,
                       err < 10 * tol)
 
 
@@ -321,7 +309,7 @@ def _body_plus_tail(f, scale, tol, cuts, tail):
     # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
     shell = err = 0.0
     for j in range(n_a, n_b):
-        v, e = _gauss_kronrod(f, j * width, (j + 1) * width, _GK21)
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
         shell += v
         err += e
     t_b = tail(n_b * width)
@@ -330,10 +318,10 @@ def _body_plus_tail(f, scale, tol, cuts, tail):
         raise ConvergenceError(
             f"body plus tail: the cut-offs disagree by {gap + err:.3e} > "
             f"tol {tol:.3e}",
-            partial=QuadResult(math.nan, gap + err, 21 * (n_b - n_a), False))
+            partial=QuadResult(math.nan, gap + err, _GK_NODES * (n_b - n_a), False))
     body = 0.0
     for j in range(n_a):
-        v, e = _gauss_kronrod(f, j * width, (j + 1) * width, _GK21)
+        v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
         body += v
         err += e
     value = body + shell + t_b
@@ -341,8 +329,8 @@ def _body_plus_tail(f, scale, tol, cuts, tail):
     if est > tol:
         raise ConvergenceError(
             f"body plus tail: estimate {est:.3e} exceeds tol {tol:.3e}",
-            partial=QuadResult(value, est, 21 * n_b, False))
-    return QuadResult(value, est, 21 * n_b, True)
+            partial=QuadResult(value, est, _GK_NODES * n_b, False))
+    return QuadResult(value, est, _GK_NODES * n_b, True)
 
 
 def integrate_bessel_semiinfinite(f: Callable[[float], float],

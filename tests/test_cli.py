@@ -285,6 +285,32 @@ class TestScan:
         assert code == 3
         assert "domain error" in err and "alpha" in err
 
+    @pytest.mark.parametrize("overrides", [
+        # A fixed m = 1.5 once ran as m = 1.
+        dict(quantity="channel_table", fixed={"m": 1.5},
+             grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1}}),
+        # The middle point once ran as m_r_in = 0 under the label 0.5.
+        dict(quantity="dipole_amplitude", fixed={"k_perp": 0.8, "k_z": 1.2},
+             grid={"m_r_in": {"start": 0, "stop": 1, "count": 3}})])
+    def test_non_integral_integer_parameter_exits_3(self, tmp_path, capsys,
+                                                    overrides):
+        path, _ = self._config(tmp_path, **overrides)
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and "must be an integer" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_integer_parameters_are_written_as_integers(self, tmp_path,
+                                                        capsys):
+        path, _ = self._config(
+            tmp_path, quantity="dipole_amplitude",
+            fixed={"k_perp": 0.8, "k_z": 1.2, "m": 1.0},
+            grid={"m_r_in": {"start": -1, "stop": 1, "count": 3}})
+        assert cli.main(["scan", "--config", str(path)]) == 0
+        capsys.readouterr()
+        lines = (tmp_path / "out.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
+
     @staticmethod
     def _triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp):
         point = {"k_perp": 1.0, "k_perp_R": k_perp_R, "k_perp_Rp": k_perp_Rp}

@@ -192,6 +192,40 @@ class TestQuadrupoleExpand:
                                         PlanarVec(0.1, 0), 1.5, 0.0)
 
 
+class TestOriginRule:
+    """At R = 0 the three truncations share one rule: the radial factor at
+    order 0, 0 without a displacement, SingularConfigurationError with
+    one."""
+
+    O = PlanarVec(0.0, 0.0)
+    r = PlanarVec(0.3, 0.9)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_zero_displacement_gives_zero(self, m):
+        assert expansion.centered_cm_approx(m, 1.0, self.O, self.O) == 0.0
+        assert expansion.product_expand(m, 0, 1.0, 0.8, self.O, self.O,
+                                        0.5) == 0.0
+        assert expansion.quadrupole_expand(m, 1.0, self.O, self.O,
+                                           0.9995, 0.0005) == 0.0
+
+    def test_order_zero_is_the_radial_factor(self):
+        assert expansion.centered_cm_approx(0, 1.0, self.O, self.r) == 1.0
+        assert expansion.product_expand(0, 0, 1.0, 0.8, self.O, self.r,
+                                        0.5) == 1.0
+        assert expansion.quadrupole_expand(
+            0, 1.0, self.O, self.r, 0.9995, 0.0005) == pytest.approx(0.999)
+
+    def test_displacement_raises(self):
+        for call in (
+                lambda: expansion.centered_cm_approx(1, 1.0, self.O, self.r),
+                lambda: expansion.product_expand(1, 0, 1.0, 0.8, self.O,
+                                                 self.r, 0.5),
+                lambda: expansion.quadrupole_expand(1, 1.0, self.O, self.r,
+                                                    0.9995, 0.0005)):
+            with pytest.raises(SingularConfigurationError):
+                call()
+
+
 class TestProductExpand:
     def test_zero_displacement_is_plain_product(self):
         R = PlanarVec(1.3, 0.7)

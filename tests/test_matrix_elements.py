@@ -163,8 +163,8 @@ class TestTripleBessel:
         assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
 
     def test_body_in_three_half_period_k21_cells(self):
-        # 8 cells of width 3 pi / 3.1 reach 0.7 x >= 16, 21 evaluations
-        # each (half-period K15 cells took 345).
+        # 8 cells of width 3 pi / 3.1 reach 0.7 x >= 16, one G10/K21
+        # panel (21 evaluations) each.
         assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 200
 
     @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
@@ -404,9 +404,8 @@ class TestCenterOfMassIntegrals:
         assert info.value.partial.abs_error_estimate > 1e-9
 
     def test_free_order_8_converges(self):
-        # With half-period K15 cells this point fell back to the
-        # dual-method path, whose estimate (5e-7) missed tol, and icm0
-        # returned the value anyway.
+        # This point once fell back to the dual-method path, whose
+        # estimate (5e-7) missed tol, and icm0 returned the value anyway.
         cm_in = me.CenterOfMassState.free(3, 1.7)
         cm_out = me.CenterOfMassState.free(-5, 1.4)
         r = me._triple_bessel_oracle(0.5, 1.7, 1.4, 8, 3, -5, 1, 1e-9)
@@ -628,6 +627,19 @@ class TestCandidateComparisons:
         c = me.ho_gauss_bessel_candidate(2, 1, 1, 1, 1.0, 0.9)
         assert math.isfinite(c.discrepancy)
         assert c.oracle_error >= 0.0
+
+    def test_vortex_candidate_reports_the_quadrature_estimate(self):
+        # The estimate is the quadrature's own, scaled like the value by
+        # sqrt(alpha)^(n - m), not the 1e-12 tolerance; here it covers the
+        # distance to the closed-form series.
+        n_bar, alpha, k, m, n = 2, 1.3, 2.0, 3, 1
+        c = me.ho_vortex_candidate(n_bar, alpha, k, m, n)
+        scale = math.sqrt(alpha) ** (n - m)
+        r = me._ho_vortex_quad(n_bar, alpha, k, m, n, 1e-12)
+        assert c.oracle == scale * r.value
+        assert c.oracle_error == scale * r.abs_error_estimate != 1e-12
+        series = me.ho_vortex_series(n_bar, alpha, k, m, n).value
+        assert abs(c.oracle - scale * series) <= c.oracle_error
 
     def test_vortex_candidate_matches_at_trivial_order(self):
         # With n_bar = 0, n = 0 both sides reduce to the same Gaussian

@@ -41,8 +41,7 @@ class TestIntegrateFinite:
             assert (r.evaluations - 21) % 42 == 0
 
     def test_k21_rule_exact_to_degree_30(self):
-        v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0,
-                                         quadrature._GK21)
+        v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0)
         assert abs(v - 2.0 / 31.0) <= 1e-15
 
     def test_result_validation(self):
@@ -57,6 +56,10 @@ class TestSemiInfinite:
         for scheme in (quadrature._zero_partition, quadrature._eps_regularized):
             r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
             assert r.value == pytest.approx(1.0, abs=1e-9)
+            # One G10/K21 panel per cell; the eps ladder has 7 rungs of
+            # 224 cells.
+            assert r.evaluations % 21 == 0
+        assert r.evaluations == 21 * 7 * 224
 
     def test_j1_unit_integral(self):
         f = lambda x: bessel_j_any(1, x)
@@ -98,7 +101,7 @@ class TestSemiInfinite:
             quadrature.integrate_bessel_semiinfinite(f, 0.0)
 
     def test_cell_error_is_not_hidden(self):
-        # A unit step inside the first cell: no K15 panel resolves it, so
+        # A unit step inside the first cell: no G10/K21 panel resolves it, so
         # each scheme must either say so or carry an estimate that covers
         # its true error.
         f = lambda x: bessel_j_any(0, x) + (1.0 if x < 0.3 else 0.0)
