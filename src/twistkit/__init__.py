@@ -19,8 +19,8 @@ matrix_elements
     comparisons.
 quadrature
     Adaptive Gauss-Kronrod panels, semi-infinite oscillatory
-    integration with series acceleration, finite-difference vector
-    operators.
+    integration (body plus closed-form tail, and the dual-method
+    oracle), finite-difference vector operators.
 cli
     The ``twistkit`` command-line interface.
 """

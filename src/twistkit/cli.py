@@ -157,11 +157,19 @@ def _require(what, value, kind):
     return value
 
 
+def _integer(what, value):
+    """A JSON number as an int; a non-integral one is a domain error."""
+    if isinstance(value, float) and not value.is_integer():
+        raise TwistkitError(f"scan config: {what} must be an integer, "
+                            f"not {value!r}")
+    return int(value)
+
+
 def _grid_axis(name, spec):
     _require(f"grid axis {name}", spec, dict)
     start, stop, count = (_require(f"grid axis {name}: {key}", spec[key], _NUMBER)
                           for key in ("start", "stop", "count"))
-    count = int(count)
+    count = _integer(f"grid axis {name}: count", count)
     if count < 1:
         raise TwistkitError(f"grid axis {name}: count must be >= 1")
     if start > stop:
@@ -175,13 +183,8 @@ def _grid_axis(name, spec):
 
 
 def _param(name, value):
-    """value, an int for an integer parameter (which must be integral)."""
-    if name not in _INT_PARAMS:
-        return value
-    if isinstance(value, float) and not value.is_integer():
-        raise TwistkitError(f"scan config: {name} must be an integer, "
-                            f"not {value!r}")
-    return int(value)
+    """value, an int for an integer parameter."""
+    return _integer(name, value) if name in _INT_PARAMS else value
 
 
 def _eval_field_point(params):
@@ -475,14 +478,13 @@ def _verify_quadrature(results, rng):
     worst = 0.0
     for nu in (0, 1):
         f = lambda x, _n=nu: fields.bessel_j_any(_n, x)
-        rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
-        re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
+        rz = quadrature._zero_partition(f, 1.0, 1e-10, [1.0])
+        re = quadrature._eps_regularized(f, 1.0, 1e-10, [1.0])
         worst = max(worst, abs(rz.value - re.value), abs(rz.value - 1.0))
     _check(results, "quadrature.dual_method_Jnu", worst, 1e-8)
     a, b = 0.6, 1.1
     f = lambda x: fields.bessel_j_any(0, a * x) * fields.bessel_j_any(1, b * x)
-    r = quadrature.integrate_bessel_semiinfinite(
-        f, a + b, tol=1e-10, frequencies=[a + b, abs(a - b)])
+    r = quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, abs(a - b)])
     _check(results, "quadrature.two_bessel_closed_form",
            max(abs(r.value - 1.0 / b), r.abs_error_estimate), 1e-8)
     r = quadrature.integrate_finite(math.sin, 0.0, math.pi)

@@ -40,7 +40,8 @@ class CenterOfMassState:
 
     Free atoms: a Bessel state J_{m_R}(k_perp_R R) e^{i k_z_R z}; trapped
     atoms: a 2-D harmonic-oscillator Laguerre-Gauss state of radial index
-    n_bar and oscillator length alpha.
+    n_bar and oscillator length alpha.  k_perp_R (free) and alpha
+    (trapped) must be positive and finite, k_z_R finite.
     """
 
     variant: str
@@ -51,12 +52,14 @@ class CenterOfMassState:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if not math.isfinite(self.k_z_R):
+            raise InvalidArgumentError("k_z_R must be finite")
         if self.variant == FREE_BESSEL:
-            if not self.k_perp_R > 0.0:
-                raise InvalidArgumentError("free states need k_perp_R > 0")
+            if not 0.0 < self.k_perp_R < math.inf:
+                raise InvalidArgumentError("free states need 0 < k_perp_R < inf")
         elif self.variant == TRAPPED_HO:
-            if not self.alpha > 0.0:
-                raise InvalidArgumentError("trapped states need alpha > 0")
+            if not 0.0 < self.alpha < math.inf:
+                raise InvalidArgumentError("trapped states need 0 < alpha < inf")
             if self.n_bar < 0:
                 raise InvalidArgumentError("n_bar must be >= 0")
         else:
@@ -68,9 +71,8 @@ class CenterOfMassState:
                                  k_perp_R=k_perp_R)
 
     @staticmethod
-    def trapped(m_R: int, n_bar: int, alpha: float, k_z_R: float = 0.0):
-        return CenterOfMassState(TRAPPED_HO, m_R, k_z_R=k_z_R,
-                                 n_bar=n_bar, alpha=alpha)
+    def trapped(m_R: int, n_bar: int, alpha: float):
+        return CenterOfMassState(TRAPPED_HO, m_R, n_bar=n_bar, alpha=alpha)
 
 
 @dataclass(frozen=True)
@@ -371,6 +373,14 @@ def suppression_factor(k_perp: float, alpha: float) -> float:
 # the closed-form triple-Bessel tail.
 _TAIL_TERMS = 12
 
+# Absolute tolerances: the recoil integrals' body-plus-tail estimate
+# (triple_bessel, free icm0) and the finite-interval overlaps (trapped
+# icm0, the vortex and radial dipole integrals); relative truncation of
+# the vortex series.
+_RECOIL_TOL = 1e-9
+_OVERLAP_TOL = 1e-12
+_SERIES_REL_TOL = 1e-12
+
 
 def _hankel_coefficients(order: int, k: float) -> List[complex]:
     """c_j of H^(1)_order(k R) ~ sqrt(2/(pi k R)) e^{i(k R - order pi/2 - pi/4)}
@@ -429,13 +439,17 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
     plus the closed-form Hankel tail through
     quadrature.integrate_bessel_semiinfinite, ConvergenceError when its
-    estimate misses tol.
+    estimate misses tol, InvalidArgumentError unless each 0 < k < inf.
 
     The Hankel expansion of order m holds once k x >~ m^2, so each factor
     asks for x_a >= max(12, m^2) / k and x_b >= max(16, m^2 + 4) / k, and
     the cut-offs are the largest of these.  The rule is measured, not
     derived: a per-factor bound from the size of the last Hankel term, or
     m^2 / 2, missed on high-order points."""
+    for k in (k1, k2, k3):
+        if not 0.0 < k < math.inf:
+            raise InvalidArgumentError("wavenumbers must be > 0 and finite")
+
     def f(R: float) -> float:
         if R == 0.0:
             return 0.0
@@ -447,35 +461,31 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
     x_b = max(max(16.0, m * m + 4.0) / k for m, k in zip(orders, ks))
     tail = _triple_bessel_tail(ks, orders, power)
     return quadrature.integrate_bessel_semiinfinite(
-        f, k1 + k2 + k3, tol=tol, tail=((x_a, x_b), tail))
+        f, k1 + k2 + k3, (x_a, x_b), tail, tol)
 
 
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
-                  m: int, m_R: int, n: int,
-                  tol: float = 1e-9) -> quadrature.QuadResult:
+                  m: int, m_R: int, n: int) -> quadrature.QuadResult:
     """Semi-infinite triple-Bessel integral
 
         int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR
 
     as a finite body plus the closed-form Hankel tail, from cut-offs that
     grow with the orders; ConvergenceError (the QuadResult as ``partial``)
-    when its error estimate exceeds tol.  For n <= m + m_R it vanishes
-    (transverse momentum conservation) whenever k^R' > k + k^R; at
-    n = m + m_R + 1 the third order is -1 and it need not.  A degenerate
+    when its error estimate exceeds _RECOIL_TOL = 1e-9.  For n <= m + m_R
+    it vanishes (transverse momentum conservation) whenever k^R' > k + k^R;
+    at n = m + m_R + 1 the third order is -1 and it need not.  A degenerate
     triangle (a zero beat, e.g. k^R' = k + k^R) integrates its
     non-oscillating tail terms in closed form where they converge (n >= 1)
     and raises InvalidArgumentError where they do not (n = 0).
     """
-    for k in (k_perp, k_perp_R, k_perp_Rp):
-        if not k > 0.0:
-            raise InvalidArgumentError("wavenumbers must be > 0")
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
     if n > m + m_R + 1:
         raise InvalidArgumentError(
             f"n = {n} > m + m_R + 1 = {m + m_R + 1}: integral not convergent")
     return _triple_bessel_oracle(k_perp, k_perp_R, k_perp_Rp,
-                                 m, m_R, m_R + m - n, 1 - n, tol)
+                                 m, m_R, m_R + m - n, 1 - n, _RECOIL_TOL)
 
 
 _CANDIDATE_MAX_TERMS = 4000
@@ -547,24 +557,24 @@ def axial_momentum_constraint(cm_in: CenterOfMassState, k_z: float) -> float:
 
 
 def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
-         k_perp: float, k_z: float, order: int,
-         tol: float = 1e-9) -> complex:
+         k_perp: float, k_z: float, order: int) -> complex:
     """Radial center-of-mass overlap I_CM^(0) against J_order(k_perp R).
 
     Free Bessel states: the conditionally convergent triple-Bessel radial
     integral (body plus Hankel tail); the axial delta is reported via
     axial_momentum_constraint, not folded into the value; ConvergenceError
-    (the QuadResult as ``partial``) when its error estimate exceeds tol,
-    InvalidArgumentError at a zero beat (k_perp +- k_R +- k_R' = 0), where
-    the integral diverges.  Trapped states: the normalized
-    Laguerre-Gauss-Bessel overlap by finite quadrature.
+    (the QuadResult as ``partial``) when its error estimate exceeds
+    _RECOIL_TOL, InvalidArgumentError unless 0 < k_perp < inf and at a
+    zero beat (k_perp +- k_R +- k_R' = 0), where the integral diverges.
+    Trapped states: the normalized Laguerre-Gauss-Bessel overlap by
+    finite quadrature to _OVERLAP_TOL.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if cm_in.variant == FREE_BESSEL:
         return complex(_triple_bessel_oracle(
             k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
-            order, cm_in.m_R, cm_out.m_R, 1, tol).value)
+            order, cm_in.m_R, cm_out.m_R, 1, _RECOIL_TOL).value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
     alpha = cm_in.alpha
@@ -577,7 +587,7 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
         return (R * _ho_radial(cm_in, R) * _ho_radial(cm_out, R)
                 * bessel_j_any(order, k_perp * R))
 
-    r = quadrature.integrate_finite(g, 0.0, cut, tol=max(tol * 1e-3, 1e-13))
+    r = quadrature.integrate_finite(g, 0.0, cut, tol=_OVERLAP_TOL)
     return complex(norm * r.value)
 
 
@@ -632,18 +642,18 @@ def _ho_vortex_quad(n_bar: int, alpha: float, k_perp: float,
 
 
 def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
-                       m: int, n: int, tol: float = 1e-12) -> float:
+                       m: int, n: int) -> float:
     """Vortex-overlap integral (decaying Gaussian; the printed growing
     exponential is unnormalizable):
 
         int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
                   L_{n_bar}^{m-n}(R^2/alpha^2) dR.
     """
-    return _ho_vortex_quad(n_bar, alpha, k_perp, m, n, tol).value
+    return _ho_vortex_quad(n_bar, alpha, k_perp, m, n, _OVERLAP_TOL).value
 
 
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
-                     m: int, n: int, tol: float = 1e-12) -> specfun.SeriesResult:
+                     m: int, n: int) -> specfun.SeriesResult:
     """Closed-form series for ho_vortex_integral, rederived from the
     Bessel power series (the printed prefactor confuses n with n_bar and
     drops alpha powers; the inner sum is the printed one):
@@ -663,7 +673,8 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar))
             * math.factorial(m + n_bar - n) / math.factorial(m + n_bar))
-    s = specfun.hyp2f2(n, 1.0, m + n_bar + 1, 1.0, z, tol=tol, log_scale=-z)
+    s = specfun.hyp2f2(n, 1.0, m + n_bar + 1, 1.0, z, tol=_SERIES_REL_TOL,
+                       log_scale=-z)
     return specfun.SeriesResult(value=pref * s.value, terms_used=s.terms_used,
                                 truncation_estimate=abs(pref) * s.truncation_estimate)
 
@@ -688,7 +699,7 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
             break
         total += term
     scale = math.sqrt(alpha) ** (n - m)
-    quad = _ho_vortex_quad(n_bar, alpha, k_perp, m, n, 1e-12)
+    quad = _ho_vortex_quad(n_bar, alpha, k_perp, m, n, _OVERLAP_TOL)
     return CandidateComparison(oracle=scale * quad.value,
                                oracle_error=scale * quad.abs_error_estimate,
                                candidate=pref * total,
@@ -699,16 +710,15 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
 # Internal (relative-coordinate) integral
 # ---------------------------------------------------------------------------
 
-def radial_dipole_integral(int_in: InternalState, int_out: InternalState,
-                           tol: float = 1e-12) -> float:
+def radial_dipole_integral(int_in: InternalState,
+                           int_out: InternalState) -> float:
     """int r^3 Theta_F(r) Theta_0(r) dr by adaptive quadrature."""
     r_max = max(int_in.r_max, int_out.r_max)
     f = lambda r: r ** 3 * int_out.radial(r) * int_in.radial(r)
-    return quadrature.integrate_finite(f, 0.0, r_max, tol=tol).value
+    return quadrature.integrate_finite(f, 0.0, r_max, tol=_OVERLAP_TOL).value
 
 
-def i_rel(int_in: InternalState, int_out: InternalState, j: int,
-          tol: float = 1e-12) -> float:
+def i_rel(int_in: InternalState, int_out: InternalState, j: int) -> float:
     """Dipole internal matrix element: the printed angular selection
     factor (primed = final state; the parity-partner branch of the j = 0
     bracket carries the evidently omitted Kronecker delta) times the
@@ -733,7 +743,7 @@ def i_rel(int_in: InternalState, int_out: InternalState, j: int,
     ang /= (2.0 * lf + 1.0)
     if ang == 0.0:
         return 0.0
-    return ang * radial_dipole_integral(int_in, int_out, tol=tol)
+    return ang * radial_dipole_integral(int_in, int_out)
 
 
 # ---------------------------------------------------------------------------
@@ -781,18 +791,17 @@ def spin_matrix_element(mode: ModeSpec, particle: SpinParticle,
                         cm_in: CenterOfMassState, cm_out: CenterOfMassState,
                         int_in: InternalState, int_out: InternalState
                         ) -> Optional[ChannelAmplitude]:
-    """H_I3 (spin) emission amplitude; None when the spin ladder or the
-    azimuthal bookkeeping forbids the transition.  The internal spatial
-    state must be unchanged at this order."""
-    pref, terms = fields.mode_terms(mode, curl=True)
-    d_spin = round(2 * (spin_out - spin_in)) / 2.0
-    if d_spin not in (-1.0, 0.0, 1.0):
-        return None
+    """H_I3 (spin) emission amplitude; None when the azimuthal
+    bookkeeping forbids the transition or the internal spatial state
+    changes (it must not at this order).  Both spin projections must be
+    +/- 1/2 (InvalidArgumentError otherwise), so the spin changes by
+    -1, 0 or +1."""
     if abs(spin_in) != 0.5 or abs(spin_out) != 0.5:
         raise InvalidArgumentError("spin-1/2 projections must be +/- 1/2")
+    pref, terms = fields.mode_terms(mode, curl=True)
     if (int_in.l_r, int_in.m_r) != (int_out.l_r, int_out.m_r):
         return None
-    d_spin = int(d_spin)
+    d_spin = int(spin_out - spin_in)
     d_m_R = cm_out.m_R - cm_in.m_R
     # Emission pairs S with B*: the spin change and d_m_R are -slot and -mu.
     for mu, slot, c in terms:

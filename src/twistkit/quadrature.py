@@ -1,24 +1,24 @@
 """Independent numerical oracles.
 
-One Gauss-Kronrod rule, G10/K21, for every panel: adaptive quadrature on
+One Gauss-Kronrod rule, G10/K21, for every panel: integrate_finite on
 finite intervals; semi-infinite oscillatory Bessel-product integrals,
-either as a finite body plus a caller's closed-form tail from
-caller-chosen cut-offs (ConvergenceError on a miss) or, without a tail,
-by two mutually cross-checking schemes over half-period cells; and
-Richardson-extrapolated finite-difference operators used to verify
-the closed-form fields.
+either by integrate_bessel_semiinfinite, a finite body plus a caller's
+closed-form tail from caller-chosen cut-offs (ConvergenceError on a
+miss), or, with no tail known, by dual_method_oracle, two mutually
+cross-checking schemes over half-period cells; and Richardson-
+extrapolated finite-difference operators used to verify the closed-form
+fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyError
 
 DEFAULT_FINITE_TOL = 1e-12
-DEFAULT_OSC_TOL = 1e-9
 
 # integrate_finite evaluations, zero-partition cells (also the body-plus-
 # tail reach in half-periods), eps-ladder cells per rung, filter passes,
@@ -102,7 +102,9 @@ def _gauss_kronrod(f, a, b):
     kron *= h
     gauss *= h
     err = abs(kron - gauss)
-    # Standard QUADPACK-style sharpening of the raw difference.
+    # QUADPACK's sharpening (200 err / resasc)^1.5 with resasc, the
+    # integrand's spread over the panel, fixed at 1: on integrands much
+    # smaller than 1 it under-reports the error.
     if err != 0.0:
         err = min(err, (200.0 * err) ** 1.5) if err < 1.0 else err
     return kron, err
@@ -179,7 +181,7 @@ def _filter_thetas(frequencies, scale):
     annihilation filters should remove."""
     width = math.pi / scale
     thetas = []
-    for fr in (frequencies if frequencies else (scale,)):
+    for fr in frequencies:
         th = abs(fr) * width
         if th < 0.05 or th > math.pi + 1e-9:
             continue  # (near-)zero beats are algebraic, not oscillatory
@@ -217,7 +219,7 @@ def _accelerate(sums, thetas):
     return wv, max(we, abs(wv - wv2))
 
 
-def _zero_partition(f, scale, tol, frequencies=None):
+def _zero_partition(f, scale, tol, frequencies):
     """Uniform cells on the fastest oscillation half-period, with
     frequency-annihilation filters plus Wynn acceleration of the
     partial sums.  Each cell is one G10/K21 panel whose estimate is
@@ -245,7 +247,7 @@ def _zero_partition(f, scale, tol, frequencies=None):
     return QuadResult(best, best_err, _GK_NODES * len(sums), False)
 
 
-def _eps_regularized(f, scale, tol, frequencies=None):
+def _eps_regularized(f, scale, tol, frequencies):
     """Damp by exp(-eps x) on a geometric eps ladder kept inside the
     analyticity radius (the smallest beat frequency), accelerate each
     damped sum, and polynomially extrapolate eps -> 0 (Neville).  Each
@@ -253,7 +255,7 @@ def _eps_regularized(f, scale, tol, frequencies=None):
     error."""
     width = math.pi / scale
     thetas = _filter_thetas(frequencies, scale)
-    pos = [abs(x) for x in (frequencies or [scale]) if abs(x) > 1e-12]
+    pos = [abs(x) for x in frequencies if abs(x) > 1e-12]
     rho = min(pos) if pos else scale
     eps_ladder = [0.25 * rho * 2.0 ** (-j) for j in range(7)]
     values = []
@@ -286,9 +288,22 @@ def _eps_regularized(f, scale, tol, frequencies=None):
                       err < 10 * tol)
 
 
-def _body_plus_tail(f, scale, tol, cuts, tail):
-    """Cells three half-periods wide (3 pi/scale), one G10/K21 panel each,
-    up to the cut-offs x_a < x_b, plus the closed-form tail at each.  The
+def integrate_bessel_semiinfinite(f: Callable[[float], float],
+                                  oscillation_scale: float,
+                                  cuts: Tuple[float, float],
+                                  tail: Callable[[float], float],
+                                  tol: float) -> QuadResult:
+    """Semi-infinite integral of an oscillatory Bessel-type integrand as a
+    finite body plus its closed-form tail.
+
+    ``oscillation_scale`` is the largest wavenumber present (the slowest
+    zero spacing is pi/scale).  ``tail(x0)`` is the closed-form integral
+    of f from x0 to infinity, valid from the cut-off x_a of ``cuts =
+    (x_a, x_b)`` on (the caller owns the expansion behind it, so it knows
+    where it holds).
+
+    Cells three half-periods wide (3 pi/scale), one G10/K21 panel each,
+    run up to the cut-offs x_a < x_b, and the tail is added at each.  The
     estimate is |v(x_a) - v(x_b)| + the summed cell estimates + a relative
     floor; v(x_b) is returned.
 
@@ -298,7 +313,9 @@ def _body_plus_tail(f, scale, tol, cuts, tail):
     beyond _ZP_MAX_CELLS half-periods, after only the cells between the
     cut-offs when those alone put the estimate above tol (the tail does
     not hold at x_a), and after the body when the whole estimate does."""
-    width = 3.0 * math.pi / scale
+    if oscillation_scale <= 0.0:
+        raise InvalidArgumentError("oscillation_scale must be > 0")
+    width = 3.0 * math.pi / oscillation_scale
     n_a, n_b = (math.ceil(cut / width) for cut in cuts)
     n_b = max(n_b, n_a + 1)
     if 3 * n_b > _ZP_MAX_CELLS:
@@ -333,39 +350,23 @@ def _body_plus_tail(f, scale, tol, cuts, tail):
     return QuadResult(value, est, _GK_NODES * n_b, True)
 
 
-def integrate_bessel_semiinfinite(f: Callable[[float], float],
-                                  oscillation_scale: float,
-                                  tol: float = DEFAULT_OSC_TOL,
-                                  frequencies: Sequence[float] = None,
-                                  tail: Optional[Tuple[Tuple[float, float],
-                                                       Callable]] = None
-                                  ) -> QuadResult:
-    """Semi-infinite integral of an oscillatory Bessel-type integrand.
+def dual_method_oracle(f: Callable[[float], float], oscillation_scale: float,
+                       tol: float, frequencies: Sequence[float]) -> QuadResult:
+    """Semi-infinite integral of an oscillatory Bessel-type integrand with
+    no known tail, by two independent schemes over half-period cells.
 
-    ``oscillation_scale`` is the largest wavenumber present (the slowest
-    zero spacing is pi/scale).
-
-    ``tail = ((x_a, x_b), T)``: T(x0) is the closed-form integral of f
-    from x0 to infinity, valid from the cut-off x_a on (the caller owns
-    the expansion behind T, so it knows where it holds).  The result is a
-    finite body plus T at both cut-offs, their disagreement the estimate;
-    ConvergenceError when that estimate exceeds tol or the cut-offs lie
-    beyond _ZP_MAX_CELLS half-periods.
-
-    Without a tail, two independent schemes run (the dual-method oracle):
-    ``frequencies`` may list every asymptotic oscillation frequency (e.g.
-    the beat combinations of a Bessel product), which their accelerators
-    then annihilate exactly.  They must agree within 3x their combined
-    error estimates, otherwise OracleInconsistencyError; the
-    zero-partition value is returned, ``converged`` meaning
-    ``abs_error_estimate <= tol``.
+    ``oscillation_scale`` is the largest wavenumber present (the cells
+    are pi/scale wide); ``frequencies`` lists every asymptotic oscillation
+    frequency (e.g. the beat combinations of a Bessel product), which the
+    schemes' accelerators annihilate exactly.  The schemes must agree
+    within 3x their combined error estimates, otherwise
+    OracleInconsistencyError; the zero-partition value is returned,
+    ``converged`` meaning ``abs_error_estimate <= tol``.
     """
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
-    if tail is not None:
-        return _body_plus_tail(f, oscillation_scale, tol, *tail)
-    rz = _zero_partition(f, oscillation_scale, tol, frequencies=frequencies)
-    re = _eps_regularized(f, oscillation_scale, tol, frequencies=frequencies)
+    rz = _zero_partition(f, oscillation_scale, tol, frequencies)
+    re = _eps_regularized(f, oscillation_scale, tol, frequencies)
     combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
     # Flag only gross disagreement (one method silently wrong), not the
     # last digit of two honest estimates: allow a small relative floor.

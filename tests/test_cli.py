@@ -145,6 +145,17 @@ class TestAmplitude:
         assert code == 3
         assert "body plus tail" in err
 
+    @pytest.mark.parametrize("state", ["free:0,inf", "free:0,1.0,inf"])
+    def test_infinite_wavenumber_exits_3(self, state, capsys):
+        # An infinite k_perp_R once crashed with ZeroDivisionError (exit 1,
+        # the code of a verification failure); an infinite k_z_R ran.
+        code, _, err = run(["amplitude", "--kind", "tm", "--m", "0",
+                            "--kperp", "0.8", "--kz", "1.2",
+                            "--cm-in", state, "--cm-out", "free:0,1.0",
+                            "--int-in", "2p:0", "--int-out", "1s"], capsys)
+        assert code == 3
+        assert "domain error" in err
+
 
 class TestScan:
     @staticmethod
@@ -300,6 +311,15 @@ class TestScan:
         assert "domain error" in err and "must be an integer" in err
         assert not (tmp_path / "out.csv").exists()
 
+    def test_non_integral_count_exits_3(self, tmp_path, capsys):
+        # A count of 2.5 once wrote 2 rows and exited 0.
+        path, _ = self._config(
+            tmp_path, grid={"k_perp": {"start": 0.5, "stop": 2.0, "count": 2.5}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and "must be an integer" in err
+        assert not (tmp_path / "out.csv").exists()
+
     def test_integer_parameters_are_written_as_integers(self, tmp_path,
                                                         capsys):
         path, _ = self._config(
@@ -341,8 +361,7 @@ class TestScan:
         f = lambda x: (fields.bessel_j_any(0, a * x)
                        * fields.bessel_j_any(1, b * x))
         with pytest.raises(OracleInconsistencyError):
-            quadrature.integrate_bessel_semiinfinite(
-                f, a + b, tol=1e-10, frequencies=[a + b, b - a])
+            quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, b - a])
         code, _, err = run(["verify", "--only", "quadrature"], capsys)
         assert code == 4
         assert "oracle inconsistency" in err
@@ -350,6 +369,18 @@ class TestScan:
         code, _, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "body plus tail" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_infinite_wavenumber_exits_3(self, tmp_path, capsys):
+        # Python's json reads Infinity; triple_bessel once divided by it
+        # into ZeroDivisionError (exit 1).
+        path, _ = self._config(
+            tmp_path, quantity="triple_bessel",
+            fixed={"k_perp": float("inf"), "k_perp_Rp": 1.4},
+            grid={"k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("k_perp_R, k_perp_Rp", [(1e-6, 1.0), (1.0, 2.0)],

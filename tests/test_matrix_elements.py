@@ -25,6 +25,16 @@ class TestStates:
         with pytest.raises(InvalidArgumentError):
             me.CenterOfMassState.trapped(0, 0, 0.0)
 
+    def test_non_finite_state_is_rejected(self):
+        # An infinite k_perp_R once reached the recoil cut-offs as a
+        # division by zero.
+        for make in (lambda: me.CenterOfMassState.free(0, math.inf),
+                     lambda: me.CenterOfMassState.free(0, math.nan),
+                     lambda: me.CenterOfMassState.free(0, 1.0, math.inf),
+                     lambda: me.CenterOfMassState.trapped(0, 0, math.inf)):
+            with pytest.raises(InvalidArgumentError):
+                make()
+
     def test_internal_state_validation(self):
         with pytest.raises(InvalidArgumentError):
             me.hydrogen_state(1, 0, m_r=1)
@@ -151,6 +161,17 @@ class TestTripleBessel:
     def test_rejects_divergent_power(self):
         with pytest.raises(InvalidArgumentError):
             me.triple_bessel(1.0, 1.0, 1.0, 0, 0, 2)
+
+    def test_rejects_non_finite_wavenumbers(self):
+        # The cut-offs divide by each wavenumber: an infinite one once
+        # raised ZeroDivisionError there, and free icm0 took a zero one.
+        with pytest.raises(InvalidArgumentError):
+            me.triple_bessel(math.inf, 0.7, 1.4, 0, 0, 0)
+        cm_in = me.CenterOfMassState.free(0, 0.7)
+        cm_out = me.CenterOfMassState.free(0, 1.4)
+        for k in (math.inf, 0.0):
+            with pytest.raises(InvalidArgumentError):
+                me.icm0(cm_in, cm_out, k, 1.0, 0)
 
     def test_outside_cone_n2_vanishes(self):
         # The dual-method schemes disagree here beyond their gate.
@@ -556,6 +577,15 @@ class TestSpinMatrixElement:
         with pytest.raises(SingularNormalizationError):
             me.spin_matrix_element(mode, self.particle, -0.5, 0.5,
                                    self.cm0, cm_out, self.s1, self.s1)
+
+    def test_projections_must_be_half(self):
+        # (0.3, 0.8) once returned None ("forbidden"): the spin change
+        # 0.5 was checked against the ladder before the projections.
+        mode = ModeSpec(ModeKind.TM, 1, 0.8, 1.2)
+        for spins in ((0.3, 0.8), (0.5, 1.5), (0.0, 0.0)):
+            with pytest.raises(InvalidArgumentError):
+                me.spin_matrix_element(mode, self.particle, *spins,
+                                       self.cm0, self.cm0, self.s1, self.s1)
 
 
 def _slot_coefficients(field, mode, rho=1.1, phi=0.4):

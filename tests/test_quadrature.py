@@ -63,16 +63,14 @@ class TestSemiInfinite:
 
     def test_j1_unit_integral(self):
         f = lambda x: bessel_j_any(1, x)
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, 1.0, tol=1e-10, frequencies=[1.0])
+        r = quadrature.dual_method_oracle(f, 1.0, 1e-10, [1.0])
         assert r.value == pytest.approx(1.0, abs=1e-9)
 
     def test_two_bessel_closed_form(self):
         # int_0^inf J_0(a x) J_1(b x) dx = 1/b for 0 < a < b.
         a, b = 0.6, 1.1
         f = lambda x: bessel_j_any(0, a * x) * bessel_j_any(1, b * x)
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, a + b, tol=1e-10, frequencies=[a + b, b - a])
+        r = quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, b - a])
         assert r.value == pytest.approx(1.0 / b, abs=1e-9)
         assert r.converged
         # The eps-regularized scheme alone: one rung converges to the last
@@ -85,20 +83,22 @@ class TestSemiInfinite:
         # int_0^inf J_0(k x) dx = 1/k.
         k = 2.7
         f = lambda x: bessel_j_any(0, k * x)
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, k, tol=1e-10, frequencies=[k])
+        r = quadrature.dual_method_oracle(f, k, 1e-10, [k])
         assert r.value == pytest.approx(1.0 / k, abs=1e-9)
 
     def test_error_estimate_is_honest(self):
         f = lambda x: bessel_j_any(0, x)
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, 1.0, tol=1e-10, frequencies=[1.0])
+        r = quadrature.dual_method_oracle(f, 1.0, 1e-10, [1.0])
         assert abs(r.value - 1.0) <= 100 * max(r.abs_error_estimate, 1e-14)
 
     def test_rejects_bad_arguments(self):
         f = lambda x: bessel_j_any(0, x)
-        with pytest.raises(InvalidArgumentError):
-            quadrature.integrate_bessel_semiinfinite(f, 0.0)
+        for scale in (0.0, -1.0):
+            with pytest.raises(InvalidArgumentError):
+                quadrature.integrate_bessel_semiinfinite(
+                    f, scale, (12.0, 16.0), lambda x0: 0.0, 1e-10)
+            with pytest.raises(InvalidArgumentError):
+                quadrature.dual_method_oracle(f, scale, 1e-10, [1.0])
 
     def test_cell_error_is_not_hidden(self):
         # A unit step inside the first cell: no G10/K21 panel resolves it, so
@@ -107,7 +107,7 @@ class TestSemiInfinite:
         f = lambda x: bessel_j_any(0, x) + (1.0 if x < 0.3 else 0.0)
         for scheme in (quadrature._zero_partition,
                        quadrature._eps_regularized,
-                       quadrature.integrate_bessel_semiinfinite):
+                       quadrature.dual_method_oracle):
             r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
             assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
 
@@ -118,7 +118,7 @@ class TestSemiInfinite:
         f = lambda x: bessel_j_any(0, x)
         with pytest.raises(ConvergenceError) as info:
             quadrature.integrate_bessel_semiinfinite(
-                f, 1.0, tol=1e-10, tail=((12.0, 16.0), lambda x0: 0.0))
+                f, 1.0, (12.0, 16.0), lambda x0: 0.0, 1e-10)
         assert not info.value.partial.converged
         assert info.value.partial.abs_error_estimate > 1e-10
         assert info.value.partial.evaluations == 21
@@ -131,8 +131,7 @@ class TestSemiInfinite:
                        * bessel_j_any(2, k3 * x))
         beats = sorted({abs(k1 + s2 * k2 + s3 * k3)
                         for s2 in (1, -1) for s3 in (1, -1)})
-        r = quadrature.integrate_bessel_semiinfinite(
-            f, k1 + k2 + k3, tol=1e-9, frequencies=beats)
+        r = quadrature.dual_method_oracle(f, k1 + k2 + k3, 1e-9, beats)
         assert r.abs_error_estimate > 1e-9
         assert not r.converged
 
