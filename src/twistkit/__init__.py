@@ -14,9 +14,10 @@ expansion
     Addition-theorem expansions of a vortex profile about a displaced
     center, with per-term breakdowns.
 matrix_elements
-    Center-of-mass and internal matrix elements, selection-rule
-    channel tables, spin couplings, and candidate-closed-form
-    comparisons.
+    Center-of-mass and internal matrix elements (free recoil integrals
+    by Graf's closed form where the orders allow, else body plus tail),
+    selection-rule channel tables, spin couplings, and
+    candidate-closed-form comparisons.
 quadrature
     Adaptive Gauss-Kronrod panels, semi-infinite oscillatory
     integration (body plus closed-form tail, and the dual-method

@@ -523,6 +523,18 @@ def _verify_cm(results, rng):
     _check(results, "cm.hydrogen_radial_dipole",
            abs(matrix_elements.radial_dipole_integral(p2, s1)
                - 1536.0 / (243.0 * math.sqrt(24.0))), 1e-10)
+    # Body plus tail against Graf's closed form, which the free recoil
+    # integrals take, at signed Graf triples (+-(nu + k), k, nu).
+    worst = 0.0
+    for _ in range(8):
+        ks = rng.uniform(0.4, 1.8, size=3).tolist()
+        nu = int(rng.randint(-10, 11))
+        k = int(rng.randint(max(-10, -10 - nu), min(10, 10 - nu) + 1))
+        orders = ((1 if rng.randint(2) else -1) * (nu + k), k, nu)
+        closed = matrix_elements._graf_closed_form(*ks, *orders)
+        r = matrix_elements._triple_bessel_oracle(*ks, *orders, 1, 1e-9)
+        worst = max(worst, abs(closed.value - r.value))
+    _check(results, "cm.closed_form_vs_body_plus_tail", worst, 1e-9)
 
 
 def _verify_overlap(results, rng):

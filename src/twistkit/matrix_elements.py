@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -374,9 +375,9 @@ def suppression_factor(k_perp: float, alpha: float) -> float:
 _TAIL_TERMS = 12
 
 # Absolute tolerances: the recoil integrals' body-plus-tail estimate
-# (triple_bessel, free icm0) and the finite-interval overlaps (trapped
-# icm0, the vortex and radial dipole integrals); relative truncation of
-# the vortex series.
+# (triple_bessel at n >= 1, free icm0 off Graf triples) and the
+# finite-interval overlaps (trapped icm0, the vortex and radial dipole
+# integrals); relative truncation of the vortex series.
 _RECOIL_TOL = 1e-9
 _OVERLAP_TOL = 1e-12
 _SERIES_REL_TOL = 1e-12
@@ -434,6 +435,12 @@ def _triple_bessel_tail(ks: Tuple[float, float, float],
     return tail
 
 
+def _require_wavenumbers(*ks: float) -> None:
+    for k in ks:
+        if not 0.0 < k < math.inf:
+            raise InvalidArgumentError("wavenumbers must be > 0 and finite")
+
+
 def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
                           m3: int, power: int, tol: float) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
@@ -446,9 +453,7 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
     the cut-offs are the largest of these.  The rule is measured, not
     derived: a per-factor bound from the size of the last Hankel term, or
     m^2 / 2, missed on high-order points."""
-    for k in (k1, k2, k3):
-        if not 0.0 < k < math.inf:
-            raise InvalidArgumentError("wavenumbers must be > 0 and finite")
+    _require_wavenumbers(k1, k2, k3)
 
     def f(R: float) -> float:
         if R == 0.0:
@@ -464,28 +469,101 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
         f, k1 + k2 + k3, (x_a, x_b), tail, tol)
 
 
+def _graf_closed_form(k1: float, k2: float, k3: float, m1: int, m2: int,
+                      m3: int) -> Optional[quadrature.QuadResult]:
+    """int_0^inf J_m1(k1 R) J_m2(k2 R) J_m3(k3 R) R dR in closed form when
+    the orders form a Graf triple, +-m_i = m_j + m_l; None otherwise.
+
+    Graf's addition theorem (DLMF 10.23.7) and the Hankel closure
+    int_0^inf J_nu(c t) J_nu(c' t) t dt = delta(c - c') / c give, for all
+    integers nu and k,
+
+        int_0^inf J_{nu+k}(a t) J_k(b t) J_nu(c t) t dt
+            = cos(nu chi - k gamma) / (2 pi Delta)
+
+    inside the triangle of sides a, b, c and 0 outside it: Delta is its
+    area, gamma the angle between sides a and b, chi that between a and c.
+    J_{-n} = (-1)^n J_n covers -m_i = m_j + m_l.  Kahan's needle-safe
+    factors 2(s - side) decide inside, outside and a zero beat exactly,
+    and give the area and the half-angle tangents tan(theta/2) =
+    sqrt(F_j F_l / (F_s F_i)) to a few ulps.  The estimate is rounding:
+    a few ulps of each angle times the orders, and of the area.  A zero
+    beat (Delta = 0) diverges, and an area below the smallest normal
+    float puts the value past ~1e307: both InvalidArgumentError."""
+    _require_wavenumbers(k1, k2, k3)
+    ks, ms = (k1, k2, k3), (m1, m2, m3)
+    for i, s in ((0, 1), (0, -1), (1, 1), (1, -1), (2, 1), (2, -1)):
+        j, l = (i + 1) % 3, (i + 2) % 3
+        if s * ms[i] == ms[j] + ms[l]:
+            break
+    else:
+        return None
+    sign = -1.0 if s < 0 and ms[i] % 2 else 1.0
+    nu, k = ms[l], ms[j]
+    sides = (ks[i], ks[j], ks[l])  # a, b, c
+    rank = sorted(range(3), key=lambda t: -sides[t])
+    x, y, z = (sides[t] for t in rank)
+    factors = (z - (x - y), z + (x - y), x + (y - z))
+    if factors[0] < 0.0:
+        return quadrature.QuadResult(0.0, 0.0, 0, True)
+    if factors[0] == 0.0:
+        raise InvalidArgumentError(
+            "zero beat (degenerate momentum triangle): the integral diverges")
+    root = [0.0] * 3
+    for t, f in zip(rank, factors):
+        root[t] = math.sqrt(f)
+    root_s = math.sqrt(x + (y + z))
+    gamma = 2.0 * math.atan2(root[0] * root[1], root_s * root[2])
+    chi = 2.0 * math.atan2(root[0] * root[2], root_s * root[1])
+    two_pi_area = 0.5 * math.pi * (root_s * root[0]) * (root[1] * root[2])
+    if two_pi_area < sys.float_info.min:
+        raise InvalidArgumentError(
+            "momentum triangle area underflows: the integral leaves the "
+            "float range")
+    return quadrature.QuadResult(
+        sign * math.cos(nu * chi - k * gamma) / two_pi_area,
+        2.0 ** -52 * (4.0 * math.pi * (abs(nu) + abs(k)) + 8.0) / two_pi_area,
+        0, True)
+
+
+def _recoil_integral(k1: float, k2: float, k3: float, m1: int, m2: int,
+                     m3: int, power: int) -> quadrature.QuadResult:
+    """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: Graf's closed
+    form at power 1 for a Graf triple of orders, else body plus tail to
+    _RECOIL_TOL."""
+    if power == 1:
+        r = _graf_closed_form(k1, k2, k3, m1, m2, m3)
+        if r is not None:
+            return r
+    return _triple_bessel_oracle(k1, k2, k3, m1, m2, m3, power, _RECOIL_TOL)
+
+
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                   m: int, m_R: int, n: int) -> quadrature.QuadResult:
     """Semi-infinite triple-Bessel integral
 
-        int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR
+        int_0^inf J_m(k R) R^{1-n} J_{m_R}(k^R R) J_{m_R+m-n}(k^R' R) dR.
 
-    as a finite body plus the closed-form Hankel tail, from cut-offs that
-    grow with the orders; ConvergenceError (the QuadResult as ``partial``)
-    when its error estimate exceeds _RECOIL_TOL = 1e-9.  For n <= m + m_R
-    it vanishes (transverse momentum conservation) whenever k^R' > k + k^R;
-    at n = m + m_R + 1 the third order is -1 and it need not.  A degenerate
-    triangle (a zero beat, e.g. k^R' = k + k^R) integrates its
-    non-oscillating tail terms in closed form where they converge (n >= 1)
-    and raises InvalidArgumentError where they do not (n = 0).
+    At n = 0 the orders form a Graf triple: the closed form
+    cos(nu chi - k gamma) / (2 pi Delta) inside the momentum triangle,
+    exactly 0 outside it, in no integrand evaluation and to rounding (see
+    _graf_closed_form).  At n >= 1, a finite body plus the closed-form
+    Hankel tail, from cut-offs that grow with the orders; ConvergenceError
+    (the QuadResult as ``partial``) when its error estimate exceeds
+    _RECOIL_TOL = 1e-9.  For n <= m + m_R it vanishes (transverse momentum
+    conservation) whenever k^R' > k + k^R; at n = m + m_R + 1 the third
+    order is -1 and it need not.  A degenerate triangle (a zero beat, e.g.
+    k^R' = k + k^R) raises InvalidArgumentError at n = 0, where the
+    integral diverges; at n >= 1 body plus tail integrates the
+    non-oscillating tail terms in closed form.
     """
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
     if n > m + m_R + 1:
         raise InvalidArgumentError(
             f"n = {n} > m + m_R + 1 = {m + m_R + 1}: integral not convergent")
-    return _triple_bessel_oracle(k_perp, k_perp_R, k_perp_Rp,
-                                 m, m_R, m_R + m - n, 1 - n, _RECOIL_TOL)
+    return _recoil_integral(k_perp, k_perp_R, k_perp_Rp,
+                            m, m_R, m_R + m - n, 1 - n)
 
 
 _CANDIDATE_MAX_TERMS = 4000
@@ -561,20 +639,25 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     """Radial center-of-mass overlap I_CM^(0) against J_order(k_perp R).
 
     Free Bessel states: the conditionally convergent triple-Bessel radial
-    integral (body plus Hankel tail); the axial delta is reported via
-    axial_momentum_constraint, not folded into the value; ConvergenceError
-    (the QuadResult as ``partial``) when its error estimate exceeds
-    _RECOIL_TOL, InvalidArgumentError unless 0 < k_perp < inf and at a
-    zero beat (k_perp +- k_R +- k_R' = 0), where the integral diverges.
+    integral; the axial delta is reported via axial_momentum_constraint,
+    not folded into the value.  When the orders form a Graf triple
+    (m_R' = m_R +- order, every overlap dipole_amplitude and
+    spin_matrix_element make, or another signed sum of the three orders
+    that vanishes) it is Graf's closed form, exact to rounding and 0
+    outside the momentum triangle; otherwise body plus Hankel tail, with
+    ConvergenceError (the QuadResult as ``partial``) when its error
+    estimate exceeds _RECOIL_TOL.  InvalidArgumentError unless
+    0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
+    where the integral diverges.
     Trapped states: the normalized Laguerre-Gauss-Bessel overlap by
     finite quadrature to _OVERLAP_TOL.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if cm_in.variant == FREE_BESSEL:
-        return complex(_triple_bessel_oracle(
+        return complex(_recoil_integral(
             k_perp, cm_in.k_perp_R, cm_out.k_perp_R,
-            order, cm_in.m_R, cm_out.m_R, 1, _RECOIL_TOL).value)
+            order, cm_in.m_R, cm_out.m_R, 1).value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
     alpha = cm_in.alpha

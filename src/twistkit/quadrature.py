@@ -29,8 +29,13 @@ _EPS_CELLS = 224
 _FILTER_PASSES = 2
 _WYNN_WINDOW = 64
 
-# Relative floor of the body-plus-tail error estimate.
-_TAIL_REL_FLOOR = 1e-13
+# Floor of the body-plus-tail error estimate, relative to the summed
+# magnitudes of its cells and tail: the rounding of that sum and the
+# tail's truncation scale with them, not with the value, which cancels to
+# ~0 outside the momentum cone.  Against Graf's closed form at 3000
+# random Graf triples with orders up to |10|, the error stayed below 0.41
+# of the estimate (1e-13 let it reach 1.5x).
+_TAIL_REL_FLOOR = 1e-12
 
 # Relative difference (4 ulps) at which Wynn epsilon treats two entries
 # of an even column as converged.
@@ -304,8 +309,9 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
 
     Cells three half-periods wide (3 pi/scale), one G10/K21 panel each,
     run up to the cut-offs x_a < x_b, and the tail is added at each.  The
-    estimate is |v(x_a) - v(x_b)| + the summed cell estimates + a relative
-    floor; v(x_b) is returned.
+    estimate is |v(x_a) - v(x_b)| + the summed cell estimates + a floor
+    relative to the summed magnitudes of the cells and the tail; v(x_b) is
+    returned.
 
     At least one cell lies between the cut-offs: with none, the gap would
     be 0 whatever the tail.  ConvergenceError (the partial QuadResult,
@@ -324,11 +330,12 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"{_ZP_MAX_CELLS} half-periods",
             partial=QuadResult(math.nan, math.inf, 0, False))
     # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
-    shell = err = 0.0
+    shell = err = mass = 0.0
     for j in range(n_a, n_b):
         v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
         shell += v
         err += e
+        mass += abs(v)
     t_b = tail(n_b * width)
     gap = abs(tail(n_a * width) - t_b - shell)
     if gap + err > tol:
@@ -341,8 +348,9 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
         v, e = _gauss_kronrod(f, j * width, (j + 1) * width)
         body += v
         err += e
+        mass += abs(v)
     value = body + shell + t_b
-    est = gap + err + _TAIL_REL_FLOOR * abs(value)
+    est = gap + err + _TAIL_REL_FLOOR * (mass + abs(t_b))
     if est > tol:
         raise ConvergenceError(
             f"body plus tail: estimate {est:.3e} exceeds tol {tol:.3e}",

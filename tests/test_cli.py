@@ -133,17 +133,29 @@ class TestAmplitude:
         assert code == 3
         assert "k_z = 0" in err
 
-    def test_free_non_convergence_exits_3(self, capsys):
-        # The scan's icm0 builds trapped states; free ones reach icm0
-        # through the amplitude.  k_R = 1e-6 puts the cut-offs beyond
-        # 1152 half-periods.
-        code, _, err = run(["amplitude", "--kind", "tm", "--m", "-7",
+    def test_free_non_convergence_exits_3(self, tmp_path, capsys):
+        # An amplitude's free icm0 is always a Graf triple (m_R' = m_R +-
+        # order), so it takes the closed form and cannot miss the
+        # tolerance; the free recoil integral that still runs body plus
+        # tail is triple_bessel at n >= 1.  k_R = 1e-6 puts the cut-offs
+        # beyond 1152 half-periods.
+        path, _ = TestScan._triple_bessel_config(tmp_path, 1e-6, 1.0, n=1)
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "body plus tail" in err
+
+    def test_free_amplitude_takes_the_closed_form(self, capsys):
+        # The states above: the momentum triangle (0.66, 1e-6, 1.78) does
+        # not close, so the order -7 overlap and the amplitude are 0.
+        code, out, _ = run(["amplitude", "--kind", "tm", "--m", "-7",
                             "--kperp", "0.6637396546184631", "--kz", "1.0",
                             "--cm-in", "free:3,1e-6",
                             "--cm-out", "free:10,1.779393968169778",
                             "--int-in", "2p:0", "--int-out", "1s"], capsys)
-        assert code == 3
-        assert "body plus tail" in err
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 1
+        assert records[0]["cm_integral"] == [0.0, 0.0]
 
     @pytest.mark.parametrize("state", ["free:0,inf", "free:0,1.0,inf"])
     def test_infinite_wavenumber_exits_3(self, state, capsys):
@@ -332,8 +344,9 @@ class TestScan:
         assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
 
     @staticmethod
-    def _triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp):
-        point = {"k_perp": 1.0, "k_perp_R": k_perp_R, "k_perp_Rp": k_perp_Rp}
+    def _triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp, n=0):
+        point = {"k_perp": 1.0, "k_perp_R": k_perp_R, "k_perp_Rp": k_perp_Rp,
+                 "n": n}
         return TestScan._config(
             tmp_path, quantity="triple_bessel",
             grid={name: {"start": v, "stop": v, "count": 1}
@@ -345,7 +358,7 @@ class TestScan:
         # 1e-3.  The dual-method consistency gate must catch it in
         # the library and in verify.  A recoil integral never reaches that
         # oracle: a scan whose tail is shifted by 1e-3 x0 misses tol and
-        # exits 3.
+        # exits 3 (at n = 1: n = 0 is Graf's closed form, with no tail).
         original_tail = matrix_elements._triple_bessel_tail
 
         def shifted(*args, **kwargs):
@@ -365,7 +378,7 @@ class TestScan:
         code, _, err = run(["verify", "--only", "quadrature"], capsys)
         assert code == 4
         assert "oracle inconsistency" in err
-        path, _ = self._triple_bessel_config(tmp_path, 0.7, 1.4)
+        path, _ = self._triple_bessel_config(tmp_path, 0.7, 1.4, n=1)
         code, _, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "body plus tail" in err
@@ -383,13 +396,15 @@ class TestScan:
         assert "domain error" in err
         assert not (tmp_path / "out.csv").exists()
 
-    @pytest.mark.parametrize("k_perp_R, k_perp_Rp", [(1e-6, 1.0), (1.0, 2.0)],
+    @pytest.mark.parametrize("k_perp_R, k_perp_Rp, n",
+                             [(1e-6, 1.0, 1), (1.0, 2.0, 0)],
                              ids=["unconverged", "divergent_zero_beat"])
     def test_failed_point_exits_3_and_writes_no_row(self, tmp_path, capsys,
-                                                    k_perp_R, k_perp_Rp):
-        # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods; k_R' =
-        # k + k_R at n = 0 leaves a zero-beat tail term ~ R^{-1/2}.
-        path, _ = self._triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp)
+                                                    k_perp_R, k_perp_Rp, n):
+        # k_R = 1e-6 puts the body-plus-tail cut-offs (n >= 1) beyond 1152
+        # half-periods; k_R' = k + k_R at n = 0 is a degenerate momentum
+        # triangle, where the integral diverges.
+        path, _ = self._triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp, n)
         code, out, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "domain error" in err

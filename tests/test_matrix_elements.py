@@ -2,7 +2,9 @@
 internal integrals, spin couplings, and the candidate-closed-form
 comparisons."""
 
+import json
 import math
+import pathlib
 import random
 
 import mpmath
@@ -13,7 +15,7 @@ from twistkit.errors import (ConvergenceError, InvalidArgumentError,
                              SingularNormalizationError)
 from twistkit.fields import (CylPoint, ModeKind, ModeSpec, magnetic_field, psi,
                              vector_potential)
-from twistkit.quadrature import integrate_finite
+from twistkit.quadrature import QuadResult, integrate_finite
 
 HYDROGEN_2P_1S_RADIAL = 1536.0 / (243.0 * math.sqrt(24.0))
 
@@ -179,14 +181,21 @@ class TestTripleBessel:
                              2.7096154924789113, 3, 1, 2)
         assert abs(r.value) <= 1e-12
 
+    @staticmethod
+    def _body_plus_tail(k, k_R, k_Rp, m, m_R, n):
+        # triple_bessel's integral by body plus tail, which triple_bessel
+        # itself runs only at n >= 1 (n = 0 is Graf's closed form).
+        return me._triple_bessel_oracle(k, k_R, k_Rp, m, m_R, m_R + m - n,
+                                        1 - n, 1e-9)
+
     def test_body_plus_tail_evaluations(self):
         # Both dual-method schemes together take ~25k evaluations here.
-        assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
+        assert self._body_plus_tail(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
 
     def test_body_in_three_half_period_k21_cells(self):
         # 8 cells of width 3 pi / 3.1 reach 0.7 x >= 16, one G10/K21
         # panel (21 evaluations) each.
-        assert me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 200
+        assert self._body_plus_tail(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 200
 
     @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
                                       (1.0, 0.5, 1.4, 10, 0, 0)])
@@ -196,10 +205,10 @@ class TestTripleBessel:
         # k x = 100 and 104, where the Hankel tail holds.
         if args[1] < 1e-3:
             with pytest.raises(ConvergenceError) as info:
-                me.triple_bessel(*args)
+                self._body_plus_tail(*args)
             assert info.value.partial.evaluations == 0
         else:
-            assert me.triple_bessel(*args).evaluations <= 1500
+            assert self._body_plus_tail(*args).evaluations <= 1500
 
     @staticmethod
     def _closed_form_cases():
@@ -240,7 +249,7 @@ class TestTripleBessel:
                             lambda *args: (lambda x0, t=original(*args):
                                            t(x0) + 1e-3 * x0))
         with pytest.raises(ConvergenceError) as info:
-            me.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
+            self._body_plus_tail(1.0, 0.7, 1.4, 0, 0, 0)
         assert not info.value.partial.converged
         assert info.value.partial.abs_error_estimate > 1e-9
         assert info.value.partial.evaluations == 2 * 21
@@ -365,22 +374,143 @@ class TestHighOrderRecoil:
         ids=["_".join(map(str, (kind,) + args[3:]))
              for kind, args, _ in _HIGH_ORDER_POINTS])
     def test_against_mpmath(self, kind, args, want):
+        # Body plus tail against mpmath at every point; the public entry
+        # point must return Graf's closed form on a Graf triple at power 1
+        # and the body plus tail otherwise.
         if kind == "icm0":
             k, k_in, k_out, order, m_in, m_out = args
-            orders = (order, m_in, m_out)
-            r = me._triple_bessel_oracle(k, k_in, k_out, *orders, 1, 1e-9)
-            assert me.icm0(me.CenterOfMassState.free(m_in, k_in),
-                           me.CenterOfMassState.free(m_out, k_out),
-                           k, 1.0, order) == r.value
+            orders, power = (order, m_in, m_out), 1
+            got = me.icm0(me.CenterOfMassState.free(m_in, k_in),
+                          me.CenterOfMassState.free(m_out, k_out),
+                          k, 1.0, order)
         else:
             m, m_R, n = args[3:]
-            orders = (m, m_R, m + m_R - n)
-            r = me.triple_bessel(*args)
+            orders, power = (m, m_R, m + m_R - n), 1 - n
+            got = me.triple_bessel(*args).value
+        r = me._triple_bessel_oracle(*args[:3], *orders, power, 1e-9)
+        graf = me._graf_closed_form(*args[:3], *orders) if power == 1 else None
+        assert got == (r if graf is None else graf).value
+        if graf is not None:
+            # The references hold to ~3e-21 (see above).
+            assert abs(graf.value - want) <= graf.abs_error_estimate + 1e-20
         assert r.converged
         assert abs(r.value - want) <= 1e-12
         assert abs(r.value - want) <= r.abs_error_estimate + 1e-13
         if max(map(abs, orders)) <= 10:
             assert r.evaluations <= 1500
+
+
+class TestGrafClosedForm:
+    """Free recoil integrals whose orders form a Graf triple, in closed
+    form: int J_{nu+k}(a t) J_k(b t) J_nu(c t) t dt = cos(nu chi - k gamma)
+    / (2 pi Delta) inside the momentum triangle, 0 outside it."""
+
+    @staticmethod
+    def _mp_graf(a, b, c, nu, k):
+        # The closed form at 30 digits from the law of cosines and Heron.
+        with mpmath.workdps(30):
+            a, b, c = map(mpmath.mpf, (a, b, c))
+            s = (a + b + c) / 2
+            area = mpmath.sqrt(s * (s - a) * (s - b) * (s - c))
+            gamma = mpmath.acos((a * a + b * b - c * c) / (2 * a * b))
+            chi = mpmath.acos((a * a + c * c - b * b) / (2 * a * c))
+            return float(mpmath.cos(nu * chi - k * gamma)
+                         / (2 * mpmath.pi * area))
+
+    def test_pool_points_at_n0(self):
+        path = (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+                / "recoil_refs.json")
+        points = [p for p in json.loads(path.read_text())["points"]
+                  if p["n"] == 0]
+        assert len(points) == 37
+        for p in points:
+            r = me.triple_bessel(p["k_perp"], p["k_perp_R"], p["k_perp_Rp"],
+                                 p["m"], p["m_R"], 0)
+            assert r.converged and r.evaluations == 0
+            assert abs(r.value - p["value"]) <= 1e-14, p
+
+    def test_signed_orders_against_body_plus_tail(self):
+        rng = random.Random(16)
+        inside = outside = 0
+        for _ in range(64):
+            ks = [rng.uniform(0.4, 1.8) for _ in range(3)]
+            nu = rng.randint(-10, 10)
+            k = rng.randint(max(-10, -10 - nu), min(10, 10 - nu))
+            orders = [rng.choice((1, -1)) * (nu + k), k, nu]
+            turn = rng.randrange(3)
+            ks, orders = ks[turn:] + ks[:turn], orders[turn:] + orders[:turn]
+            graf = me._graf_closed_form(*ks, *orders)
+            r = me._triple_bessel_oracle(*ks, *orders, 1, 1e-9)
+            assert abs(graf.value - r.value) <= (graf.abs_error_estimate
+                                                 + r.abs_error_estimate), (
+                ks, orders)
+            inside += graf.value != 0.0
+            outside += graf.value == 0.0
+        assert inside >= 30 and outside >= 5
+
+    def test_order_30_point(self):
+        # Body plus tail raises ConvergenceError here: x_b = 904 / 0.5
+        # lies beyond 1152 half-periods.  -0.11582775227125025 is mpmath
+        # at 25 digits.
+        with pytest.raises(ConvergenceError):
+            me._triple_bessel_oracle(0.5, 1.2, 1.0, 30, 2, 32, 1, 1e-9)
+        r = me.triple_bessel(0.5, 1.2, 1.0, 30, 2, 0)
+        assert r.converged and r.evaluations == 0
+        assert abs(r.value - -0.11582775227125025) <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("beat", [1e-12, 3e-9, 2e-7, 9.99e-7])
+    def test_needle_triangles(self, beat):
+        # One side 1e-6 between two nearly equal ones, which Heron's
+        # formula in floating point gets wrong by orders of magnitude.
+        for sides in ((1.0, 1e-6, 1.0 - beat), (1.3 + beat, 1.3, 1e-6),
+                      (1e-6, 0.7, 0.7 + beat)):
+            r = me._graf_closed_form(*sides, 0, 0, 0)
+            assert abs(r.value - self._mp_graf(*sides, 0, 0)) <= r.abs_error_estimate
+            for nu, k in ((3, -2), (-7, 5), (10, 10)):
+                r = me._graf_closed_form(*sides, nu + k, k, nu)
+                want = self._mp_graf(*sides, nu, k)
+                assert abs(r.value - want) <= r.abs_error_estimate, (sides, nu, k)
+
+    def test_exact_zero_outside_and_zero_beat(self):
+        assert me.triple_bessel(1.0, 0.5, 2.5, 1, 0, 0) == QuadResult(
+            0.0, 0.0, 0, True)
+        # Orders (3, 2, -1): 2 = 3 + (-1).
+        cm_in = me.CenterOfMassState.free(2, 0.5)
+        cm_out = me.CenterOfMassState.free(-1, 2.5)
+        assert me.icm0(cm_in, cm_out, 1.0, 1.0, 3) == 0.0
+        # 0.5 + 0.75 = 1.25 exactly: a zero beat diverges.
+        cm_out = me.CenterOfMassState.free(1, 1.25)
+        with pytest.raises(InvalidArgumentError):
+            me.icm0(me.CenterOfMassState.free(0, 0.75), cm_out, 0.5, 1.0, 1)
+        with pytest.raises(InvalidArgumentError):
+            me.triple_bessel(0.5, 0.75, 1.25, 0, 1, 0)
+
+    def test_float_range(self):
+        # Sides of 1e-170 put the area below the smallest normal float and
+        # the value near 1e340: a domain error, not ZeroDivisionError.
+        with pytest.raises(InvalidArgumentError):
+            me.triple_bessel(1e-170, 1e-170, 1e-170, 0, 0, 0)
+        # Sides of 1e200: the value, ~4e-401, underflows to 0.
+        assert me.triple_bessel(1e200, 1e200, 1e200, 0, 0, 0).value == 0.0
+        r = me.triple_bessel(1e-150, 1e-150, 1e-150, 0, 0, 0)
+        assert r.value == pytest.approx(2.0 / (math.sqrt(3.0) * math.pi) * 1e300,
+                                        rel=1e-14)
+
+    @pytest.mark.parametrize("kind, m, m_R_in, k_R_in, m_R_out, k_R_out, want", [
+        ("tm", 1, 0, 0.7, -1, 1.1, -0.07797584745460724),
+        ("tm", 0, 2, 1.2, 2, 0.6, 0.03935118083563073),
+        ("tm", -1, -3, 0.5, -2, 1.0, 0.14122861027974543)])
+    def test_free_dipole_amplitude(self, kind, m, m_R_in, k_R_in, m_R_out,
+                                   k_R_out, want):
+        # want: the 2p -> 1s amplitude when free icm0 ran body plus tail
+        # to 1e-9.
+        amps = me.dipole_amplitude(ModeSpec(ModeKind(kind), m, 0.8, 1.2),
+                                   me.CenterOfMassState.free(m_R_in, k_R_in),
+                                   me.CenterOfMassState.free(m_R_out, k_R_out),
+                                   me.hydrogen_state(2, 1, 0),
+                                   me.hydrogen_state(1, 0))
+        assert len(amps) == 1
+        assert abs(amps[0].amplitude - want) <= 1e-9
 
 
 class TestCenterOfMassIntegrals:
@@ -429,9 +559,14 @@ class TestCenterOfMassIntegrals:
         # estimate (5e-7) missed tol, and icm0 returned the value anyway.
         cm_in = me.CenterOfMassState.free(3, 1.7)
         cm_out = me.CenterOfMassState.free(-5, 1.4)
+        # Orders (8, 3, -5) form a Graf triple: icm0 takes the closed form,
+        # which body plus tail must reproduce.
         r = me._triple_bessel_oracle(0.5, 1.7, 1.4, 8, 3, -5, 1, 1e-9)
         assert r.converged
-        assert me.icm0(cm_in, cm_out, 0.5, 1.0, 8) == r.value
+        graf = me._graf_closed_form(0.5, 1.7, 1.4, 8, 3, -5)
+        assert me.icm0(cm_in, cm_out, 0.5, 1.0, 8) == graf.value
+        assert abs(graf.value - r.value) <= (graf.abs_error_estimate
+                                             + r.abs_error_estimate)
 
     def test_vortex_series_matches_quadrature(self):
         alpha = 1.3
