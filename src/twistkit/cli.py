@@ -18,8 +18,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import expansion, fields, matrix_elements, quadrature, specfun
 from .errors import OracleInconsistencyError, TwistkitError
 from .fields import CylPoint, ModeKind, ModeSpec
@@ -286,6 +284,16 @@ def _write_csv(path, names, rows):
             fh.write(",".join(cells) + "\r\n")
 
 
+def _finite_number(text):
+    """A JSON float literal as a float.  Python's json also reads NaN,
+    Infinity and overflowing literals such as 1e400; in a scan config each
+    is a domain error, before any point is evaluated or file written."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise TwistkitError(f"scan config: {text} is not a finite number")
+    return value
+
+
 class _Required(dict):
     """A scan config mapping whose missing keys are domain errors."""
 
@@ -295,8 +303,10 @@ class _Required(dict):
 
 def cmd_scan(args) -> int:
     with open(args.config) as fh:
-        config = _require("the top level", json.load(fh, object_hook=_Required),
-                          dict)
+        config = json.load(fh, object_hook=_Required,
+                           parse_float=_finite_number,
+                           parse_constant=_finite_number)
+    config = _require("the top level", config, dict)
     quantity = _require("quantity", config["quantity"], str)
     if quantity not in _QUANTITIES:
         raise TwistkitError(f"unknown scan quantity {quantity!r}")
@@ -492,6 +502,8 @@ def _verify_quadrature(results, rng):
 
 
 def _verify_cm(results, rng):
+    import numpy as np
+
     # Vanishing cone (small randomized battery; the acceptance suite runs 50).
     worst = 0.0
     for _ in range(8):
@@ -538,6 +550,8 @@ def _verify_cm(results, rng):
 
 
 def _verify_overlap(results, rng):
+    import numpy as np
+
     worst = 0.0
     for kp in np.linspace(0.2, 3.0, 20):
         for kz in np.linspace(0.2, 3.0, 20):
@@ -601,6 +615,11 @@ _BATTERIES = {
 
 
 def cmd_verify(args) -> int:
+    # numpy is imported by verify and the channel oracle alone, so that the
+    # other subcommands start without it.  RandomState fixes each seed's
+    # draws, and with them verify's output bytes.
+    import numpy as np
+
     rng = np.random.RandomState(args.seed)
     results = []
     for name, battery in _BATTERIES.items():

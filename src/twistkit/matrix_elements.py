@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from . import fields, quadrature, specfun
 from .errors import InvalidArgumentError
 from .fields import ModeKind, ModeSpec, bessel_j_any
@@ -304,7 +302,11 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     kq = _KR_Q and extracts every double Fourier coefficient; the keys of
     the returned table are the (delta_m_R, delta_m_r, delta_spin) with
     coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
+    The oracle is the library's one numpy user outside ``verify``; it
+    imports numpy on its first call, so importing twistkit does not.
     """
+    import numpy as np
+
     mode_kind = ModeKind(mode_kind)
     terms = _conjugated_terms(mode_kind, m, interaction)
     spin_mode = interaction == "spin"
@@ -366,7 +368,13 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
 
 def suppression_factor(k_perp: float, alpha: float) -> float:
     """Gaussian suppression e^{-k_perp^2 alpha^2 / 4} of trapped-atom
-    recoil matrix elements."""
+    recoil matrix elements.  InvalidArgumentError unless 0 <= k_perp < inf
+    (k_perp = 0 gives 1, as trapped icm0 does) and 0 < alpha < inf, the
+    trap lengths CenterOfMassState.trapped accepts."""
+    if not 0.0 <= k_perp < math.inf:
+        raise InvalidArgumentError("suppression needs 0 <= k_perp < inf")
+    if not 0.0 < alpha < math.inf:
+        raise InvalidArgumentError("suppression needs 0 < alpha < inf")
     return math.exp(-0.25 * (k_perp * alpha) ** 2)
 
 

@@ -3,6 +3,10 @@ output formats, and scan reproducibility."""
 
 import dataclasses
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -386,11 +390,43 @@ class TestScan:
 
     def test_infinite_wavenumber_exits_3(self, tmp_path, capsys):
         # Python's json reads Infinity; triple_bessel once divided by it
-        # into ZeroDivisionError (exit 1).
+        # into ZeroDivisionError (exit 1).  The scan rejects the literal
+        # itself, before any point runs.
         path, _ = self._config(
             tmp_path, quantity="triple_bessel",
             fixed={"k_perp": float("inf"), "k_perp_Rp": 1.4},
             grid={"k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("grid", [
+        '{"k_perp": {"start": NaN, "stop": NaN, "count": 1}}',
+        '{"k_perp": {"start": 0.5, "stop": Infinity, "count": 3}}',
+        '{"k_perp": {"start": -Infinity, "stop": 0.5, "count": 3}}',
+        '{"k_perp": {"start": 0.5, "stop": 1e400, "count": 3}}',
+    ], ids=["nan", "infinity", "minus_infinity", "overflowing_literal"])
+    def test_non_finite_literal_exits_3(self, tmp_path, capsys, grid):
+        # Python's json reads these; the first once wrote the row nan,nan
+        # and the second the grid points nan, inf, inf, each with exit 0.
+        path = tmp_path / "scan.json"
+        path.write_text('{"quantity": "suppression", "grid": %s, '
+                        '"output": {"path": %s}}'
+                        % (grid, json.dumps(str(tmp_path / "out.csv"))))
+        code, out, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "not a finite number" in err
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fixed, k_perp", [
+        ({"alpha": 1.2}, -0.5), ({"alpha": -1.2}, 0.5), ({"alpha": 0.0}, 0.5)])
+    def test_invalid_suppression_input_exits_3(self, tmp_path, capsys, fixed,
+                                               k_perp):
+        path, _ = self._config(
+            tmp_path, fixed=fixed,
+            grid={"k_perp": {"start": k_perp, "stop": k_perp, "count": 1}})
         code, _, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "domain error" in err
@@ -457,3 +493,62 @@ class TestVerify:
         _, out, _ = run(["verify", "--only", "overlap"], capsys)
         line = [l for l in out.splitlines() if l.startswith("PASS")][0]
         assert "margin=" in line and "bound=" in line
+
+
+# A fresh interpreter: the test modules import numpy themselves.  The scan,
+# field and trapped amplitude calls must leave numpy unloaded; then the
+# channel oracle and verify, numpy's two users, must still work.
+_NUMPY_FREE_CHILD = r"""
+import contextlib, io, json, os, sys
+import twistkit, twistkit.cli
+from twistkit import cli, matrix_elements
+from twistkit.fields import ModeKind
+report = {"after_import": "numpy" in sys.modules, "codes": []}
+with contextlib.redirect_stdout(io.StringIO()):
+    for n in (0, 1):
+        grid = {name: {"start": v, "stop": v, "count": 1} for name, v in
+                dict(k_perp=1.0, k_perp_R=0.7, k_perp_Rp=1.4, n=n).items()}
+        cfg = os.path.join(sys.argv[1], f"scan{n}.json")
+        with open(cfg, "w") as fh:
+            json.dump({"quantity": "triple_bessel", "grid": grid}, fh)
+        report["codes"].append(cli.main(
+            ["scan", "--config", cfg, "--out", cfg + ".csv"]))
+    report["codes"].append(cli.main(
+        ["field", "--kind", "tm", "--m", "1", "--kperp", "0.8", "--kz", "1.2",
+         "--at", "1.0,0.5,0.2"]))
+    report["codes"].append(cli.main(
+        ["amplitude", "--kind", "tm", "--m", "0", "--kperp", "0.8",
+         "--kz", "1.2", "--cm-in", "trapped:1,0,1.0",
+         "--cm-out", "trapped:1,0,1.0", "--int-in", "2p:0", "--int-out", "1s"]))
+    report["after_calls"] = "numpy" in sys.modules
+    table = matrix_elements.azimuthal_channel_table(
+        1, ModeKind.TM, "general", order=matrix_elements.TermOrder(0, 1, 0))
+    report["table"] = sorted([list(k), v] for k, v in table.items())
+    report["verify"] = cli.main(["verify", "--only", "overlap"])
+print(json.dumps(report))
+"""
+
+
+class TestNumpyFreeStart:
+    def test_numpy_loads_only_for_the_oracle_and_verify(self, tmp_path):
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run(
+            [sys.executable, "-c", _NUMPY_FREE_CHILD, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert child.returncode == 0, child.stderr
+        report = json.loads(child.stdout.splitlines()[-1])
+        assert not report["after_import"]
+        assert report["codes"] == [0, 0, 0, 0]
+        assert not report["after_calls"]
+        # The table the oracle gave when numpy was imported with the module.
+        want = [[[-3, 2, 0], 0.00014252853662620138],
+                [[-2, 1, 0], 0.010759580357679462],
+                [[-1, 0, 0], 0.17160089684770957],
+                [[0, -1, 0], 0.010759580357679464],
+                [[1, -2, 0], 0.1717434253843358]]
+        assert [k for k, _ in report["table"]] == [k for k, _ in want]
+        assert [v for _, v in report["table"]] == pytest.approx(
+            [v for _, v in want], rel=1e-12)
+        assert report["verify"] == 0

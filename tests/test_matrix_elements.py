@@ -526,6 +526,19 @@ class TestCenterOfMassIntegrals:
             assert got == pytest.approx(me.suppression_factor(k, alpha),
                                         abs=1e-10)
 
+    @pytest.mark.parametrize("k_perp, alpha", [
+        (math.nan, 1.0), (math.inf, 1.0), (-0.5, 1.0),
+        (1.0, math.nan), (1.0, math.inf), (1.0, -1.0), (1.0, 0.0)])
+    def test_suppression_factor_rejects_invalid_input(self, k_perp, alpha):
+        # suppression_factor(1.0, nan) once returned nan, and a negative or
+        # infinite alpha was accepted.
+        with pytest.raises(InvalidArgumentError):
+            me.suppression_factor(k_perp, alpha)
+
+    def test_suppression_factor_at_zero_k_perp(self):
+        # The long-wavelength limit, where trapped icm0 gives 1 too.
+        assert me.suppression_factor(0.0, 1.1) == 1.0
+
     def test_trapped_ground_state_on_k21_panels(self, monkeypatch):
         # e^{-k^2 alpha^2 / 4} to rounding, in at most 150 evaluations.
         evaluations = []
