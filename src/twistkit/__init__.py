@@ -20,8 +20,8 @@ matrix_elements
     candidate-closed-form comparisons.
 quadrature
     Adaptive Gauss-Kronrod panels, semi-infinite oscillatory
-    integration (body plus closed-form tail, and the dual-method
-    oracle), finite-difference vector operators.
+    integration (body plus closed-form tail), finite-difference vector
+    operators.
 cli
     The ``twistkit`` command-line interface.
 """
@@ -29,7 +29,6 @@ cli
 from .errors import (
     ConvergenceError,
     InvalidArgumentError,
-    OracleInconsistencyError,
     SingularConfigurationError,
     SingularNormalizationError,
     TwistkitError,
@@ -59,7 +58,6 @@ __all__ = [
     "InvalidArgumentError",
     "ModeKind",
     "ModeSpec",
-    "OracleInconsistencyError",
     "SingularConfigurationError",
     "SingularNormalizationError",
     "SpinParticle",

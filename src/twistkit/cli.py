@@ -7,7 +7,7 @@ amplitudes), ``scan`` (parameter sweeps to CSV/JSON), and ``verify``
 report).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid flags,
-3 domain error, 4 oracle inconsistency.
+3 domain error.
 """
 
 from __future__ import annotations
@@ -19,14 +19,13 @@ import math
 import sys
 
 from . import expansion, fields, matrix_elements, quadrature, specfun
-from .errors import OracleInconsistencyError, TwistkitError
+from .errors import TwistkitError
 from .fields import CylPoint, ModeKind, ModeSpec
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-EXIT_ORACLE = 4
 
 _INT_PARAMS = {"m", "m_R", "m_R_in", "m_R_out", "m_r_in", "m_r_out", "n",
                "n_bar", "order", "v_max"}
@@ -485,18 +484,36 @@ def _verify_selection(results, rng):
 
 
 def _verify_quadrature(results, rng):
+    # Body plus tail, the path of every recoil integral off Graf triples,
+    # against exact values at fixed points (no draws from rng).  Each
+    # margin is the worse of the error and the estimate.
+    tol = matrix_elements._RECOIL_TOL
+    # Sonine-Gegenbauer: int J_nu(aR) J_nu(bR) J_nu(cR) R^{1-nu} dR =
+    # 2^{nu-1} Delta^{2nu-1} / (sqrt(pi) Gamma(nu + 1/2) (abc)^nu) inside
+    # the triangle of sides a, b, c and area Delta.
     worst = 0.0
-    for nu in (0, 1):
-        f = lambda x, _n=nu: fields.bessel_j_any(_n, x)
-        rz = quadrature._zero_partition(f, 1.0, 1e-10, [1.0])
-        re = quadrature._eps_regularized(f, 1.0, 1e-10, [1.0])
-        worst = max(worst, abs(rz.value - re.value), abs(rz.value - 1.0))
-    _check(results, "quadrature.dual_method_Jnu", worst, 1e-8)
-    a, b = 0.6, 1.1
-    f = lambda x: fields.bessel_j_any(0, a * x) * fields.bessel_j_any(1, b * x)
-    r = quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, abs(a - b)])
-    _check(results, "quadrature.two_bessel_closed_form",
-           max(abs(r.value - 1.0 / b), r.abs_error_estimate), 1e-8)
+    for a, b, c in ((1.0, 0.7, 1.4), (0.44, 0.95, 1.24), (1.3, 0.9, 0.6)):
+        s = 0.5 * (a + b + c)
+        area = math.sqrt(s * (s - a) * (s - b) * (s - c))
+        for nu in (1, 2):
+            exact = (2.0 ** (nu - 1) * area ** (2 * nu - 1)
+                     / (math.sqrt(math.pi) * math.gamma(nu + 0.5)
+                        * (a * b * c) ** nu))
+            r = matrix_elements._triple_bessel_oracle(a, b, c, nu, nu, nu,
+                                                      1 - nu, tol)
+            worst = max(worst, abs(r.value - exact), r.abs_error_estimate)
+    _check(results, "quadrature.body_plus_tail_sonine", worst, tol)
+    # Weber-Schafheitlin: triple_bessel at (m, m_R, n) = (0, 1, 2), int
+    # J_0(kR) J_1(k^R R) J_{-1}(k^R' R) R^{-1} dR = -k^R / (2 k^R') outside
+    # the cone.
+    worst = 0.0
+    for k, k_R, k_Rp in ((0.7, 0.8, 1.6), (1.0, 0.5, 2.0)):
+        r = matrix_elements._triple_bessel_oracle(k, k_R, k_Rp, 0, 1, -1,
+                                                  -1, tol)
+        worst = max(worst, abs(r.value + k_R / (2.0 * k_Rp)),
+                    r.abs_error_estimate)
+    _check(results, "quadrature.body_plus_tail_weber_schafheitlin", worst,
+           tol)
     r = quadrature.integrate_finite(math.sin, 0.0, math.pi)
     _check(results, "quadrature.finite_gk", abs(r.value - 2.0), 1e-12)
 
@@ -716,9 +733,6 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except OracleInconsistencyError as exc:
-        print(f"oracle inconsistency: {exc}", file=sys.stderr)
-        return EXIT_ORACLE
     except argparse.ArgumentTypeError as exc:
         print(f"invalid arguments: {exc}", file=sys.stderr)
         return EXIT_USAGE

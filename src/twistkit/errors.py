@@ -29,12 +29,3 @@ class SingularNormalizationError(TwistkitError):
     """TE/TM modes at k_z = 0: the normalization vanishes while the TM
     axial term diverges; no limiting convention is defined."""
 
-
-class OracleInconsistencyError(TwistkitError):
-    """Two independent numerical methods disagree beyond their combined
-    error estimates; the result cannot be trusted."""
-
-    def __init__(self, message, value_a=None, value_b=None):
-        super().__init__(message)
-        self.value_a = value_a
-        self.value_b = value_b

@@ -193,6 +193,21 @@ def _conjugated_terms(mode_kind: ModeKind, m: int, interaction: str):
     return [(mu, -slot, c.conjugate()) for mu, slot, c in terms]
 
 
+def _require_valid_orders(order: Optional[TermOrder],
+                           max_multipole: int = 0) -> None:
+    """InvalidArgumentError unless max_multipole >= 0 and ``order`` (if
+    given) has n >= 0, v >= 0 and 0 <= s <= v: the check both channel
+    engines make before any bookkeeping."""
+    if max_multipole < 0:
+        raise InvalidArgumentError("max_multipole must be >= 0")
+    if order is not None:
+        n, v, s = order
+        if n < 0 or v < 0 or not 0 <= s <= v:
+            raise InvalidArgumentError(
+                f"order (n, v, s) = ({n}, {v}, {s}) needs n >= 0, v >= 0 "
+                f"and 0 <= s <= v")
+
+
 def _term_exponents(mu: int, order: TermOrder):
     """phi_R / phi_q exponent pairs of the conjugated psi_mu expansion
     term with indices (n, v, s), each with its sign relative to the
@@ -200,8 +215,6 @@ def _term_exponents(mu: int, order: TermOrder):
     conj(psi_{-a}) carry (-1)^a).  Returns [] if the term does not exist
     for this mu (n > |mu|, or n/s > 0 at mu = 0)."""
     n, v, s = order
-    if n < 0 or v < 0 or not (0 <= s <= v):
-        return []
     a = abs(mu)
     if a == 0:
         if n != 0 or s != 0:
@@ -240,7 +253,10 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     (H_I1 at explicit ``order`` indices, or all orders with
     n + v <= max_multipole when ``order`` is None), or "spin" (H_I3 at
     leading order; the internal spatial state is unchanged).
+    InvalidArgumentError for max_multipole < 0 or an order outside
+    n >= 0, v >= 0, 0 <= s <= v.
     """
+    _require_valid_orders(order, max_multipole)
     mode_kind = ModeKind(mode_kind)
     terms = _conjugated_terms(mode_kind, m, interaction)
     if interaction == "general":
@@ -304,7 +320,9 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
     The oracle is the library's one numpy user outside ``verify``; it
     imports numpy on its first call, so importing twistkit does not.
+    Orders are checked as in symbolic_channels.
     """
+    _require_valid_orders(order)
     import numpy as np
 
     mode_kind = ModeKind(mode_kind)

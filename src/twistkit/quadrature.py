@@ -1,33 +1,27 @@
 """Independent numerical oracles.
 
 One Gauss-Kronrod rule, G10/K21, for every panel: integrate_finite on
-finite intervals; semi-infinite oscillatory Bessel-product integrals,
-either by integrate_bessel_semiinfinite, a finite body plus a caller's
-closed-form tail from caller-chosen cut-offs (ConvergenceError on a
-miss), or, with no tail known, by dual_method_oracle, two mutually
-cross-checking schemes over half-period cells; and Richardson-
-extrapolated finite-difference operators used to verify the closed-form
-fields.
+finite intervals; semi-infinite oscillatory Bessel-product integrals by
+integrate_bessel_semiinfinite, a finite body plus a caller's closed-form
+tail from caller-chosen cut-offs (ConvergenceError on a miss); and
+Richardson-extrapolated finite-difference operators used to verify the
+closed-form fields.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Tuple
 
-from .errors import ConvergenceError, InvalidArgumentError, OracleInconsistencyError
+from .errors import ConvergenceError, InvalidArgumentError
 
 DEFAULT_FINITE_TOL = 1e-12
 
-# integrate_finite evaluations, zero-partition cells (also the body-plus-
-# tail reach in half-periods), eps-ladder cells per rung, filter passes,
-# Wynn tail window in cells.
+# integrate_finite evaluations; the farthest cut-off of body plus tail,
+# in half-periods pi/scale of the fastest oscillation.
 _FINITE_MAX_EVALS = 200_000
-_ZP_MAX_CELLS = 1152
-_EPS_CELLS = 224
-_FILTER_PASSES = 2
-_WYNN_WINDOW = 64
+_MAX_HALF_PERIODS = 1152
 
 # Floor of the body-plus-tail error estimate, relative to the summed
 # magnitudes of its cells and tail: the rounding of that sum and the
@@ -36,10 +30,6 @@ _WYNN_WINDOW = 64
 # random Graf triples with orders up to |10|, the error stayed below 0.41
 # of the estimate (1e-13 let it reach 1.5x).
 _TAIL_REL_FLOOR = 1e-12
-
-# Relative difference (4 ulps) at which Wynn epsilon treats two entries
-# of an even column as converged.
-_WYNN_ROUNDING = 4.0 * 2.0 ** -52
 
 # G10/K21 on [-1, 1] (QUADPACK qk21, Piessens et al. 1983), the one rule
 # every panel applies, as (nodes, Kronrod weights, Gauss weights): the
@@ -151,148 +141,6 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     return QuadResult(total, total_err, evals, True)
 
 
-def _wynn_epsilon(partial: Sequence[float]):
-    """Wynn epsilon acceleration of a partial-sum sequence.
-
-    Returns (best_value, error_estimate) from the highest even column.
-    Two neighbours of an even column within _WYNN_ROUNDING of each other
-    have converged: the later one is returned with their difference as
-    the estimate, before the next column divides by that difference."""
-    n = len(partial)
-    cur = list(partial)
-    prev = [0.0] * (n + 1)
-    best = cur[-1]
-    best_prev = cur[-2] if n > 1 else cur[-1]
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for i in range(len(cur) - 1):
-            d = cur[i + 1] - cur[i]
-            if col % 2 == 0 and abs(d) <= _WYNN_ROUNDING * max(
-                    abs(cur[i]), abs(cur[i + 1])):
-                return cur[i + 1], abs(d)
-            if d == 0.0:  # odd column: the next even one would be infinite
-                return best, abs(best - best_prev)
-            nxt.append(prev[i + 1] + 1.0 / d)
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
-            best_prev, best = best, cur[-1]
-    return best, abs(best - best_prev)
-
-
-def _filter_thetas(frequencies, scale):
-    """Per-cell phase advances of the oscillation frequencies that the
-    annihilation filters should remove."""
-    width = math.pi / scale
-    thetas = []
-    for fr in frequencies:
-        th = abs(fr) * width
-        if th < 0.05 or th > math.pi + 1e-9:
-            continue  # (near-)zero beats are algebraic, not oscillatory
-        if all(abs(th - t) > 1e-3 for t in thetas):
-            thetas.append(th)
-    thetas.sort(reverse=True)
-    return thetas
-
-
-def _apply_oscillation_filters(sums, thetas):
-    """Annihilate e^{i theta j} components of a partial-sum sequence:
-    the stencil (s_j - 2 cos(theta) s_{j+1} + s_{j+2}) / (2 - 2 cos(theta))
-    preserves the limit and kills the oscillation at theta exactly."""
-    seq = list(sums)
-    for th in thetas:
-        c = 2.0 * math.cos(th)
-        den = 2.0 - c
-        for _ in range(_FILTER_PASSES):
-            if len(seq) < 3:
-                return seq
-            seq = [(seq[i] - c * seq[i + 1] + seq[i + 2]) / den
-                   for i in range(len(seq) - 2)]
-    return seq
-
-
-def _accelerate(sums, thetas):
-    """Filter out the known oscillations, then Wynn-accelerate two tail
-    windows (the filtered residue is a short sum of geometric
-    components); their disagreement is the error estimate."""
-    filt = _apply_oscillation_filters(sums, thetas)
-    tail = filt[-min(len(filt), _WYNN_WINDOW):]
-    wv, we = _wynn_epsilon(tail)
-    short = filt[-min(len(filt), (_WYNN_WINDOW * 5) // 8):]
-    wv2, _ = _wynn_epsilon(short)
-    return wv, max(we, abs(wv - wv2))
-
-
-def _zero_partition(f, scale, tol, frequencies):
-    """Uniform cells on the fastest oscillation half-period, with
-    frequency-annihilation filters plus Wynn acceleration of the
-    partial sums.  Each cell is one G10/K21 panel whose estimate is
-    summed into the error."""
-    width = math.pi / scale
-    thetas = _filter_thetas(frequencies, scale)
-    sums = []
-    total = cell_err = 0.0
-    best = None
-    best_err = math.inf
-    while len(sums) < _ZP_MAX_CELLS:
-        for _ in range(16):
-            a = len(sums) * width
-            v, e = _gauss_kronrod(f, a, a + width)
-            total += v
-            cell_err += e
-            sums.append(total)
-        if len(sums) < 64:
-            continue
-        val, ierr = _accelerate(sums, thetas)
-        err = ierr if best is None else max(ierr, abs(val - best))
-        best, best_err = val, err + cell_err
-        if best_err < tol:
-            return QuadResult(best, best_err, _GK_NODES * len(sums), True)
-    return QuadResult(best, best_err, _GK_NODES * len(sums), False)
-
-
-def _eps_regularized(f, scale, tol, frequencies):
-    """Damp by exp(-eps x) on a geometric eps ladder kept inside the
-    analyticity radius (the smallest beat frequency), accelerate each
-    damped sum, and polynomially extrapolate eps -> 0 (Neville).  Each
-    cell is one G10/K21 panel whose estimate is summed into its rung's
-    error."""
-    width = math.pi / scale
-    thetas = _filter_thetas(frequencies, scale)
-    pos = [abs(x) for x in frequencies if abs(x) > 1e-12]
-    rho = min(pos) if pos else scale
-    eps_ladder = [0.25 * rho * 2.0 ** (-j) for j in range(7)]
-    values = []
-    inner_err = 0.0
-    for eps in eps_ladder:
-        g = lambda x, d=eps: f(x) * math.exp(-d * x)
-        sums = []
-        total = cell_err = 0.0
-        for j in range(_EPS_CELLS):
-            a = j * width
-            v, e = _gauss_kronrod(g, a, a + width)
-            total += v
-            cell_err += e
-            sums.append(total)
-        val, err = _accelerate(sums, thetas)
-        inner_err = max(inner_err, err + cell_err)
-        values.append(val)
-    # Neville extrapolation to eps = 0; the error estimate combines the
-    # last diagonal increment with the worst accelerated-sum estimate.
-    n = len(eps_ladder)
-    tab = list(values)
-    diag = diag_prev = tab[0]
-    for j in range(1, n):
-        for i in range(n - j):
-            tab[i] = tab[i] + (tab[i] - tab[i + 1]) * eps_ladder[i] / (
-                eps_ladder[i + j] - eps_ladder[i])
-        diag_prev, diag = diag, tab[0]
-    err = 4.0 * abs(diag - diag_prev) + inner_err
-    return QuadResult(tab[0], max(err, 1e-15), _GK_NODES * n * _EPS_CELLS,
-                      err < 10 * tol)
-
-
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
                                   oscillation_scale: float,
                                   cuts: Tuple[float, float],
@@ -316,7 +164,7 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     At least one cell lies between the cut-offs: with none, the gap would
     be 0 whatever the tail.  ConvergenceError (the partial QuadResult,
     value nan until the body is integrated) before any cell when x_b lies
-    beyond _ZP_MAX_CELLS half-periods, after only the cells between the
+    beyond _MAX_HALF_PERIODS half-periods, after only the cells between the
     cut-offs when those alone put the estimate above tol (the tail does
     not hold at x_a), and after the body when the whole estimate does."""
     if oscillation_scale <= 0.0:
@@ -324,10 +172,10 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     width = 3.0 * math.pi / oscillation_scale
     n_a, n_b = (math.ceil(cut / width) for cut in cuts)
     n_b = max(n_b, n_a + 1)
-    if 3 * n_b > _ZP_MAX_CELLS:
+    if 3 * n_b > _MAX_HALF_PERIODS:
         raise ConvergenceError(
             f"body plus tail: cut-off x = {cuts[1]:.3e} lies beyond "
-            f"{_ZP_MAX_CELLS} half-periods",
+            f"{_MAX_HALF_PERIODS} half-periods",
             partial=QuadResult(math.nan, math.inf, 0, False))
     # v(x_a) - v(x_b) = T(x_a) - T(x_b) - int_{x_a}^{x_b} f.
     shell = err = mass = 0.0
@@ -356,37 +204,6 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
             f"body plus tail: estimate {est:.3e} exceeds tol {tol:.3e}",
             partial=QuadResult(value, est, _GK_NODES * n_b, False))
     return QuadResult(value, est, _GK_NODES * n_b, True)
-
-
-def dual_method_oracle(f: Callable[[float], float], oscillation_scale: float,
-                       tol: float, frequencies: Sequence[float]) -> QuadResult:
-    """Semi-infinite integral of an oscillatory Bessel-type integrand with
-    no known tail, by two independent schemes over half-period cells.
-
-    ``oscillation_scale`` is the largest wavenumber present (the cells
-    are pi/scale wide); ``frequencies`` lists every asymptotic oscillation
-    frequency (e.g. the beat combinations of a Bessel product), which the
-    schemes' accelerators annihilate exactly.  The schemes must agree
-    within 3x their combined error estimates, otherwise
-    OracleInconsistencyError; the zero-partition value is returned,
-    ``converged`` meaning ``abs_error_estimate <= tol``.
-    """
-    if oscillation_scale <= 0.0:
-        raise InvalidArgumentError("oscillation_scale must be > 0")
-    rz = _zero_partition(f, oscillation_scale, tol, frequencies)
-    re = _eps_regularized(f, oscillation_scale, tol, frequencies)
-    combined = rz.abs_error_estimate + re.abs_error_estimate + 1e-14
-    # Flag only gross disagreement (one method silently wrong), not the
-    # last digit of two honest estimates: allow a small relative floor.
-    floor = 1e-7 * (1.0 + abs(rz.value) + abs(re.value))
-    if abs(rz.value - re.value) > 3.0 * combined + floor:
-        raise OracleInconsistencyError(
-            f"zero-partition ({rz.value:.6e}) and eps-regularized "
-            f"({re.value:.6e}) disagree beyond 3x combined estimates "
-            f"({combined:.3e})", value_a=rz.value, value_b=re.value)
-    est = max(rz.abs_error_estimate, abs(rz.value - re.value))
-    return QuadResult(rz.value, est, rz.evaluations + re.evaluations,
-                      est <= tol)
 
 
 # ---------------------------------------------------------------------------

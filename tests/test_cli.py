@@ -1,7 +1,6 @@
 """Command-line interface: subcommand behavior, exit-code contract,
 output formats, and scan reproducibility."""
 
-import dataclasses
 import json
 import os
 import pathlib
@@ -10,8 +9,7 @@ import sys
 
 import pytest
 
-from twistkit import cli, fields, matrix_elements, quadrature
-from twistkit.errors import OracleInconsistencyError
+from twistkit import cli, matrix_elements
 
 
 def run(argv, capsys):
@@ -93,6 +91,16 @@ class TestChannels:
                            capsys)
         assert code == 2
         assert "invalid arguments" in err
+
+    @pytest.mark.parametrize("flag", ["--order=0,2,5", "--order=-1,0,0",
+                                      "--max-multipole=-1"])
+    def test_invalid_order_exits_3(self, flag, capsys):
+        # Each once printed an empty table and exited 0.
+        code, out, err = run(["channels", "--m", "1", "--kind", "tm",
+                              "--interaction", "general", flag], capsys)
+        assert code == 3
+        assert "domain error" in err
+        assert out == ""
 
 
 class TestAmplitude:
@@ -356,32 +364,15 @@ class TestScan:
             grid={name: {"start": v, "stop": v, "count": 1}
                   for name, v in point.items()})
 
-    def test_oracle_inconsistency_exits_4(self, tmp_path, capsys, monkeypatch):
-        # Make the eps-regularized scheme confidently wrong: the
-        # zero-partition result, with its ~5e-12 estimate, shifted by
-        # 1e-3.  The dual-method consistency gate must catch it in
-        # the library and in verify.  A recoil integral never reaches that
-        # oracle: a scan whose tail is shifted by 1e-3 x0 misses tol and
+    def test_wrong_tail_exits_3(self, tmp_path, capsys, monkeypatch):
+        # A scan whose recoil tail is shifted by 1e-3 x0 misses tol and
         # exits 3 (at n = 1: n = 0 is Graf's closed form, with no tail).
         original_tail = matrix_elements._triple_bessel_tail
-
-        def shifted(*args, **kwargs):
-            r = quadrature._zero_partition(*args, **kwargs)
-            return dataclasses.replace(r, value=r.value + 1e-3)
 
         def shifted_tail(*args):
             tail = original_tail(*args)
             return lambda x0: tail(x0) + 1e-3 * x0
-        monkeypatch.setattr(quadrature, "_eps_regularized", shifted)
         monkeypatch.setattr(matrix_elements, "_triple_bessel_tail", shifted_tail)
-        a, b = 0.6, 1.1
-        f = lambda x: (fields.bessel_j_any(0, a * x)
-                       * fields.bessel_j_any(1, b * x))
-        with pytest.raises(OracleInconsistencyError):
-            quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, b - a])
-        code, _, err = run(["verify", "--only", "quadrature"], capsys)
-        assert code == 4
-        assert "oracle inconsistency" in err
         path, _ = self._triple_bessel_config(tmp_path, 0.7, 1.4, n=1)
         code, _, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3

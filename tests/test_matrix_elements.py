@@ -116,6 +116,22 @@ class TestSelectionChannels:
         keys = {(c.delta_m_R, c.delta_m_r, c.order) for c in chs}
         assert len(keys) == len(chs)
 
+    @pytest.mark.parametrize("order", [(-1, 0, 0), (0, -1, 0), (0, 2, 5),
+                                       (0, 1, -1)])
+    def test_engines_reject_invalid_orders(self, order):
+        # Each once gave an empty symbolic table; for s outside 0..v the
+        # oracle still found channels, and for n < 0 it raised a bare
+        # ValueError from math.comb.
+        o = me.TermOrder(*order)
+        with pytest.raises(InvalidArgumentError):
+            me.symbolic_channels(1, ModeKind.TM, "general", order=o)
+        with pytest.raises(InvalidArgumentError):
+            me.azimuthal_channel_table(1, ModeKind.TM, "general", order=o)
+
+    def test_rejects_negative_max_multipole(self):
+        with pytest.raises(InvalidArgumentError):
+            me.symbolic_channels(1, ModeKind.TM, "general", max_multipole=-1)
+
 
 class TestTripleBessel:
     def test_matches_triangle_closed_form(self):
@@ -128,8 +144,7 @@ class TestTripleBessel:
         assert r.value == pytest.approx(1.0 / (2.0 * math.pi * area), abs=1e-8)
 
     @pytest.mark.parametrize("args, want", [
-        # Stored mpmath values of two points whose zero-partition scheme
-        # needs more than 288 cells.
+        # Stored mpmath values at two n = 0 points with nonzero orders.
         ((1.2373301541579083, 0.42380202133415146, 1.520407063435965,
           1, 1, 0), 0.6501934372948824),
         ((1.1865935229258735, 0.4074911447656985, 0.9220499893680024,
@@ -176,7 +191,6 @@ class TestTripleBessel:
                 me.icm0(cm_in, cm_out, k, 1.0, 0)
 
     def test_outside_cone_n2_vanishes(self):
-        # The dual-method schemes disagree here beyond their gate.
         r = me.triple_bessel(1.5973384447144974, 0.6650369522286923,
                              2.7096154924789113, 3, 1, 2)
         assert abs(r.value) <= 1e-12
@@ -189,7 +203,6 @@ class TestTripleBessel:
                                         1 - n, 1e-9)
 
     def test_body_plus_tail_evaluations(self):
-        # Both dual-method schemes together take ~25k evaluations here.
         assert self._body_plus_tail(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
 
     def test_body_in_three_half_period_k21_cells(self):
@@ -199,7 +212,7 @@ class TestTripleBessel:
 
     @pytest.mark.parametrize("args", [(1.0, 1e-6, 1.0, 0, 0, 0),
                                       (1.0, 0.5, 1.4, 10, 0, 0)])
-    def test_fallback_cost_is_bounded(self, args):
+    def test_cut_off_cost_is_bounded(self, args):
         # k_perp_R = 1e-6 would put the cut-offs ~1e7 cells out: it raises
         # before integrating any cell.  Order 10 moves the cut-offs out to
         # k x = 100 and 104, where the Hankel tail holds.
@@ -568,8 +581,6 @@ class TestCenterOfMassIntegrals:
         assert info.value.partial.abs_error_estimate > 1e-9
 
     def test_free_order_8_converges(self):
-        # This point once fell back to the dual-method path, whose
-        # estimate (5e-7) missed tol, and icm0 returned the value anyway.
         cm_in = me.CenterOfMassState.free(3, 1.7)
         cm_out = me.CenterOfMassState.free(-5, 1.4)
         # Orders (8, 3, -5) form a Graf triple: icm0 takes the closed form,

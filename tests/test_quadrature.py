@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from twistkit import quadrature
+from twistkit import matrix_elements, quadrature
 from twistkit.errors import ConvergenceError, InvalidArgumentError
 from twistkit.fields import bessel_j_any
 
@@ -51,65 +51,35 @@ class TestIntegrateFinite:
 
 
 class TestSemiInfinite:
-    def test_j0_unit_integral_both_methods(self):
-        f = lambda x: bessel_j_any(0, x)
-        for scheme in (quadrature._zero_partition, quadrature._eps_regularized):
-            r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
-            assert r.value == pytest.approx(1.0, abs=1e-9)
-            # One G10/K21 panel per cell; the eps ladder has 7 rungs of
-            # 224 cells.
-            assert r.evaluations % 21 == 0
-        assert r.evaluations == 21 * 7 * 224
-
-    def test_j1_unit_integral(self):
-        f = lambda x: bessel_j_any(1, x)
-        r = quadrature.dual_method_oracle(f, 1.0, 1e-10, [1.0])
-        assert r.value == pytest.approx(1.0, abs=1e-9)
-
-    def test_two_bessel_closed_form(self):
-        # int_0^inf J_0(a x) J_1(b x) dx = 1/b for 0 < a < b.
-        a, b = 0.6, 1.1
-        f = lambda x: bessel_j_any(0, a * x) * bessel_j_any(1, b * x)
-        r = quadrature.dual_method_oracle(f, a + b, 1e-10, [a + b, b - a])
-        assert r.value == pytest.approx(1.0 / b, abs=1e-9)
-        assert r.converged
-        # The eps-regularized scheme alone: one rung converges to the last
-        # digit, so Wynn epsilon must stop there, not divide by rounding.
-        re = quadrature._eps_regularized(f, a + b, 1e-10,
-                                         frequencies=[a + b, b - a])
-        assert re.value == pytest.approx(1.0 / b, abs=1e-9)
-
-    def test_scaled_argument(self):
-        # int_0^inf J_0(k x) dx = 1/k.
-        k = 2.7
-        f = lambda x: bessel_j_any(0, k * x)
-        r = quadrature.dual_method_oracle(f, k, 1e-10, [k])
-        assert r.value == pytest.approx(1.0 / k, abs=1e-9)
-
-    def test_error_estimate_is_honest(self):
-        f = lambda x: bessel_j_any(0, x)
-        r = quadrature.dual_method_oracle(f, 1.0, 1e-10, [1.0])
-        assert abs(r.value - 1.0) <= 100 * max(r.abs_error_estimate, 1e-14)
-
     def test_rejects_bad_arguments(self):
         f = lambda x: bessel_j_any(0, x)
         for scale in (0.0, -1.0):
             with pytest.raises(InvalidArgumentError):
                 quadrature.integrate_bessel_semiinfinite(
                     f, scale, (12.0, 16.0), lambda x0: 0.0, 1e-10)
-            with pytest.raises(InvalidArgumentError):
-                quadrature.dual_method_oracle(f, scale, 1e-10, [1.0])
 
     def test_cell_error_is_not_hidden(self):
-        # A unit step inside the first cell: no G10/K21 panel resolves it, so
-        # each scheme must either say so or carry an estimate that covers
-        # its true error.
-        f = lambda x: bessel_j_any(0, x) + (1.0 if x < 0.3 else 0.0)
-        for scheme in (quadrature._zero_partition,
-                       quadrature._eps_regularized,
-                       quadrature.dual_method_oracle):
-            r = scheme(f, 1.0, 1e-10, frequencies=[1.0])
-            assert not r.converged or r.abs_error_estimate >= abs(r.value - 1.3)
+        # A unit step on [0, 0.3), inside the first cell of a recoil
+        # integrand: no G10/K21 panel resolves it, so body plus tail must
+        # either raise or carry an estimate that covers its true error.
+        # Integrand, tail and cut-offs (max(12, m^2)/k and max(16, m^2 + 4)/k
+        # over the factors) are those of _triple_bessel_oracle(1.0, 0.7,
+        # 1.4, 1, 1, 1, 0, tol), whose exact value is Sonine-Gegenbauer's
+        # 2 Delta / (pi a b c).
+        ks, orders = (1.0, 0.7, 1.4), (1, 1, 1)
+        f = lambda x: (bessel_j_any(1, ks[0] * x) * bessel_j_any(1, ks[1] * x)
+                       * bessel_j_any(1, ks[2] * x) + (1.0 if x < 0.3 else 0.0))
+        tail = matrix_elements._triple_bessel_tail(ks, orders, 0)
+        s = 0.5 * sum(ks)
+        area = math.sqrt(s * (s - ks[0]) * (s - ks[1]) * (s - ks[2]))
+        exact = 2.0 * area / (math.pi * ks[0] * ks[1] * ks[2]) + 0.3
+        try:
+            r = quadrature.integrate_bessel_semiinfinite(
+                f, sum(ks), (12.0 / 0.7, 16.0 / 0.7), tail, 1e-9)
+        except ConvergenceError as exc:
+            assert exc.partial.abs_error_estimate > 1e-9
+            return
+        assert r.abs_error_estimate >= abs(r.value - exact)
 
     def test_wrong_tail_raises_after_the_cells_between_the_cut_offs(self):
         # The tail 0 is wrong at both cut-offs (x = 12 and 16 both round
@@ -122,18 +92,6 @@ class TestSemiInfinite:
         assert not info.value.partial.converged
         assert info.value.partial.abs_error_estimate > 1e-10
         assert info.value.partial.evaluations == 21
-
-    def test_converged_means_within_tol(self):
-        # Only the zero-partition scheme converges on this triple-Bessel
-        # integrand; the fallback estimate (4e-7) exceeds tol.
-        k1, k2, k3 = 1.2373301541579083, 0.42380202133415146, 1.520407063435965
-        f = lambda x: (bessel_j_any(1, k1 * x) * x * bessel_j_any(1, k2 * x)
-                       * bessel_j_any(2, k3 * x))
-        beats = sorted({abs(k1 + s2 * k2 + s3 * k3)
-                        for s2 in (1, -1) for s3 in (1, -1)})
-        r = quadrature.dual_method_oracle(f, k1 + k2 + k3, 1e-9, beats)
-        assert r.abs_error_estimate > 1e-9
-        assert not r.converged
 
 
 class TestFiniteDifferenceOperators:
