@@ -5,8 +5,8 @@ bookkeeping.
 Modules
 -------
 specfun
-    Bessel, Laguerre, Gegenbauer and hypergeometric evaluations with
-    convergence tracking.
+    Bessel J of every integer order, Laguerre, Gegenbauer and
+    hypergeometric evaluations with convergence tracking.
 fields
     TE/TM/L/R Bessel modes: vector potential, electric and magnetic
     fields, circular-basis decompositions.

@@ -1,13 +1,13 @@
 """Command-line front door.
 
-Subcommands: ``field`` (evaluate A/E/B of a mode at a point),
-``channels`` (allowed-channel table), ``amplitude`` (dipole transition
-amplitudes), ``scan`` (parameter sweeps to CSV/JSON), and ``verify``
-(the full invariant battery plus the candidate-vs-oracle discrepancy
-report).
+Subcommands: ``field`` (A/E/B of a mode at a point), ``channels``
+(allowed-channel table), ``amplitude`` (dipole transition amplitudes),
+``scan`` (parameter sweeps to CSV/JSON) and ``verify`` (the invariant
+batteries plus the candidate-vs-oracle discrepancy report).
 
-Exit codes: 0 success, 1 verification failure, 2 invalid flags,
-3 domain error.
+Exit codes: 0 success, 1 verification failure, 2 invalid flags (also a
+verify --only that selects nothing), 3 domain error (also a scan
+parameter that no point reads).
 """
 
 from __future__ import annotations
@@ -31,19 +31,6 @@ _INT_PARAMS = {"m", "m_R", "m_R_in", "m_R_out", "m_r_in", "m_r_out", "n",
                "n_bar", "order", "v_max"}
 
 
-def _fmt(x: float) -> str:
-    """Full-precision scientific notation (17 significant digits)."""
-    return f"{x:.16e}"
-
-
-def _sample_dict(s: fields.FieldSample) -> dict:
-    return {
-        "x": [s.x.real, s.x.imag],
-        "y": [s.y.real, s.y.imag],
-        "z": [s.z.real, s.z.imag],
-    }
-
-
 # ---------------------------------------------------------------------------
 # field / channels / amplitude
 # ---------------------------------------------------------------------------
@@ -63,15 +50,14 @@ def _parse_fields(text, types, usage, required=None):
 
 
 def cmd_field(args) -> int:
-    mode = ModeSpec(ModeKind(args.kind), args.m, args.kperp, args.kz)
-    p = CylPoint(*_parse_fields(args.at, (float,) * 4,
-                                "--at expects RHO,PHI,Z[,T]", required=3))
-    out = {
-        "A": _sample_dict(fields.vector_potential(mode, p)),
-        "E": _sample_dict(fields.electric_field(mode, p)),
-        "B": _sample_dict(fields.magnetic_field(mode, p)),
-        "omega": mode.omega(),
-    }
+    at = _parse_fields(args.at, (float,) * 4, "--at expects RHO,PHI,Z[,T]",
+                       required=3)
+    flat = _eval_field_point(dict(zip(("rho", "phi", "z", "t"), at),
+                                  kind=args.kind, m=args.m,
+                                  k_perp=args.kperp, k_z=args.kz))
+    out = {f: {c: [flat[f + c + "_re"], flat[f + c + "_im"]] for c in "xyz"}
+           for f in "AEB"}
+    out["omega"] = math.hypot(args.kperp, args.kz)
     print(json.dumps(out, sort_keys=True))
     return EXIT_OK
 
@@ -242,8 +228,9 @@ def _eval_icm0(params):
         params.get("m_R_in", 0), params.get("n_bar", 0), alpha)
     cm_out = matrix_elements.CenterOfMassState.trapped(
         params.get("m_R_out", 0), params.get("n_bar", 0), alpha)
-    v = matrix_elements.icm0(cm_in, cm_out, params["k_perp"],
-                             params.get("k_z", 1.0), params.get("order", 0))
+    # icm0 ignores its k_z, so the scan reads none.
+    v = matrix_elements.icm0(cm_in, cm_out, params["k_perp"], 0.0,
+                             params.get("order", 0))
     return {"icm0_re": v.real, "icm0_im": v.imag}
 
 
@@ -272,14 +259,14 @@ _QUANTITIES = {
 
 def _write_csv(path, names, rows):
     # RFC 4180: CRLF line endings, header row, no quoting needed for
-    # purely numeric content.
+    # purely numeric content; floats to 17 significant digits.
     with open(path, "w", newline="") as fh:
         fh.write(",".join(names) + "\r\n")
         for row in rows:
             cells = []
             for name in names:
                 v = row[name]
-                cells.append(str(v) if isinstance(v, int) else _fmt(v))
+                cells.append(str(v) if isinstance(v, int) else f"{v:.16e}")
             fh.write(",".join(cells) + "\r\n")
 
 
@@ -298,6 +285,21 @@ class _Required(dict):
 
     def __missing__(self, key):
         raise TwistkitError(f"scan config: missing {key!r}")
+
+
+class _Point(_Required):
+    """One scan point's parameters; ``read`` records the keys asked for."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.read = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        return super().__getitem__(key)
+
+    def get(self, key, default=None):
+        return self[key] if key in self else default
 
 
 def cmd_scan(args) -> int:
@@ -321,9 +323,13 @@ def cmd_scan(args) -> int:
     for name, vals in axes:
         points = [dict(p, **{name: v}) for p in points for v in vals]
 
-    # One namespace per point: grid values win over fixed ones.
-    outputs = [_QUANTITIES[quantity](_Required({**fixed, **p}))
-               for p in points]
+    # Grid values win over fixed ones; a name that no point reads is an error.
+    params = [_Point({**fixed, **p}) for p in points]
+    outputs = [_QUANTITIES[quantity](p) for p in params]
+    read = set().union(*(p.read for p in params))
+    unread = sorted(set(fixed).union(*points) - read)
+    if unread:
+        raise TwistkitError(f"scan config: {quantity} ignores {unread}")
 
     param_names = [name for name, _ in axes]
     out_names = list(outputs[0].keys()) if outputs else []
@@ -500,7 +506,7 @@ def _verify_quadrature(results, rng):
                      / (math.sqrt(math.pi) * math.gamma(nu + 0.5)
                         * (a * b * c) ** nu))
             r = matrix_elements._triple_bessel_oracle(a, b, c, nu, nu, nu,
-                                                      1 - nu, tol)
+                                                      1 - nu)
             worst = max(worst, abs(r.value - exact), r.abs_error_estimate)
     _check(results, "quadrature.body_plus_tail_sonine", worst, tol)
     # Weber-Schafheitlin: triple_bessel at (m, m_R, n) = (0, 1, 2), int
@@ -508,8 +514,7 @@ def _verify_quadrature(results, rng):
     # the cone.
     worst = 0.0
     for k, k_R, k_Rp in ((0.7, 0.8, 1.6), (1.0, 0.5, 2.0)):
-        r = matrix_elements._triple_bessel_oracle(k, k_R, k_Rp, 0, 1, -1,
-                                                  -1, tol)
+        r = matrix_elements._triple_bessel_oracle(k, k_R, k_Rp, 0, 1, -1, -1)
         worst = max(worst, abs(r.value + k_R / (2.0 * k_Rp)),
                     r.abs_error_estimate)
     _check(results, "quadrature.body_plus_tail_weber_schafheitlin", worst,
@@ -543,7 +548,7 @@ def _verify_cm(results, rng):
     for z in (0.5, 1.0, 2.0):
         al = 1.3
         k = 2.0 * math.sqrt(z) / al
-        qv = matrix_elements.ho_vortex_integral(1, al, k, 2, 1)
+        qv = matrix_elements.ho_vortex_integral(1, al, k, 2, 1).value
         sv = matrix_elements.ho_vortex_series(1, al, k, 2, 1).value
         worst = max(worst, abs(qv - sv) / abs(qv))
     _check(results, "cm.vortex_series_vs_quadrature", worst, 1e-8)
@@ -561,7 +566,7 @@ def _verify_cm(results, rng):
         k = int(rng.randint(max(-10, -10 - nu), min(10, 10 - nu) + 1))
         orders = ((1 if rng.randint(2) else -1) * (nu + k), k, nu)
         closed = matrix_elements._graf_closed_form(*ks, *orders)
-        r = matrix_elements._triple_bessel_oracle(*ks, *orders, 1, 1e-9)
+        r = matrix_elements._triple_bessel_oracle(*ks, *orders, 1)
         worst = max(worst, abs(closed.value - r.value))
     _check(results, "cm.closed_form_vs_body_plus_tail", worst, 1e-9)
 
@@ -632,6 +637,11 @@ _BATTERIES = {
 
 
 def cmd_verify(args) -> int:
+    batteries = [b for name, b in _BATTERIES.items() if args.only in name]
+    if not batteries and args.only not in "candidates":
+        raise argparse.ArgumentTypeError(
+            f"--only {args.only!r} selects nothing; batteries: "
+            f"{', '.join(_BATTERIES)}, candidates")
     # numpy is imported by verify and the channel oracle alone, so that the
     # other subcommands start without it.  RandomState fixes each seed's
     # draws, and with them verify's output bytes.
@@ -639,16 +649,14 @@ def cmd_verify(args) -> int:
 
     rng = np.random.RandomState(args.seed)
     results = []
-    for name, battery in _BATTERIES.items():
-        if args.only and args.only not in name:
-            continue
+    for battery in batteries:
         battery(results, rng)
     all_ok = True
     for name, ok, margin, bound in results:
         status = "PASS" if ok else "FAIL"
         all_ok &= ok
         print(f"{status} {name} margin={margin:.3e} bound={bound:.3e}")
-    if not args.only or args.only in "candidates":
+    if args.only in "candidates":
         print("# candidate-vs-oracle discrepancy report "
               "(printed closed forms are documented findings, not failures)")
         for row in candidate_report():
@@ -712,7 +720,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_scan)
 
     p = sub.add_parser("verify", help="run the invariant batteries")
-    p.add_argument("--only", help="run only batteries whose name contains this")
+    p.add_argument("--only", default="",
+                   help="run only batteries whose name contains this")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
     return parser

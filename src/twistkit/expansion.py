@@ -16,7 +16,6 @@ from typing import List
 
 from . import specfun
 from .errors import InvalidArgumentError, SingularConfigurationError
-from .fields import bessel_j_any
 from .specfun import SeriesResult
 
 
@@ -189,7 +188,7 @@ def psi_displaced_direct(m: int, k_perp: float, R: PlanarVec,
     d = R.to_complex() - q.to_complex()
     rho = abs(d)
     phi = cmath.phase(d) if rho > 0.0 else 0.0
-    return bessel_j_any(m, k_perp * rho) * cmath.exp(1j * m * phi)
+    return specfun.bessel_j(m, k_perp * rho) * cmath.exp(1j * m * phi)
 
 
 def _binomial_phase(radial: float, power: int, R: PlanarVec, d: float,

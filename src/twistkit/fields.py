@@ -116,21 +116,13 @@ class TmTeDecomposition:
         return math.sqrt(abs(self.c_tm) ** 2 + abs(self.c_te) ** 2)
 
 
-def bessel_j_any(order: int, x: float) -> float:
-    """J_order(x) for any integer order via J_{-m} = (-1)^m J_m."""
-    if order >= 0:
-        return specfun.bessel_j(order, x)
-    sign = -1.0 if (-order) % 2 else 1.0
-    return sign * specfun.bessel_j(-order, x)
-
-
 def psi(m: int, k_perp: float, rho: float, phi: float) -> complex:
     """Scalar mode profile J_m(k_perp rho) e^{i m phi}."""
     if k_perp <= 0.0:
         raise InvalidArgumentError("k_perp must be > 0")
     if rho < 0.0:
         raise InvalidArgumentError("rho must be >= 0")
-    return bessel_j_any(m, k_perp * rho) * cmath.exp(1j * m * phi)
+    return specfun.bessel_j(m, k_perp * rho) * cmath.exp(1j * m * phi)
 
 
 def normalization_e0(k_perp: float, k_z: float) -> float:

@@ -23,7 +23,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields, quadrature, specfun
 from .errors import InvalidArgumentError
-from .fields import ModeKind, ModeSpec, bessel_j_any
+from .fields import ModeKind, ModeSpec
 
 # ---------------------------------------------------------------------------
 # Domain types
@@ -39,8 +39,8 @@ class CenterOfMassState:
 
     Free atoms: a Bessel state J_{m_R}(k_perp_R R) e^{i k_z_R z}; trapped
     atoms: a 2-D harmonic-oscillator Laguerre-Gauss state of radial index
-    n_bar and oscillator length alpha.  k_perp_R (free) and alpha
-    (trapped) must be positive and finite, k_z_R finite.
+    n_bar and oscillator length alpha.  m_R and n_bar are integers,
+    k_perp_R (free) and alpha (trapped) positive and finite, k_z_R finite.
     """
 
     variant: str
@@ -51,6 +51,8 @@ class CenterOfMassState:
     alpha: float = 0.0
 
     def __post_init__(self):
+        if not all(hasattr(v, "__index__") for v in (self.m_R, self.n_bar)):
+            raise InvalidArgumentError("m_R and n_bar must be integers")
         if not math.isfinite(self.k_z_R):
             raise InvalidArgumentError("k_z_R must be finite")
         if self.variant == FREE_BESSEL:
@@ -468,11 +470,11 @@ def _require_wavenumbers(*ks: float) -> None:
 
 
 def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
-                          m3: int, power: int, tol: float) -> quadrature.QuadResult:
+                          m3: int, power: int) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
     plus the closed-form Hankel tail through
     quadrature.integrate_bessel_semiinfinite, ConvergenceError when its
-    estimate misses tol, InvalidArgumentError unless each 0 < k < inf.
+    estimate misses _RECOIL_TOL, InvalidArgumentError unless each 0 < k < inf.
 
     The Hankel expansion of order m holds once k x >~ m^2, so each factor
     asks for x_a >= max(12, m^2) / k and x_b >= max(16, m^2 + 4) / k, and
@@ -484,15 +486,15 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
     def f(R: float) -> float:
         if R == 0.0:
             return 0.0
-        return (bessel_j_any(m1, k1 * R) * R ** power
-                * bessel_j_any(m2, k2 * R) * bessel_j_any(m3, k3 * R))
+        return (specfun.bessel_j(m1, k1 * R) * R ** power
+                * specfun.bessel_j(m2, k2 * R) * specfun.bessel_j(m3, k3 * R))
 
     ks, orders = (k1, k2, k3), (m1, m2, m3)
     x_a = max(max(12.0, m * m) / k for m, k in zip(orders, ks))
     x_b = max(max(16.0, m * m + 4.0) / k for m, k in zip(orders, ks))
     tail = _triple_bessel_tail(ks, orders, power)
     return quadrature.integrate_bessel_semiinfinite(
-        f, k1 + k2 + k3, (x_a, x_b), tail, tol)
+        f, k1 + k2 + k3, (x_a, x_b), tail, _RECOIL_TOL)
 
 
 def _graf_closed_form(k1: float, k2: float, k3: float, m1: int, m2: int,
@@ -561,7 +563,7 @@ def _recoil_integral(k1: float, k2: float, k3: float, m1: int, m2: int,
         r = _graf_closed_form(k1, k2, k3, m1, m2, m3)
         if r is not None:
             return r
-    return _triple_bessel_oracle(k1, k2, k3, m1, m2, m3, power, _RECOIL_TOL)
+    return _triple_bessel_oracle(k1, k2, k3, m1, m2, m3, power)
 
 
 def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
@@ -694,7 +696,7 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
 
     def g(R: float) -> float:
         return (R * _ho_radial(cm_in, R) * _ho_radial(cm_out, R)
-                * bessel_j_any(order, k_perp * R))
+                * specfun.bessel_j(order, k_perp * R))
 
     r = quadrature.integrate_finite(g, 0.0, cut, tol=_OVERLAP_TOL)
     return complex(norm * r.value)
@@ -715,7 +717,7 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
         return (x ** (nu + 1) * math.exp(-u)
                 * specfun.laguerre(lam, nu - sigma, u)
                 * specfun.laguerre(eta, sigma, u)
-                * bessel_j_any(nu, k * x))
+                * specfun.bessel_j(nu, k * x))
 
     cut = alpha * (7.0 + math.sqrt(4.0 * (lam + eta + nu) + 4.0))
     r = quadrature.integrate_finite(f, 0.0, cut, tol=1e-13)
@@ -728,37 +730,35 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
                                candidate=cand, candidate_converged=True)
 
 
-def _ho_vortex_quad(n_bar: int, alpha: float, k_perp: float,
-                    m: int, n: int, tol: float) -> quadrature.QuadResult:
-    """ho_vortex_integral with the quadrature's estimate."""
-    if m < 0 or not (0 <= n <= m):
-        raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
-    if n_bar < 0:
-        raise InvalidArgumentError("n_bar must be >= 0")
-    if alpha <= 0.0:
-        raise InvalidArgumentError("alpha must be > 0")
-    if m - 2 * n + 1 <= -1:
-        raise InvalidArgumentError("divergent exponent combination")
-
-    def f(R: float) -> float:
-        u = (R / alpha) ** 2
-        return (R ** (m - 2 * n + 1) * math.exp(-u)
-                * bessel_j_any(m, k_perp * R)
-                * specfun.laguerre(n_bar, m - n, u))
-
-    cut = alpha * (7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
-    return quadrature.integrate_finite(f, 0.0, cut, tol=tol)
+def _require_vortex_args(n_bar: int, alpha: float, k_perp: float, m: int,
+                         n: int) -> None:
+    """Both vortex evaluators' check: the trapped states' domain.  Every
+    n <= m converges, the integrand going as R^{2m-2n+1} near 0."""
+    if not (all(hasattr(v, "__index__") for v in (n_bar, m, n))
+            and n_bar >= 0 and 0 <= n <= m
+            and 0.0 < alpha < math.inf and 0.0 <= k_perp < math.inf):
+        raise InvalidArgumentError("need integers n_bar >= 0 and 0 <= n <= m, "
+                                   "0 < alpha < inf and 0 <= k < inf")
 
 
 def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
-                       m: int, n: int) -> float:
+                       m: int, n: int) -> quadrature.QuadResult:
     """Vortex-overlap integral (decaying Gaussian; the printed growing
-    exponential is unnormalizable):
+    exponential is unnormalizable) to _OVERLAP_TOL, with its estimate:
 
         int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
                   L_{n_bar}^{m-n}(R^2/alpha^2) dR.
     """
-    return _ho_vortex_quad(n_bar, alpha, k_perp, m, n, _OVERLAP_TOL).value
+    _require_vortex_args(n_bar, alpha, k_perp, m, n)
+
+    def f(R: float) -> float:
+        u = (R / alpha) ** 2
+        return (R ** (m - 2 * n + 1) * math.exp(-u)
+                * specfun.bessel_j(m, k_perp * R)
+                * specfun.laguerre(n_bar, m - n, u))
+
+    cut = alpha * (7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
+    return quadrature.integrate_finite(f, 0.0, cut, tol=_OVERLAP_TOL)
 
 
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
@@ -776,8 +776,7 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     enters each term in log space (specfun.hyp2f2's log_scale), so past
     z ~ 709 neither it nor the terms leave the float range.
     """
-    if m < 0 or not (0 <= n <= m):
-        raise InvalidArgumentError("need m >= 0 and 0 <= n <= m")
+    _require_vortex_args(n_bar, alpha, k_perp, m, n)
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar))
@@ -793,6 +792,7 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
     """Printed Eq-form candidate (verbatim prefactor) for the vortex
     integral, compared against the quadrature oracle scaled by the
     paper's (sqrt(alpha))^{n-m} definition factor."""
+    quad = ho_vortex_integral(n_bar, alpha, k_perp, m, n)
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (k_perp ** (m + 2 * n)
             / (2.0 ** (m + 2 * n + 1) * math.factorial(n_bar)
@@ -808,7 +808,6 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
             break
         total += term
     scale = math.sqrt(alpha) ** (n - m)
-    quad = _ho_vortex_quad(n_bar, alpha, k_perp, m, n, _OVERLAP_TOL)
     return CandidateComparison(oracle=scale * quad.value,
                                oracle_error=scale * quad.abs_error_estimate,
                                candidate=pref * total,

@@ -1,8 +1,8 @@
 """Self-contained special-function kernel.
 
-Integer-order Bessel J (ascending series for small x; Hankel's asymptotic
-expansion for x >= 18.5 while its terms keep falling to 1e-17; else Miller's
-backward recurrence; a run of consecutive orders from one Miller pass),
+Bessel J of every integer order (ascending series for small x; Hankel's
+asymptotic expansion for x >= 18.5 while its terms keep falling to 1e-17;
+else Miller's backward recurrence; runs of orders >= 0 from one Miller pass),
 generalized Laguerre polynomials, Pochhammer symbols, the 2F2
 hypergeometric series, the generalized exponential integral E_p at
 half-integer p (alone, or as a ladder of consecutive p from one direct
@@ -229,28 +229,28 @@ def _bessel_j_hankel(order: int, x: float) -> float | None:
 
 
 def bessel_j(order: int, x: float) -> float:
-    """Cylindrical Bessel function J_order(x) for order >= 0, x >= 0.
+    """Cylindrical Bessel function J_order(x) for every integer order, x >= 0.
 
     Three branches: the ascending series for small x (or x^2 < 4(order+1)),
     Hankel's asymptotic expansion for x >= 18.5, accepted only while its
     terms keep falling to 1e-17 of the sum, else Miller's backward
-    recurrence.  Accurate to at least 12 significant digits.  Negative
-    orders are the caller's business via J_{-m} = (-1)^m J_m.
+    recurrence.  Accurate to at least 12 significant digits.  A negative
+    order is J_{-m} = (-1)^m J_m: a sign on the one evaluation.
     """
-    if order < 0:
-        raise InvalidArgumentError("order must be >= 0")
     if not math.isfinite(x) or x < 0.0:
         raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
+    sign = -1.0 if order < 0 and order % 2 else 1.0
+    order = abs(order)
     # The ascending series is cancellation-free while its terms decrease
     # from the start, i.e. (x/2)^2 < order + 1; beyond that it is kept
     # only up to the fixed crossover where the digit loss stays small.
     if x < _SERIES_X_MAX or x * x < 4.0 * (order + 1.0):
-        return _bessel_j_series(order, x)
+        return sign * _bessel_j_series(order, x)
     if x >= _HANKEL_X_MIN:
         value = _bessel_j_hankel(order, x)
         if value is not None:
-            return value
-    return _bessel_j_miller(order, x)
+            return sign * value
+    return sign * _bessel_j_miller(order, x)
 
 
 def laguerre(n: int, alpha: float, x: float) -> float:

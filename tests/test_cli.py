@@ -355,12 +355,31 @@ class TestScan:
         lines = (tmp_path / "out.csv").read_text().splitlines()
         assert [line.split(",")[0] for line in lines[1:]] == ["-1", "0", "1"]
 
+    @pytest.mark.parametrize("overrides", [
+        # A misspelt alpha once wrote a varying alpah column over identical
+        # rows and exited 0.
+        dict(quantity="icm0", fixed={},
+             grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
+                   "alpah": {"start": 0.5, "stop": 2.0, "count": 3}}),
+        # icm0 ignores k_z.
+        dict(quantity="icm0", fixed={"k_z": 1.0},
+             grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1}})],
+        ids=["misspelt_grid_name", "fixed_k_z"])
+    def test_unread_parameter_exits_3(self, tmp_path, capsys, overrides):
+        path, _ = self._config(tmp_path, **overrides)
+        code, out, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        name = "alpah" if "alpah" in overrides["grid"] else "k_z"
+        assert "domain error" in err and repr(name) in err
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
+
     @staticmethod
     def _triple_bessel_config(tmp_path, k_perp_R, k_perp_Rp, n=0):
         point = {"k_perp": 1.0, "k_perp_R": k_perp_R, "k_perp_Rp": k_perp_Rp,
                  "n": n}
         return TestScan._config(
-            tmp_path, quantity="triple_bessel",
+            tmp_path, quantity="triple_bessel", fixed={},
             grid={name: {"start": v, "stop": v, "count": 1}
                   for name, v in point.items()})
 
@@ -446,7 +465,7 @@ class TestRepeatedMain:
         # a malformed flag that exits 2, a channel table and the same scan
         # again must each come out as from a parser built for that call.
         path, _ = TestScan._config(
-            tmp_path, quantity="triple_bessel",
+            tmp_path, quantity="triple_bessel", fixed={},
             grid={"k_perp": {"start": 1.0, "stop": 1.0, "count": 1},
                   "k_perp_R": {"start": 0.7, "stop": 0.7, "count": 1},
                   "k_perp_Rp": {"start": 1.4, "stop": 1.4, "count": 1}})
@@ -479,6 +498,17 @@ class TestVerify:
         assert code == 0
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         assert lines and all(l.startswith("PASS") for l in lines)
+
+    def test_only_that_selects_nothing_exits_2(self, capsys):
+        # --only overlaps once printed nothing and exited 0, so a typo in
+        # CI's --only filter would pass.
+        code, out, err = run(["verify", "--only", "overlaps"], capsys)
+        assert code == 2
+        assert out == ""
+        assert "invalid arguments" in err
+        assert all(name in err for name in cli._BATTERIES)
+        code, out, _ = run(["verify", "--only", "overlap"], capsys)
+        assert code == 0 and out.startswith("PASS overlap.")
 
     def test_report_line_format(self, capsys):
         _, out, _ = run(["verify", "--only", "overlap"], capsys)

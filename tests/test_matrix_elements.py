@@ -27,6 +27,16 @@ class TestStates:
         with pytest.raises(InvalidArgumentError):
             me.CenterOfMassState.trapped(0, 0, 0.0)
 
+    def test_non_integral_quantum_numbers_are_rejected(self):
+        # free(1.5, 0.7) once failed later, with a TypeError in the recoil
+        # dispatcher; trapped(0.5, 0, 1.0) gave an icm0 of 0.678 for a state
+        # that does not exist.
+        for make in (lambda: me.CenterOfMassState.free(1.5, 0.7),
+                     lambda: me.CenterOfMassState.trapped(0.5, 0, 1.0),
+                     lambda: me.CenterOfMassState.trapped(0, 1.5, 1.0)):
+            with pytest.raises(InvalidArgumentError):
+                make()
+
     def test_non_finite_state_is_rejected(self):
         # An infinite k_perp_R once reached the recoil cut-offs as a
         # division by zero.
@@ -200,7 +210,7 @@ class TestTripleBessel:
         # triple_bessel's integral by body plus tail, which triple_bessel
         # itself runs only at n >= 1 (n = 0 is Graf's closed form).
         return me._triple_bessel_oracle(k, k_R, k_Rp, m, m_R, m_R + m - n,
-                                        1 - n, 1e-9)
+                                        1 - n)
 
     def test_body_plus_tail_evaluations(self):
         assert self._body_plus_tail(1.0, 0.7, 1.4, 0, 0, 0).evaluations <= 1500
@@ -400,7 +410,7 @@ class TestHighOrderRecoil:
             m, m_R, n = args[3:]
             orders, power = (m, m_R, m + m_R - n), 1 - n
             got = me.triple_bessel(*args).value
-        r = me._triple_bessel_oracle(*args[:3], *orders, power, 1e-9)
+        r = me._triple_bessel_oracle(*args[:3], *orders, power)
         graf = me._graf_closed_form(*args[:3], *orders) if power == 1 else None
         assert got == (r if graf is None else graf).value
         if graf is not None:
@@ -453,7 +463,7 @@ class TestGrafClosedForm:
             turn = rng.randrange(3)
             ks, orders = ks[turn:] + ks[:turn], orders[turn:] + orders[:turn]
             graf = me._graf_closed_form(*ks, *orders)
-            r = me._triple_bessel_oracle(*ks, *orders, 1, 1e-9)
+            r = me._triple_bessel_oracle(*ks, *orders, 1)
             assert abs(graf.value - r.value) <= (graf.abs_error_estimate
                                                  + r.abs_error_estimate), (
                 ks, orders)
@@ -466,7 +476,7 @@ class TestGrafClosedForm:
         # lies beyond 1152 half-periods.  -0.11582775227125025 is mpmath
         # at 25 digits.
         with pytest.raises(ConvergenceError):
-            me._triple_bessel_oracle(0.5, 1.2, 1.0, 30, 2, 32, 1, 1e-9)
+            me._triple_bessel_oracle(0.5, 1.2, 1.0, 30, 2, 32, 1)
         r = me.triple_bessel(0.5, 1.2, 1.0, 30, 2, 0)
         assert r.converged and r.evaluations == 0
         assert abs(r.value - -0.11582775227125025) <= r.abs_error_estimate
@@ -585,7 +595,7 @@ class TestCenterOfMassIntegrals:
         cm_out = me.CenterOfMassState.free(-5, 1.4)
         # Orders (8, 3, -5) form a Graf triple: icm0 takes the closed form,
         # which body plus tail must reproduce.
-        r = me._triple_bessel_oracle(0.5, 1.7, 1.4, 8, 3, -5, 1, 1e-9)
+        r = me._triple_bessel_oracle(0.5, 1.7, 1.4, 8, 3, -5, 1)
         assert r.converged
         graf = me._graf_closed_form(0.5, 1.7, 1.4, 8, 3, -5)
         assert me.icm0(cm_in, cm_out, 0.5, 1.0, 8) == graf.value
@@ -597,7 +607,7 @@ class TestCenterOfMassIntegrals:
         for z in (0.5, 1.0, 2.0):
             k = 2.0 * math.sqrt(z) / alpha
             for n_bar, m, n in [(0, 2, 1), (1, 3, 0), (2, 4, 2)]:
-                q = me.ho_vortex_integral(n_bar, alpha, k, m, n)
+                q = me.ho_vortex_integral(n_bar, alpha, k, m, n).value
                 s = me.ho_vortex_series(n_bar, alpha, k, m, n).value
                 assert complex(s).real == pytest.approx(q, rel=1e-9)
 
@@ -639,12 +649,35 @@ class TestCenterOfMassIntegrals:
         assert abs(got - want) <= 1e-10 * abs(want)
         # The quadrature's own error is up to 1.7e-10 relative here (the
         # integrand cancels to ~1e-3 of its size).
-        q = me.ho_vortex_integral(n_bar, 1.0, k_alpha, m, n)
+        q = me.ho_vortex_integral(n_bar, 1.0, k_alpha, m, n).value
         assert got == pytest.approx(q, rel=1e-9)
 
-    def test_vortex_rejects_divergent_exponent(self):
-        with pytest.raises(InvalidArgumentError):
-            me.ho_vortex_integral(0, 1.0, 1.0, 2, 2)
+    def test_vortex_converges_past_the_old_exponent_guard(self):
+        # m - 2n + 1 <= -1 was once rejected as divergent, but J_m(kR) ~
+        # R^m near 0 makes the integrand go as R^{2m-2n+1}, and n <= m.
+        # The references are mpmath at 30 digits.
+        for args, want in [((0, 1.0, 1.0, 2, 2), 0.057601566142809736),
+                           ((1, 1.3, 0.8, 4, 3), 1.4410835286870065e-4),
+                           ((2, 1.0, 1.5, 3, 3), 4.2220614787562446e-4)]:
+            q = me.ho_vortex_integral(*args)
+            assert abs(q.value - want) <= q.abs_error_estimate <= 1e-12
+            s = me.ho_vortex_series(*args)
+            assert abs(s.value - want) <= 1e-12 * want
+
+    def test_vortex_rejects_inputs_outside_the_trapped_domain(self):
+        # Both evaluators, and the candidate comparison, take the trapped
+        # states' domain.  The series once returned the alpha = 1.3 value
+        # at alpha = -1.3 and 0.0 at alpha = 0, and raised a bare
+        # ValueError at n_bar = -1, as the candidate did.
+        for args in [(0, -1.3, 1.0, 2, 1), (0, 0.0, 1.0, 2, 1),
+                     (0, math.inf, 1.0, 2, 1), (-1, 1.3, 1.0, 2, 1),
+                     (0.5, 1.3, 1.0, 2, 1), (0, 1.3, -1.0, 2, 1),
+                     (0, 1.3, math.inf, 2, 1), (0, 1.3, 1.0, -1, 0),
+                     (0, 1.3, 1.0, 2, 3), (0, 1.3, 1.0, 2, -1)]:
+            for evaluate in (me.ho_vortex_integral, me.ho_vortex_series,
+                             me.ho_vortex_candidate):
+                with pytest.raises(InvalidArgumentError):
+                    evaluate(*args)
 
 
 class TestInternalIntegrals:
@@ -824,7 +857,7 @@ class TestCandidateComparisons:
         n_bar, alpha, k, m, n = 2, 1.3, 2.0, 3, 1
         c = me.ho_vortex_candidate(n_bar, alpha, k, m, n)
         scale = math.sqrt(alpha) ** (n - m)
-        r = me._ho_vortex_quad(n_bar, alpha, k, m, n, 1e-12)
+        r = me.ho_vortex_integral(n_bar, alpha, k, m, n)
         assert c.oracle == scale * r.value
         assert c.oracle_error == scale * r.abs_error_estimate != 1e-12
         series = me.ho_vortex_series(n_bar, alpha, k, m, n).value

@@ -7,7 +7,7 @@ import pytest
 
 from twistkit import matrix_elements, quadrature
 from twistkit.errors import ConvergenceError, InvalidArgumentError
-from twistkit.fields import bessel_j_any
+from twistkit.specfun import bessel_j
 
 
 class TestIntegrateFinite:
@@ -52,7 +52,7 @@ class TestIntegrateFinite:
 
 class TestSemiInfinite:
     def test_rejects_bad_arguments(self):
-        f = lambda x: bessel_j_any(0, x)
+        f = lambda x: bessel_j(0, x)
         for scale in (0.0, -1.0):
             with pytest.raises(InvalidArgumentError):
                 quadrature.integrate_bessel_semiinfinite(
@@ -67,8 +67,8 @@ class TestSemiInfinite:
         # 1.4, 1, 1, 1, 0, tol), whose exact value is Sonine-Gegenbauer's
         # 2 Delta / (pi a b c).
         ks, orders = (1.0, 0.7, 1.4), (1, 1, 1)
-        f = lambda x: (bessel_j_any(1, ks[0] * x) * bessel_j_any(1, ks[1] * x)
-                       * bessel_j_any(1, ks[2] * x) + (1.0 if x < 0.3 else 0.0))
+        f = lambda x: (bessel_j(1, ks[0] * x) * bessel_j(1, ks[1] * x)
+                       * bessel_j(1, ks[2] * x) + (1.0 if x < 0.3 else 0.0))
         tail = matrix_elements._triple_bessel_tail(ks, orders, 0)
         s = 0.5 * sum(ks)
         area = math.sqrt(s * (s - ks[0]) * (s - ks[1]) * (s - ks[2]))
@@ -85,7 +85,7 @@ class TestSemiInfinite:
         # The tail 0 is wrong at both cut-offs (x = 12 and 16 both round
         # up to 6 pi, so the second moves one 3 pi cell out), so only the
         # one K21 cell between them is spent before ConvergenceError.
-        f = lambda x: bessel_j_any(0, x)
+        f = lambda x: bessel_j(0, x)
         with pytest.raises(ConvergenceError) as info:
             quadrature.integrate_bessel_semiinfinite(
                 f, 1.0, (12.0, 16.0), lambda x0: 0.0, 1e-10)

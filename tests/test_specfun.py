@@ -95,9 +95,28 @@ class TestBesselJ:
     def test_large_order_underflow_is_zero(self):
         assert specfun.bessel_j(600, 1.0) == 0.0
 
+    def test_negative_orders_on_every_branch(self, monkeypatch):
+        # J_{-m} = (-1)^m J_m from one evaluation, on the series (x = 3),
+        # Miller (x = 12) and Hankel (x = 40) branches; a wrapper of
+        # specfun.bessel_j, as the benchmark's tracer is, sees one call.
+        original = specfun.bessel_j
+        for x in (3.0, 12.0, 40.0):
+            for m in range(1, 8):
+                got = original(-m, x)
+                assert got == (-1) ** m * original(m, x)
+                assert abs(got - float(mpmath.besselj(-m, x))) <= 1e-14
+        calls = []
+
+        def counted(order, x):
+            calls.append(order)
+            return original(order, x)
+        monkeypatch.setattr(specfun, "bessel_j", counted)
+        specfun.bessel_j(-3, 40.0)
+        assert calls == [-3]
+
     def test_rejects_negative_order_and_argument(self):
-        with pytest.raises(InvalidArgumentError):
-            specfun.bessel_j(-1, 1.0)
+        # Every integer order is accepted now: J_{-1} = -J_1.
+        assert specfun.bessel_j(-1, 1.0) == -specfun.bessel_j(1, 1.0)
         with pytest.raises(InvalidArgumentError):
             specfun.bessel_j(0, -0.5)
         with pytest.raises(InvalidArgumentError):
