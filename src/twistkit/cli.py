@@ -606,17 +606,12 @@ _CANDIDATE_POINTS = [
 def candidate_report():
     """Candidate-closed-form vs quadrature-oracle discrepancy table over
     the fixed 10-point parameter set.  Returns a list of row dicts."""
+    candidates = {"triple_series": matrix_elements.triple_bessel_candidate,
+                  "ho_gauss_bessel": matrix_elements.ho_gauss_bessel_candidate,
+                  "ho_vortex": matrix_elements.ho_vortex_candidate}
     rows = []
     for kind, p in _CANDIDATE_POINTS:
-        if kind == "triple_series":
-            r = matrix_elements.triple_bessel(**p)
-            c = matrix_elements.CandidateComparison(
-                r.value, r.abs_error_estimate,
-                *matrix_elements.triple_bessel_candidate(**p))
-        elif kind == "ho_gauss_bessel":
-            c = matrix_elements.ho_gauss_bessel_candidate(**p)
-        else:
-            c = matrix_elements.ho_vortex_candidate(**p)
+        c = candidates[kind](**p)
         rows.append(dict(family=kind, params=p, oracle=c.oracle.real,
                          oracle_err=c.oracle_error,
                          candidate=c.candidate.real,

@@ -39,7 +39,7 @@ class ModeKind(str, Enum):
 
 @dataclass(frozen=True)
 class ModeSpec:
-    """A Bessel photon mode: kind, azimuthal order m, and wavenumbers."""
+    """A Bessel photon mode: kind, integer azimuthal order m, wavenumbers."""
 
     kind: ModeKind
     m: int
@@ -47,6 +47,8 @@ class ModeSpec:
     k_z: float
 
     def __post_init__(self):
+        if not hasattr(self.m, "__index__"):
+            raise InvalidArgumentError(f"m must be an integer, got {self.m!r}")
         if not (self.k_perp > 0.0 and math.isfinite(self.k_perp)):
             raise InvalidArgumentError("k_perp must be finite and > 0")
         if not math.isfinite(self.k_z):

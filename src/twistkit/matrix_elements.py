@@ -404,8 +404,8 @@ _TAIL_TERMS = 12
 
 # Absolute tolerances: the recoil integrals' body-plus-tail estimate
 # (triple_bessel at n >= 1, free icm0 off Graf triples) and the
-# finite-interval overlaps (trapped icm0, the vortex and radial dipole
-# integrals); relative truncation of the vortex series.
+# finite-interval overlaps (radial dipole; the trapped ones in x = R /
+# alpha); relative truncation of the vortex series.
 _RECOIL_TOL = 1e-9
 _OVERLAP_TOL = 1e-12
 _SERIES_REL_TOL = 1e-12
@@ -558,7 +558,9 @@ def _recoil_integral(k1: float, k2: float, k3: float, m1: int, m2: int,
                      m3: int, power: int) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: Graf's closed
     form at power 1 for a Graf triple of orders, else body plus tail to
-    _RECOIL_TOL."""
+    _RECOIL_TOL.  InvalidArgumentError unless the orders are integers."""
+    if not all(hasattr(m, "__index__") for m in (m1, m2, m3)):
+        raise InvalidArgumentError("Bessel orders must be integers")
     if power == 1:
         r = _graf_closed_form(k1, k2, k3, m1, m2, m3)
         if r is not None:
@@ -598,7 +600,7 @@ _CANDIDATE_MAX_TERMS = 4000
 
 
 def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
-                            m: int, m_R: int, n: int) -> Tuple[float, bool]:
+                            m: int, m_R: int, n: int) -> CandidateComparison:
     """The printed double series for the triple-Bessel integral, evaluated
     verbatim (known to be dimensionally suspect; reported, not trusted):
 
@@ -606,7 +608,9 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
         / (m! m_R!) * sum_{u,v} (m_R+m-n+1)_{u+v}
         / ((1+m)_u (1+m_R)_v u! v!) x^u y^v,
 
-    x = (k/k^R')^2, y = (k^R/k^R')^2.  Returns (value, converged)."""
+    x = (k/k^R')^2, y = (k^R/k^R')^2, vs triple_bessel's value and estimate
+    as the oracle."""
+    r = triple_bessel(k_perp, k_perp_R, k_perp_Rp, m, m_R, n)
     x = (k_perp / k_perp_Rp) ** 2
     y = (k_perp_R / k_perp_Rp) ** 2
     c = m_R + m - n + 1
@@ -617,42 +621,43 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
     total = 0.0
     converged = False
     prev_shell = math.inf
-    count = 0
     for shell in range(200):
+        if (shell + 1) * (shell + 2) // 2 > _CANDIDATE_MAX_TERMS:
+            break  # the terms through this shell would pass the cap
         shell_sum = 0.0
         for u in range(shell + 1):
             w = shell - u
-            term = (specfun.pochhammer(c, u + w)
-                    / (specfun.pochhammer(1.0 + m, u)
-                       * specfun.pochhammer(1.0 + m_R, w)
-                       * math.factorial(u) * math.factorial(w))
-                    * x ** u * y ** w)
-            shell_sum += term
-            count += 1
-            if count > _CANDIDATE_MAX_TERMS:
-                return pref * total, False
+            shell_sum += (specfun.pochhammer(c, u + w)
+                          / (specfun.pochhammer(1.0 + m, u)
+                             * specfun.pochhammer(1.0 + m_R, w)
+                             * math.factorial(u) * math.factorial(w))
+                          * x ** u * y ** w)
         total += shell_sum
         if abs(shell_sum) < 1e-14 * abs(total) + 1e-300:
             converged = True
             break
         if shell > 5 and abs(shell_sum) > 4.0 * prev_shell:
-            converged = False
             break
         prev_shell = abs(shell_sum) if shell_sum != 0.0 else prev_shell
-    return pref * total, converged
+    return CandidateComparison(r.value, r.abs_error_estimate, pref * total,
+                               converged)
 
 
-def _ho_norm(n_bar: int, abs_m: int, alpha: float) -> float:
-    # int_0^inf R |Upsilon|^2 dR = 1 for the radial Laguerre-Gauss profile
-    return math.sqrt(2.0 * math.factorial(n_bar)
-                     / (alpha * alpha * math.gamma(n_bar + abs_m + 1)))
+def _laguerre_gauss_bessel(scale: float, p: int, n1: int, a1: int, n2: int,
+                           a2: int, nu: int, k_alpha: float,
+                           x_max: float) -> quadrature.QuadResult:
+    """scale * int_0^x_max x^p e^{-x^2} L_n1^a1(x^2) L_n2^a2(x^2) J_nu(k_alpha x)
+    dx, the integral to _OVERLAP_TOL, value and estimate scaled alike: the
+    one integral of the trapped overlaps, in x = R / alpha, so that the
+    tolerance binds a dimensionless integral that depends on k alpha alone."""
+    def f(x: float) -> float:
+        u = x * x
+        return (x ** p * math.exp(-u) * specfun.laguerre(n1, a1, u)
+                * specfun.laguerre(n2, a2, u) * specfun.bessel_j(nu, k_alpha * x))
 
-
-def _ho_radial(state: CenterOfMassState, R: float) -> float:
-    u = (R / state.alpha) ** 2
-    am = abs(state.m_R)
-    return (math.exp(-0.5 * u) * (R / state.alpha) ** am
-            * specfun.laguerre(state.n_bar, am, u))
+    r = quadrature.integrate_finite(f, 0.0, x_max, tol=_OVERLAP_TOL)
+    return quadrature.QuadResult(scale * r.value, scale * r.abs_error_estimate,
+                                 r.evaluations, r.converged)
 
 
 def axial_momentum_constraint(cm_in: CenterOfMassState, k_z: float) -> float:
@@ -677,8 +682,9 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     estimate exceeds _RECOIL_TOL.  InvalidArgumentError unless
     0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
     where the integral diverges.
-    Trapped states: the normalized Laguerre-Gauss-Bessel overlap by
-    finite quadrature to _OVERLAP_TOL.
+    Trapped states: the normalized Laguerre-Gauss-Bessel overlap,
+    2 sqrt(n_bar! n_bar'! / ((n_bar + |m_R|)! (n_bar' + |m_R'|)!)) times
+    _laguerre_gauss_bessel in x = R / alpha: a function of k_perp alpha alone.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
@@ -688,18 +694,12 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
             order, cm_in.m_R, cm_out.m_R, 1).value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
-    alpha = cm_in.alpha
-    norm = (_ho_norm(cm_in.n_bar, abs(cm_in.m_R), alpha)
-            * _ho_norm(cm_out.n_bar, abs(cm_out.m_R), alpha))
-    cut = alpha * (6.0 + math.sqrt(4.0 * (cm_in.n_bar + cm_out.n_bar
-                                          + abs(cm_in.m_R) + abs(cm_out.m_R)) + 4.0))
-
-    def g(R: float) -> float:
-        return (R * _ho_radial(cm_in, R) * _ho_radial(cm_out, R)
-                * specfun.bessel_j(order, k_perp * R))
-
-    r = quadrature.integrate_finite(g, 0.0, cut, tol=_OVERLAP_TOL)
-    return complex(norm * r.value)
+    (n1, a1), (n2, a2) = ((s.n_bar, abs(s.m_R)) for s in (cm_in, cm_out))
+    norm = 2.0 * math.sqrt(math.factorial(n1) * math.factorial(n2)
+                           / (math.factorial(n1 + a1) * math.factorial(n2 + a2)))
+    return complex(_laguerre_gauss_bessel(
+        norm, 1 + a1 + a2, n1, a1, n2, a2, order, k_perp * cm_in.alpha,
+        6.0 + math.sqrt(4.0 * (n1 + n2 + a1 + a2) + 4.0)).value)
 
 
 def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
@@ -709,18 +709,20 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
         int_0^inf x^{nu+1} e^{-x^2/a^2} L_lam^{nu-sigma}(x^2/a^2)
                   L_eta^{sigma}(x^2/a^2) J_nu(k x) dx
 
-    vs the quadrature oracle.  Only the Gaussian/Laguerre structure of
-    the candidate is trustworthy; its prefactor is dimensionally off.
+    (a = alpha) vs the quadrature oracle, a^{nu+2} times
+    _laguerre_gauss_bessel in x / a.  Only the Gaussian/Laguerre structure
+    of the candidate is trustworthy; its prefactor is dimensionally off.
+    InvalidArgumentError unless the indices are integers, lam, eta >= 0,
+    0 <= sigma <= nu, 0 < alpha < inf and 0 <= k < inf.
     """
-    def f(x: float) -> float:
-        u = (x / alpha) ** 2
-        return (x ** (nu + 1) * math.exp(-u)
-                * specfun.laguerre(lam, nu - sigma, u)
-                * specfun.laguerre(eta, sigma, u)
-                * specfun.bessel_j(nu, k * x))
-
-    cut = alpha * (7.0 + math.sqrt(4.0 * (lam + eta + nu) + 4.0))
-    r = quadrature.integrate_finite(f, 0.0, cut, tol=1e-13)
+    if not (all(hasattr(v, "__index__") for v in (nu, lam, eta, sigma))
+            and lam >= 0 and eta >= 0 and 0 <= sigma <= nu
+            and 0.0 < alpha < math.inf and 0.0 <= k < math.inf):
+        raise InvalidArgumentError("need integers lam, eta >= 0, 0 <= sigma "
+                                   "<= nu, 0 < alpha < inf and 0 <= k < inf")
+    r = _laguerre_gauss_bessel(alpha ** (nu + 2), nu + 1, lam, nu - sigma, eta,
+                               sigma, nu, k * alpha,
+                               7.0 + math.sqrt(4.0 * (lam + eta + nu) + 4.0))
     z = 0.25 * (alpha * k) ** 2
     cand = ((-1.0) ** (lam + eta) * (2.0 / math.sqrt(alpha)) ** (-nu - 1)
             * k ** nu * math.exp(-z)
@@ -747,18 +749,14 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
     exponential is unnormalizable) to _OVERLAP_TOL, with its estimate:
 
         int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
-                  L_{n_bar}^{m-n}(R^2/alpha^2) dR.
+                  L_{n_bar}^{m-n}(R^2/alpha^2) dR,
+    alpha^{m-2n+2} times _laguerre_gauss_bessel in x = R / alpha (value and
+    estimate alike, so that both hold at every alpha for one k alpha).
     """
     _require_vortex_args(n_bar, alpha, k_perp, m, n)
-
-    def f(R: float) -> float:
-        u = (R / alpha) ** 2
-        return (R ** (m - 2 * n + 1) * math.exp(-u)
-                * specfun.bessel_j(m, k_perp * R)
-                * specfun.laguerre(n_bar, m - n, u))
-
-    cut = alpha * (7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
-    return quadrature.integrate_finite(f, 0.0, cut, tol=_OVERLAP_TOL)
+    return _laguerre_gauss_bessel(alpha ** (m - 2 * n + 2), m - 2 * n + 1, n_bar,
+                                  m - n, 0, 0, m, k_perp * alpha,
+                                  7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
 
 
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,

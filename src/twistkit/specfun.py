@@ -151,8 +151,8 @@ def _bessel_j_miller(order: int, x: float) -> float:
 
 
 def bessel_j_run(order: int, n: int, x: float) -> List[float]:
-    """[J_order(x), J_{order+1}(x), ..., J_{order+n-1}(x)] for order >= 0,
-    n >= 1, x >= 0.
+    """[J_order(x), J_{order+1}(x), ..., J_{order+n-1}(x)] for integers
+    order >= 0 and n >= 1, x >= 0.
 
     One Miller backward pass, the one of bessel_j's Miller branch, started
     above the run's top order, max(order + n - 1, x) + 10 x^(1/3) + 8, and
@@ -162,10 +162,10 @@ def bessel_j_run(order: int, n: int, x: float) -> List[float]:
     that one pass step could overflow it cannot start; there the run is
     n bessel_j calls.
     """
-    if order < 0:
-        raise InvalidArgumentError("order must be >= 0")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    if not (hasattr(order, "__index__") and order >= 0):
+        raise InvalidArgumentError(f"order must be an integer >= 0, got {order!r}")
+    if not (hasattr(n, "__index__") and n >= 1):
+        raise InvalidArgumentError(f"n must be an integer >= 1, got {n!r}")
     if not math.isfinite(x) or x < 0.0:
         raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
     if x == 0.0:
@@ -235,8 +235,12 @@ def bessel_j(order: int, x: float) -> float:
     Hankel's asymptotic expansion for x >= 18.5, accepted only while its
     terms keep falling to 1e-17 of the sum, else Miller's backward
     recurrence.  Accurate to at least 12 significant digits.  A negative
-    order is J_{-m} = (-1)^m J_m: a sign on the one evaluation.
+    order is J_{-m} = (-1)^m J_m: a sign on the one evaluation.  A
+    non-integral order (a float, even 2.0) raises InvalidArgumentError.
     """
+    # The class test spares an int the hasattr: ~0.02 us a call, not ~0.06.
+    if order.__class__ is not int and not hasattr(order, "__index__"):
+        raise InvalidArgumentError(f"order must be an integer, got {order!r}")
     if not math.isfinite(x) or x < 0.0:
         raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
     sign = -1.0 if order < 0 and order % 2 else 1.0

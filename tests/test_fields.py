@@ -61,6 +61,15 @@ class TestModeValidation:
         with pytest.raises(InvalidArgumentError):
             ModeSpec(ModeKind.TM, 1, 0.0, 1.0)
 
+    def test_rejects_non_integral_order(self):
+        # Every field, channel engine and amplitude function takes its order
+        # from ModeSpec.m; J_{1.5} is no Bessel mode of this package.
+        for kind in ModeKind:
+            with pytest.raises(InvalidArgumentError):
+                ModeSpec(kind, 1.5, 0.8, 1.2)
+        with pytest.raises(InvalidArgumentError):
+            ModeSpec(ModeKind.TM, 1.0, 0.8, 1.2)
+
     def test_rejects_kz_zero_for_elementary_modes(self):
         mode = ModeSpec(ModeKind.TM, 1, 1.0, 0.0)
         with pytest.raises(SingularNormalizationError):

@@ -138,6 +138,16 @@ class TestSelectionChannels:
         with pytest.raises(InvalidArgumentError):
             me.azimuthal_channel_table(1, ModeKind.TM, "general", order=o)
 
+    def test_engines_reject_non_integral_m(self):
+        # symbolic_channels(1.5, "tm", "dipole") once listed
+        # Delta m_R = -2.5, -1.5 and -0.5; both engines build a ModeSpec.
+        for interaction in ("dipole", "general", "spin"):
+            with pytest.raises(InvalidArgumentError):
+                me.symbolic_channels(1.5, ModeKind.TM, interaction)
+            with pytest.raises(InvalidArgumentError):
+                me.azimuthal_channel_table(1.5, ModeKind.TM, interaction,
+                                           order=me.TermOrder(0, 0, 0))
+
     def test_rejects_negative_max_multipole(self):
         with pytest.raises(InvalidArgumentError):
             me.symbolic_channels(1, ModeKind.TM, "general", max_multipole=-1)
@@ -188,6 +198,20 @@ class TestTripleBessel:
     def test_rejects_divergent_power(self):
         with pytest.raises(InvalidArgumentError):
             me.triple_bessel(1.0, 1.0, 1.0, 0, 0, 2)
+
+    def test_rejects_non_integral_orders(self):
+        # Graf's closed form reads no Bessel value: (1.5, 0, 1.5) once
+        # returned 0.3579 with an estimate of 2.9e-15, and n = 0.5 failed
+        # deep in the tail with "p must be a positive half-integer".
+        for args in ((1.0, 0.7, 1.4, 1.5, 0, 0), (1.0, 0.7, 1.4, 1, 0, 0.5),
+                     (0.9, 1.1, 1.3, 1.5, 1, 1)):
+            with pytest.raises(InvalidArgumentError):
+                me.triple_bessel(*args)
+        cm_in = me.CenterOfMassState.free(0, 0.7)
+        cm_out = me.CenterOfMassState.free(1, 1.4)
+        for order in (0.5, 1.0):
+            with pytest.raises(InvalidArgumentError):
+                me.icm0(cm_in, cm_out, 1.0, 1.0, order)
 
     def test_rejects_non_finite_wavenumbers(self):
         # The cut-offs divide by each wavenumber: an infinite one once
@@ -536,6 +560,21 @@ class TestGrafClosedForm:
         assert abs(amps[0].amplitude - want) <= 1e-9
 
 
+@pytest.fixture
+def finite_evaluations(monkeypatch):
+    """The evaluation count of each integrate_finite call matrix_elements
+    makes while the test runs."""
+    evaluations = []
+    finite = me.quadrature.integrate_finite
+
+    def counted(*args, **kwargs):
+        r = finite(*args, **kwargs)
+        evaluations.append(r.evaluations)
+        return r
+    monkeypatch.setattr(me.quadrature, "integrate_finite", counted)
+    return evaluations
+
+
 class TestCenterOfMassIntegrals:
     def test_trapped_diagonal_long_wavelength_limit(self):
         cm = me.CenterOfMassState.trapped(0, 0, 1.1)
@@ -562,24 +601,58 @@ class TestCenterOfMassIntegrals:
         # The long-wavelength limit, where trapped icm0 gives 1 too.
         assert me.suppression_factor(0.0, 1.1) == 1.0
 
-    def test_trapped_ground_state_on_k21_panels(self, monkeypatch):
+    def test_trapped_ground_state_on_k21_panels(self, finite_evaluations):
         # e^{-k^2 alpha^2 / 4} to rounding, in at most 150 evaluations.
-        evaluations = []
-        finite = me.quadrature.integrate_finite
-
-        def counted(*args, **kwargs):
-            r = finite(*args, **kwargs)
-            evaluations.append(r.evaluations)
-            return r
-        monkeypatch.setattr(me.quadrature, "integrate_finite", counted)
         for alpha in (0.8, 1.0, 1.4):
             cm = me.CenterOfMassState.trapped(0, 0, alpha)
             for k_alpha in (0.5, 1.0, 2.0, 3.0):
                 k = k_alpha / alpha
                 got = me.icm0(cm, cm, k, 1.0, 0)
                 assert abs(got - me.suppression_factor(k, alpha)) <= 1e-14
-        assert len(evaluations) == 12
-        assert max(evaluations) <= 150
+        assert len(finite_evaluations) == 12
+        assert max(finite_evaluations) <= 150
+
+    @pytest.mark.parametrize("k_alpha", [1.0, 3.0])
+    @pytest.mark.parametrize("m_in, n_in, m_out, n_out, order", [
+        (0, 0, 0, 0, 0), (1, 2, 0, 1, -1), (2, 1, 1, 3, 2)])
+    def test_trapped_depends_on_k_alpha_alone(self, finite_evaluations, m_in,
+                                              n_in, m_out, n_out, order,
+                                              k_alpha):
+        # The overlap is an integral in R / alpha: the same evaluations at
+        # every alpha, and values within rounding.  In R, the ground state
+        # at k alpha = 3 took 63, 147 and 13,041 evaluations at these alphas
+        # (4.65e-13 off at 1e-3), and there the excited pairs at alpha =
+        # 1e4 raised ConvergenceError after 200,000.
+        values = {}
+        for alpha in (1e-3, 1.0, 1e4):
+            cm_in = me.CenterOfMassState.trapped(m_in, n_in, alpha)
+            cm_out = me.CenterOfMassState.trapped(m_out, n_out, alpha)
+            values[alpha] = me.icm0(cm_in, cm_out, k_alpha / alpha, 1.0, order)
+        assert len(finite_evaluations) == 3 and len(set(finite_evaluations)) == 1
+        assert all(abs(v - values[1.0]) <= 1e-15 for v in values.values())
+        if (m_in, n_in, m_out, n_out) == (0, 0, 0, 0):
+            for v in values.values():
+                assert abs(v - math.exp(-0.25 * k_alpha ** 2)) <= 1e-15
+
+    @pytest.mark.parametrize("n_bar, m, n", [(1, 2, 1), (0, 3, 1), (2, 4, 2)])
+    def test_vortex_estimate_holds_at_every_alpha(self, n_bar, m, n):
+        # Against the 1F1 closed form in 40 digits.  In R the estimate was
+        # a tolerance on a value that scales as alpha^(m-2n+2): at
+        # (1, 1e4, 1e-4, 2, 1) it reported 5.8e-13 for an error of 3.7e-10.
+        for k_alpha in (1.0, 3.0):
+            for alpha in (1e-3, 1.0, 1e4):
+                k = k_alpha / alpha
+                r = me.ho_vortex_integral(n_bar, alpha, k, m, n)
+                with mpmath.workdps(40):
+                    a, kk = mpmath.mpf(alpha), mpmath.mpf(k)
+                    z = (kk * a) ** 2 / 4
+                    want = (a ** (2 * (m - n + 1)) * (kk / 2) ** m * z ** n_bar
+                            / (2 * mpmath.factorial(n_bar))
+                            * mpmath.factorial(m + n_bar - n)
+                            / mpmath.factorial(m + n_bar)
+                            * mpmath.hyp1f1(m + n_bar - n + 1, m + n_bar + 1, -z))
+                    err = float(abs(mpmath.mpf(r.value) - want))
+                assert err <= r.abs_error_estimate
 
     def test_free_non_convergence_raises(self):
         # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods.
@@ -841,14 +914,29 @@ class TestCouplingsMatchFields:
 
 class TestCandidateComparisons:
     def test_triple_series_runs_and_reports(self):
-        val, converged = me.triple_bessel_candidate(1.0, 0.7, 1.4, 1, 0, 0)
-        assert math.isfinite(val)
-        assert isinstance(converged, bool)
+        c = me.triple_bessel_candidate(1.0, 0.7, 1.4, 1, 0, 0)
+        assert math.isfinite(c.candidate)
+        assert isinstance(c.candidate_converged, bool)
 
     def test_gauss_bessel_candidate_reports_discrepancy(self):
         c = me.ho_gauss_bessel_candidate(2, 1, 1, 1, 1.0, 0.9)
         assert math.isfinite(c.discrepancy)
         assert c.oracle_error >= 0.0
+
+    def test_gauss_bessel_candidate_rejects_inputs_outside_its_domain(self):
+        # alpha <= 0 once raised integrate_finite's "need a < b"; nu = -1
+        # and sigma = 2 > nu = 1, outside the printed formula, returned a
+        # comparison (nu = -1: oracle -0.185, candidate 1.065).
+        for args in [(1, 0, 0, 0, -1.0, 0.8), (1, 0, 0, 0, 0.0, 0.8),
+                     (1, 0, 0, 0, math.inf, 0.8), (1, 0, 0, 0, 1.0, -0.8),
+                     (1, 0, 0, 0, 1.0, math.inf), (1, 0, 0, 0, 1.0, math.nan),
+                     (-1, 0, 0, 0, 1.0, 0.8), (1, 0, 0, 2, 1.0, 0.8),
+                     (1, 0, 0, -1, 1.0, 0.8), (1, -1, 0, 0, 1.0, 0.8),
+                     (1, 0, -1, 0, 1.0, 0.8), (1.5, 0, 0, 0, 1.0, 0.8),
+                     (1, 0.5, 0, 0, 1.0, 0.8), (1, 0, 1.0, 0, 1.0, 0.8),
+                     (1, 0, 0, 0.0, 1.0, 0.8)]:
+            with pytest.raises(InvalidArgumentError):
+                me.ho_gauss_bessel_candidate(*args)
 
     def test_vortex_candidate_reports_the_quadrature_estimate(self):
         # The estimate is the quadrature's own, scaled like the value by

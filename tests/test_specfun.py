@@ -122,6 +122,15 @@ class TestBesselJ:
         with pytest.raises(InvalidArgumentError):
             specfun.bessel_j(0, math.nan)
 
+    def test_rejects_non_integral_orders(self):
+        # bessel_j(0.5, 20.0) once gave 0.16666 (J_{1/2}(20) = 0.16288),
+        # bessel_j(-0.5, 1.0) gave -0.6714 (J_{-1/2}(1) = 0.4311), and
+        # bessel_j(0.5, 10.0) raised a bare TypeError.
+        for order, x in ((0.5, 20.0), (-0.5, 1.0), (0.5, 10.0), (2.0, 1.0)):
+            with pytest.raises(InvalidArgumentError):
+                specfun.bessel_j(order, x)
+        assert specfun.bessel_j(np.int64(-3), 9.0) == specfun.bessel_j(-3, 9.0)
+
 
 class TestBesselJRun:
     def test_against_mpmath_no_worse_than_scalar(self):
@@ -189,6 +198,13 @@ class TestBesselJRun:
                      (0, 3, math.nan), (0, 3, math.inf)):
             with pytest.raises(InvalidArgumentError):
                 specfun.bessel_j_run(*args)
+
+    def test_rejects_non_integral_orders(self):
+        for args in ((0.5, 3, 1.0), (1.0, 3, 10.0), (0, 2.5, 1.0)):
+            with pytest.raises(InvalidArgumentError):
+                specfun.bessel_j_run(*args)
+        assert (specfun.bessel_j_run(np.int64(1), np.int64(3), 9.0)
+                == specfun.bessel_j_run(1, 3, 9.0))
 
 
 class TestLaguerre:
