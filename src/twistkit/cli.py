@@ -493,7 +493,7 @@ def _verify_quadrature(results, rng):
     # Body plus tail, the path of every recoil integral off Graf triples,
     # against exact values at fixed points (no draws from rng).  Each
     # margin is the worse of the error and the estimate.
-    tol = matrix_elements._RECOIL_TOL
+    tol = quadrature.SEMIINFINITE_TOL
     # Sonine-Gegenbauer: int J_nu(aR) J_nu(bR) J_nu(cR) R^{1-nu} dR =
     # 2^{nu-1} Delta^{2nu-1} / (sqrt(pi) Gamma(nu + 1/2) (abc)^nu) inside
     # the triangle of sides a, b, c and area Delta.

@@ -152,10 +152,14 @@ class ChannelAmplitude:
 @dataclass(frozen=True)
 class DipoleCouplings:
     """Caller-supplied scalars entering the dipole amplitudes: the charge
-    and the internal energy difference (a single real scale)."""
+    and the internal energy difference, each one finite real scale."""
 
     q_e: float = 1.0
     energy_scale: float = 1.0
+
+    def __post_init__(self):
+        if not (math.isfinite(self.q_e) and math.isfinite(self.energy_scale)):
+            raise InvalidArgumentError("q_e and energy_scale must be finite")
 
 
 @dataclass(frozen=True)
@@ -402,14 +406,6 @@ def suppression_factor(k_perp: float, alpha: float) -> float:
 # the closed-form triple-Bessel tail.
 _TAIL_TERMS = 12
 
-# Absolute tolerances: the recoil integrals' body-plus-tail estimate
-# (triple_bessel at n >= 1, free icm0 off Graf triples) and the
-# finite-interval overlaps (radial dipole; the trapped ones in x = R /
-# alpha); relative truncation of the vortex series.
-_RECOIL_TOL = 1e-9
-_OVERLAP_TOL = 1e-12
-_SERIES_REL_TOL = 1e-12
-
 
 def _hankel_coefficients(order: int, k: float) -> List[complex]:
     """c_j of H^(1)_order(k R) ~ sqrt(2/(pi k R)) e^{i(k R - order pi/2 - pi/4)}
@@ -473,8 +469,8 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
                           m3: int, power: int) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: a finite body
     plus the closed-form Hankel tail through
-    quadrature.integrate_bessel_semiinfinite, ConvergenceError when its
-    estimate misses _RECOIL_TOL, InvalidArgumentError unless each 0 < k < inf.
+    quadrature.integrate_bessel_semiinfinite (ConvergenceError past its
+    SEMIINFINITE_TOL), InvalidArgumentError unless each 0 < k < inf.
 
     The Hankel expansion of order m holds once k x >~ m^2, so each factor
     asks for x_a >= max(12, m^2) / k and x_b >= max(16, m^2 + 4) / k, and
@@ -494,7 +490,7 @@ def _triple_bessel_oracle(k1: float, k2: float, k3: float, m1: int, m2: int,
     x_b = max(max(16.0, m * m + 4.0) / k for m, k in zip(orders, ks))
     tail = _triple_bessel_tail(ks, orders, power)
     return quadrature.integrate_bessel_semiinfinite(
-        f, k1 + k2 + k3, (x_a, x_b), tail, _RECOIL_TOL)
+        f, k1 + k2 + k3, (x_a, x_b), tail)
 
 
 def _graf_closed_form(k1: float, k2: float, k3: float, m1: int, m2: int,
@@ -557,8 +553,8 @@ def _graf_closed_form(k1: float, k2: float, k3: float, m1: int, m2: int,
 def _recoil_integral(k1: float, k2: float, k3: float, m1: int, m2: int,
                      m3: int, power: int) -> quadrature.QuadResult:
     """int_0^inf J_m1(k1 R) R^power J_m2(k2 R) J_m3(k3 R) dR: Graf's closed
-    form at power 1 for a Graf triple of orders, else body plus tail to
-    _RECOIL_TOL.  InvalidArgumentError unless the orders are integers."""
+    form at power 1 for a Graf triple of orders, else body plus tail.
+    InvalidArgumentError unless the orders are integers."""
     if not all(hasattr(m, "__index__") for m in (m1, m2, m3)):
         raise InvalidArgumentError("Bessel orders must be integers")
     if power == 1:
@@ -580,12 +576,12 @@ def triple_bessel(k_perp: float, k_perp_R: float, k_perp_Rp: float,
     _graf_closed_form).  At n >= 1, a finite body plus the closed-form
     Hankel tail, from cut-offs that grow with the orders; ConvergenceError
     (the QuadResult as ``partial``) when its error estimate exceeds
-    _RECOIL_TOL = 1e-9.  For n <= m + m_R it vanishes (transverse momentum
-    conservation) whenever k^R' > k + k^R; at n = m + m_R + 1 the third
-    order is -1 and it need not.  A degenerate triangle (a zero beat, e.g.
-    k^R' = k + k^R) raises InvalidArgumentError at n = 0, where the
-    integral diverges; at n >= 1 body plus tail integrates the
-    non-oscillating tail terms in closed form.
+    quadrature.SEMIINFINITE_TOL = 1e-9.  For n <= m + m_R it vanishes
+    (transverse momentum conservation) whenever k^R' > k + k^R; at
+    n = m + m_R + 1 the third order is -1 and it need not.  A degenerate
+    triangle (a zero beat, e.g. k^R' = k + k^R) raises InvalidArgumentError
+    at n = 0, where the integral diverges; at n >= 1 body plus tail
+    integrates the non-oscillating tail terms in closed form.
     """
     if n < 0:
         raise InvalidArgumentError("n must be >= 0")
@@ -643,21 +639,19 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                                converged)
 
 
-def _laguerre_gauss_bessel(scale: float, p: int, n1: int, a1: int, n2: int,
+def _laguerre_gauss_bessel(weight: float, p: int, n1: int, a1: int, n2: int,
                            a2: int, nu: int, k_alpha: float,
                            x_max: float) -> quadrature.QuadResult:
-    """scale * int_0^x_max x^p e^{-x^2} L_n1^a1(x^2) L_n2^a2(x^2) J_nu(k_alpha x)
-    dx, the integral to _OVERLAP_TOL, value and estimate scaled alike: the
-    one integral of the trapped overlaps, in x = R / alpha, so that the
-    tolerance binds a dimensionless integral that depends on k alpha alone."""
+    """int_0^x_max weight x^p e^{-x^2} L_n1^a1(x^2) L_n2^a2(x^2)
+    J_nu(k_alpha x) dx in x = R / alpha: the one integral of the trapped
+    overlaps, a function of k alpha alone.  The weight (the states' norm
+    for icm0, else 1) is in the integrand, so FINITE_TOL binds the value."""
     def f(x: float) -> float:
         u = x * x
-        return (x ** p * math.exp(-u) * specfun.laguerre(n1, a1, u)
+        return (weight * x ** p * math.exp(-u) * specfun.laguerre(n1, a1, u)
                 * specfun.laguerre(n2, a2, u) * specfun.bessel_j(nu, k_alpha * x))
 
-    r = quadrature.integrate_finite(f, 0.0, x_max, tol=_OVERLAP_TOL)
-    return quadrature.QuadResult(scale * r.value, scale * r.abs_error_estimate,
-                                 r.evaluations, r.converged)
+    return quadrature.integrate_finite(f, 0.0, x_max)
 
 
 def axial_momentum_constraint(cm_in: CenterOfMassState, k_z: float) -> float:
@@ -679,12 +673,13 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     that vanishes) it is Graf's closed form, exact to rounding and 0
     outside the momentum triangle; otherwise body plus Hankel tail, with
     ConvergenceError (the QuadResult as ``partial``) when its error
-    estimate exceeds _RECOIL_TOL.  InvalidArgumentError unless
-    0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
+    estimate exceeds quadrature.SEMIINFINITE_TOL.  InvalidArgumentError
+    unless 0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
     where the integral diverges.
-    Trapped states: the normalized Laguerre-Gauss-Bessel overlap,
-    2 sqrt(n_bar! n_bar'! / ((n_bar + |m_R|)! (n_bar' + |m_R'|)!)) times
-    _laguerre_gauss_bessel in x = R / alpha: a function of k_perp alpha alone.
+    Trapped states: _laguerre_gauss_bessel in x = R / alpha, a function of
+    k_perp alpha alone, weighted by the states' norm 2 sqrt(n_bar! n_bar'!
+    / ((n_bar + |m_R|)! (n_bar' + |m_R'|)!)), so that the tolerance binds
+    the overlap itself; InvalidArgumentError unless 0 <= k_perp < inf.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
@@ -694,6 +689,9 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
             order, cm_in.m_R, cm_out.m_R, 1).value)
     if cm_in.alpha != cm_out.alpha:
         raise InvalidArgumentError("trapped states must share the trap alpha")
+    if not 0.0 <= k_perp < math.inf:
+        raise InvalidArgumentError(
+            f"trapped icm0 needs 0 <= k_perp < inf, got {k_perp!r}")
     (n1, a1), (n2, a2) = ((s.n_bar, abs(s.m_R)) for s in (cm_in, cm_out))
     norm = 2.0 * math.sqrt(math.factorial(n1) * math.factorial(n2)
                            / (math.factorial(n1 + a1) * math.factorial(n2 + a2)))
@@ -710,8 +708,9 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
                   L_eta^{sigma}(x^2/a^2) J_nu(k x) dx
 
     (a = alpha) vs the quadrature oracle, a^{nu+2} times
-    _laguerre_gauss_bessel in x / a.  Only the Gaussian/Laguerre structure
-    of the candidate is trustworthy; its prefactor is dimensionally off.
+    _laguerre_gauss_bessel in x / a (value and estimate alike).  Only the
+    Gaussian/Laguerre structure of the candidate is trustworthy; its
+    prefactor is dimensionally off.
     InvalidArgumentError unless the indices are integers, lam, eta >= 0,
     0 <= sigma <= nu, 0 < alpha < inf and 0 <= k < inf.
     """
@@ -720,9 +719,9 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
             and 0.0 < alpha < math.inf and 0.0 <= k < math.inf):
         raise InvalidArgumentError("need integers lam, eta >= 0, 0 <= sigma "
                                    "<= nu, 0 < alpha < inf and 0 <= k < inf")
-    r = _laguerre_gauss_bessel(alpha ** (nu + 2), nu + 1, lam, nu - sigma, eta,
-                               sigma, nu, k * alpha,
-                               7.0 + math.sqrt(4.0 * (lam + eta + nu) + 4.0))
+    r = _laguerre_gauss_bessel(
+        1.0, nu + 1, lam, nu - sigma, eta, sigma, nu, k * alpha,
+        7.0 + math.sqrt(4.0 * (lam + eta + nu) + 4.0)).scaled(alpha ** (nu + 2))
     z = 0.25 * (alpha * k) ** 2
     cand = ((-1.0) ** (lam + eta) * (2.0 / math.sqrt(alpha)) ** (-nu - 1)
             * k ** nu * math.exp(-z)
@@ -746,7 +745,7 @@ def _require_vortex_args(n_bar: int, alpha: float, k_perp: float, m: int,
 def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
                        m: int, n: int) -> quadrature.QuadResult:
     """Vortex-overlap integral (decaying Gaussian; the printed growing
-    exponential is unnormalizable) to _OVERLAP_TOL, with its estimate:
+    exponential is unnormalizable), with its estimate:
 
         int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
                   L_{n_bar}^{m-n}(R^2/alpha^2) dR,
@@ -754,9 +753,9 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
     estimate alike, so that both hold at every alpha for one k alpha).
     """
     _require_vortex_args(n_bar, alpha, k_perp, m, n)
-    return _laguerre_gauss_bessel(alpha ** (m - 2 * n + 2), m - 2 * n + 1, n_bar,
-                                  m - n, 0, 0, m, k_perp * alpha,
-                                  7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0))
+    return _laguerre_gauss_bessel(
+        1.0, m - 2 * n + 1, n_bar, m - n, 0, 0, m, k_perp * alpha,
+        7.0 + math.sqrt(4.0 * (n_bar + m) + 4.0)).scaled(alpha ** (m - 2 * n + 2))
 
 
 def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
@@ -771,16 +770,15 @@ def ho_vortex_series(n_bar: int, alpha: float, k_perp: float,
     z = k^2 alpha^2 / 4.  Kummer's transformation (DLMF 13.2.39) sums it as
     (m+n_bar-n)!/(m+n_bar)! e^{-z} 1F1(n; m+n_bar+1; z): positive terms,
     so no digits are lost to cancellation at large k alpha.  The e^{-z}
-    enters each term in log space (specfun.hyp2f2's log_scale), so past
-    z ~ 709 neither it nor the terms leave the float range.
+    enters each term in log space (specfun.hyp1f1_scaled), so past z ~ 709
+    neither it nor the terms leave the float range.
     """
     _require_vortex_args(n_bar, alpha, k_perp, m, n)
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (alpha ** (2 * (m - n + 1)) * (0.5 * k_perp) ** m
             * z ** n_bar / (2.0 * math.factorial(n_bar))
             * math.factorial(m + n_bar - n) / math.factorial(m + n_bar))
-    s = specfun.hyp2f2(n, 1.0, m + n_bar + 1, 1.0, z, tol=_SERIES_REL_TOL,
-                       log_scale=-z)
+    s = specfun.hyp1f1_scaled(n, m + n_bar + 1, z)
     return specfun.SeriesResult(value=pref * s.value, terms_used=s.terms_used,
                                 truncation_estimate=abs(pref) * s.truncation_estimate)
 
@@ -790,7 +788,8 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
     """Printed Eq-form candidate (verbatim prefactor) for the vortex
     integral, compared against the quadrature oracle scaled by the
     paper's (sqrt(alpha))^{n-m} definition factor."""
-    quad = ho_vortex_integral(n_bar, alpha, k_perp, m, n)
+    quad = ho_vortex_integral(n_bar, alpha, k_perp, m, n).scaled(
+        math.sqrt(alpha) ** (n - m))
     z = 0.25 * (k_perp * alpha) ** 2
     pref = (k_perp ** (m + 2 * n)
             / (2.0 ** (m + 2 * n + 1) * math.factorial(n_bar)
@@ -805,9 +804,8 @@ def ho_vortex_candidate(n_bar: int, alpha: float, k_perp: float,
             converged = True
             break
         total += term
-    scale = math.sqrt(alpha) ** (n - m)
-    return CandidateComparison(oracle=scale * quad.value,
-                               oracle_error=scale * quad.abs_error_estimate,
+    return CandidateComparison(oracle=quad.value,
+                               oracle_error=quad.abs_error_estimate,
                                candidate=pref * total,
                                candidate_converged=converged)
 
@@ -821,7 +819,7 @@ def radial_dipole_integral(int_in: InternalState,
     """int r^3 Theta_F(r) Theta_0(r) dr by adaptive quadrature."""
     r_max = max(int_in.r_max, int_out.r_max)
     f = lambda r: r ** 3 * int_out.radial(r) * int_in.radial(r)
-    return quadrature.integrate_finite(f, 0.0, r_max, tol=_OVERLAP_TOL).value
+    return quadrature.integrate_finite(f, 0.0, r_max).value
 
 
 def i_rel(int_in: InternalState, int_out: InternalState, j: int) -> float:

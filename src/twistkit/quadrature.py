@@ -16,7 +16,10 @@ from typing import Callable, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError
 
-DEFAULT_FINITE_TOL = 1e-12
+# Absolute tolerances of integrate_finite and integrate_bessel_semiinfinite:
+# each binds what its caller returns, any weight folded into the integrand.
+FINITE_TOL = 1e-12
+SEMIINFINITE_TOL = 1e-9
 
 # integrate_finite evaluations; the farthest cut-off of body plus tail,
 # in half-periods pi/scale of the fastest oscillation.
@@ -79,6 +82,12 @@ class QuadResult:
         if not (self.abs_error_estimate >= 0.0):
             raise InvalidArgumentError("abs_error_estimate must be >= 0")
 
+    def scaled(self, factor: float) -> "QuadResult":
+        """This result times factor, value and estimate alike."""
+        return QuadResult(factor * self.value,
+                          abs(factor) * self.abs_error_estimate,
+                          self.evaluations, self.converged)
+
 
 def _gauss_kronrod(f, a, b):
     """One G10/K21 panel; returns (kronrod, error_estimate)."""
@@ -105,23 +114,21 @@ def _gauss_kronrod(f, a, b):
     return kron, err
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float,
-                     tol: float = DEFAULT_FINITE_TOL) -> QuadResult:
+def integrate_finite(f: Callable[[float], float], a: float, b: float
+                     ) -> QuadResult:
     """Adaptive bisection on full-precision G10/K21 panels (QUADPACK
     qk21): the panel with the largest estimate is halved until the summed
-    estimates are <= tol (absolute), 21 + 42 j evaluations after j
+    estimates are <= FINITE_TOL (absolute), 21 + 42 j evaluations after j
     halvings.  ConvergenceError (the partial QuadResult) past
     _FINITE_MAX_EVALS."""
     if not (a < b):
         raise InvalidArgumentError("need a < b")
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be > 0")
     value, err = _gauss_kronrod(f, a, b)
     intervals = [(err, a, b, value)]
     evals = _GK_NODES
     total = value
     total_err = err
-    while total_err > tol and evals < _FINITE_MAX_EVALS:
+    while total_err > FINITE_TOL and evals < _FINITE_MAX_EVALS:
         intervals.sort(key=lambda it: it[0])
         worst = intervals.pop()
         _, wa, wb, wv = worst
@@ -133,10 +140,10 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
         intervals.append((e2, mid, wb, v2))
         total = sum(it[3] for it in intervals)
         total_err = sum(it[0] for it in intervals)
-    if total_err > tol:
+    if total_err > FINITE_TOL:
         raise ConvergenceError(
             f"integrate_finite exceeded {_FINITE_MAX_EVALS} evaluations "
-            f"(err={total_err:.3e} > tol={tol:.3e})",
+            f"(err={total_err:.3e} > tol={FINITE_TOL:.3e})",
             partial=QuadResult(total, total_err, evals, False))
     return QuadResult(total, total_err, evals, True)
 
@@ -144,8 +151,7 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
 def integrate_bessel_semiinfinite(f: Callable[[float], float],
                                   oscillation_scale: float,
                                   cuts: Tuple[float, float],
-                                  tail: Callable[[float], float],
-                                  tol: float) -> QuadResult:
+                                  tail: Callable[[float], float]) -> QuadResult:
     """Semi-infinite integral of an oscillatory Bessel-type integrand as a
     finite body plus its closed-form tail.
 
@@ -165,8 +171,8 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
     be 0 whatever the tail.  ConvergenceError (the partial QuadResult,
     value nan until the body is integrated) before any cell when x_b lies
     beyond _MAX_HALF_PERIODS half-periods, after only the cells between the
-    cut-offs when those alone put the estimate above tol (the tail does
-    not hold at x_a), and after the body when the whole estimate does."""
+    cut-offs when those alone miss SEMIINFINITE_TOL (the tail does not hold
+    at x_a), and after the body when the whole estimate does."""
     if oscillation_scale <= 0.0:
         raise InvalidArgumentError("oscillation_scale must be > 0")
     width = 3.0 * math.pi / oscillation_scale
@@ -186,10 +192,10 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
         mass += abs(v)
     t_b = tail(n_b * width)
     gap = abs(tail(n_a * width) - t_b - shell)
-    if gap + err > tol:
+    if gap + err > SEMIINFINITE_TOL:
         raise ConvergenceError(
             f"body plus tail: the cut-offs disagree by {gap + err:.3e} > "
-            f"tol {tol:.3e}",
+            f"tol {SEMIINFINITE_TOL:.3e}",
             partial=QuadResult(math.nan, gap + err, _GK_NODES * (n_b - n_a), False))
     body = 0.0
     for j in range(n_a):
@@ -199,9 +205,9 @@ def integrate_bessel_semiinfinite(f: Callable[[float], float],
         mass += abs(v)
     value = body + shell + t_b
     est = gap + err + _TAIL_REL_FLOOR * (mass + abs(t_b))
-    if est > tol:
+    if est > SEMIINFINITE_TOL:
         raise ConvergenceError(
-            f"body plus tail: estimate {est:.3e} exceeds tol {tol:.3e}",
+            f"body plus tail: estimate {est:.3e} > tol {SEMIINFINITE_TOL:.3e}",
             partial=QuadResult(value, est, _GK_NODES * n_b, False))
     return QuadResult(value, est, _GK_NODES * n_b, True)
 

@@ -3,12 +3,12 @@
 Bessel J of every integer order (ascending series for small x; Hankel's
 asymptotic expansion for x >= 18.5 while its terms keep falling to 1e-17;
 else Miller's backward recurrence; runs of orders >= 0 from one Miller pass),
-generalized Laguerre polynomials, Pochhammer symbols, the 2F2
-hypergeometric series, the generalized exponential integral E_p at
-half-integer p (alone, or as a ladder of consecutive p from one direct
-evaluation), and the Gegenbauer polynomials that drive the cylindrical
-addition theorem (a run of degrees by recurrence; one degree by its
-cosine sum, the reference).
+generalized Laguerre polynomials, Pochhammer symbols, Kummer's function
+scaled as e^{-x} 1F1(a; b; x) (the vortex series), the generalized
+exponential integral E_p at half-integer p (alone, or as a ladder of
+consecutive p from one direct evaluation), and the Gegenbauer
+polynomials that drive the cylindrical addition theorem (a run of degrees
+by recurrence; one degree by its cosine sum, the reference).
 
 Every function is a pure function of its arguments.  The one piece of
 module-level mutable state is a memo of the Hankel-expansion ratios
@@ -30,8 +30,8 @@ from .errors import ConvergenceError, InvalidArgumentError
 # silently truncating.
 MAX_TERMS = 10_000
 
-# Default relative tolerance for series with a tol parameter.
-DEFAULT_TOL = 1e-12
+# Relative truncation of hyp1f1_scaled's series.
+SERIES_REL_TOL = 1e-12
 
 # Crossover between the ascending power series and the backward (Miller)
 # recurrence.  The series loses ~x/2.3 decimal digits to cancellation at
@@ -281,40 +281,32 @@ def pochhammer(a: float, n: int) -> float:
     return out
 
 
-def hyp2f2(a1: float, a2: float, b1: float, b2: float, x: float,
-           tol: float = DEFAULT_TOL, log_scale: float = 0.0) -> SeriesResult:
-    """e^{log_scale} 2F2(a1, a2; b1, b2; x) by direct summation.
+def hyp1f1_scaled(a: float, b: float, x: float) -> SeriesResult:
+    """e^{-x} 1F1(a; b; x) for a >= 0, b > 0 and x >= 0, by direct
+    summation of positive terms.
 
-    Each term is carried as a sign and log|t_k| + log_scale, so a scale
-    that offsets the growth of the terms (log_scale = -x for e^{-x} 1F1 at
-    large x, where e^{-x} underflows and the terms overflow) keeps them
-    finite.  Terms are added until, past the largest one, |term| <= tol *
-    |partial sum|.  Raises ConvergenceError (carrying the partial sum)
-    past MAX_TERMS.
+    Each term is carried as log t_k - x, so past x ~ 709, where e^{-x}
+    underflows and the terms of 1F1 overflow, their products stay finite.
+    Terms are added until, past the largest one, a term is <=
+    SERIES_REL_TOL of the partial sum.  Raises ConvergenceError (carrying
+    the partial sum) past MAX_TERMS.
     """
-    for b in (b1, b2):
-        if b <= 0.0 and b == int(b):
-            raise InvalidArgumentError("b parameters must not be non-positive integers")
-    if tol <= 0.0:
-        raise InvalidArgumentError("tol must be > 0")
-    if not all(math.isfinite(v) for v in (a1, a2, b1, b2, x, log_scale)):
-        raise InvalidArgumentError("arguments must be finite")
-    sign = 1.0
-    log_t = log_scale
+    if not (0.0 <= a < math.inf and 0.0 < b < math.inf
+            and 0.0 <= x < math.inf):
+        raise InvalidArgumentError("need finite a >= 0, b > 0 and x >= 0")
+    log_t = -x
     total = math.exp(log_t)
     for k in range(MAX_TERMS):
-        ratio = (a1 + k) * (a2 + k) * x / ((b1 + k) * (b2 + k) * (k + 1))
+        ratio = (a + k) * x / ((b + k) * (k + 1))
         nxt = 0.0
         if ratio != 0.0:
-            if ratio < 0.0:
-                sign = -sign
-            log_t += math.log(abs(ratio))
-            nxt = sign * math.exp(log_t)
-        if abs(ratio) < 1.0 and abs(nxt) <= tol * abs(total):
+            log_t += math.log(ratio)
+            nxt = math.exp(log_t)
+        if ratio < 1.0 and nxt <= SERIES_REL_TOL * total:
             return SeriesResult(value=total, terms_used=k + 1,
-                                truncation_estimate=2.0 * abs(nxt))
+                                truncation_estimate=2.0 * nxt)
         total += nxt
-    raise ConvergenceError("hyp2f2 exceeded the term cap", partial=total)
+    raise ConvergenceError("hyp1f1_scaled exceeded the term cap", partial=total)
 
 
 def expint_e(p: float, z: complex) -> complex:

@@ -169,6 +169,48 @@ class TestAmplitude:
         assert len(records) == 1
         assert records[0]["cm_integral"] == [0.0, 0.0]
 
+    def test_high_quanta_trapped_overlap(self, capsys):
+        # The trapped states' norm here is 8.1e-11 and the bare integral
+        # ~0.6, so a tolerance on the bare integral asked for 2e-20
+        # relative and the command exited 3 after 200,000 evaluations.
+        # The reference is mpmath at 40 digits.
+        code, out, _ = run(["amplitude", "--kind", "tm", "--m", "14",
+                            "--kperp", "3.0", "--kz", "1.2",
+                            "--cm-in", "trapped:-1,2,1.0",
+                            "--cm-out", "trapped:-15,15,1.0",
+                            "--int-in", "2p:0", "--int-out", "1s"], capsys)
+        assert code == 0
+        records = json.loads(out)
+        assert len(records) == 1
+        cm = complex(*records[0]["cm_integral"])
+        assert abs(cm - 5.04642378646891387e-11) <= 1e-16
+
+    @pytest.mark.parametrize("k_perp", ["-1", "nan", "inf"])
+    def test_invalid_k_perp_exits_3(self, k_perp, capsys):
+        code, out, err = run(["amplitude", "--kind", "tm", "--m", "0",
+                              "--kperp", k_perp, "--kz", "1.2",
+                              "--cm-in", "trapped:1,0,1.0",
+                              "--cm-out", "trapped:1,0,1.0",
+                              "--int-in", "2p:0", "--int-out", "1s"], capsys)
+        assert code == 3
+        assert "k_perp" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("flag, value", [("--qe", "nan"),
+                                             ("--energy-scale", "inf")])
+    def test_non_finite_coupling_exits_3(self, flag, value, capsys):
+        # Both once exited 0 and printed "amplitude": [NaN, NaN], which is
+        # not JSON.
+        code, out, err = run(["amplitude", "--kind", "tm", "--m", "0",
+                              "--kperp", "0.8", "--kz", "1.2",
+                              "--cm-in", "trapped:1,0,1.0",
+                              "--cm-out", "trapped:1,0,1.0",
+                              "--int-in", "2p:0", "--int-out", "1s",
+                              flag, value], capsys)
+        assert code == 3
+        assert "must be finite" in err
+        assert out == ""
+
     @pytest.mark.parametrize("state", ["free:0,inf", "free:0,1.0,inf"])
     def test_infinite_wavenumber_exits_3(self, state, capsys):
         # An infinite k_perp_R once crashed with ZeroDivisionError (exit 1,
@@ -440,6 +482,17 @@ class TestScan:
         code, _, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "domain error" in err
+        assert not (tmp_path / "out.csv").exists()
+
+    def test_negative_icm0_k_perp_exits_3(self, tmp_path, capsys):
+        # The error names k_perp; it once named the Bessel argument
+        # k_perp alpha x that the quadrature reached ("got -4.0").
+        path, _ = self._config(
+            tmp_path, quantity="icm0", fixed={"alpha": 1.0},
+            grid={"k_perp": {"start": -1.0, "stop": -1.0, "count": 1}})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "0 <= k_perp < inf, got -1.0" in err
         assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("k_perp_R, k_perp_Rp, n",

@@ -61,6 +61,12 @@ class TestStates:
         assert n1 == pytest.approx(1.0, abs=1e-12)
         assert n2 == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize("q_e, energy_scale", [
+        (math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan), (1.0, -math.inf)])
+    def test_dipole_couplings_must_be_finite(self, q_e, energy_scale):
+        with pytest.raises(InvalidArgumentError):
+            me.DipoleCouplings(q_e, energy_scale)
+
     def test_axial_momentum_constraint(self):
         cm = me.CenterOfMassState.free(0, 1.0, 0.7)
         assert me.axial_momentum_constraint(cm, 0.3) == pytest.approx(0.4)
@@ -653,6 +659,52 @@ class TestCenterOfMassIntegrals:
                             * mpmath.hyp1f1(m + n_bar - n + 1, m + n_bar + 1, -z))
                     err = float(abs(mpmath.mpf(r.value) - want))
                 assert err <= r.abs_error_estimate
+
+    @pytest.mark.parametrize("k_perp", [-1.0, math.nan, math.inf])
+    def test_trapped_rejects_invalid_k_perp(self, k_perp):
+        # -1 once reached bessel_j, whose error named x = -4.0.
+        cm = me.CenterOfMassState.trapped(0, 0, 1.0)
+        with pytest.raises(InvalidArgumentError, match="k_perp"):
+            me.icm0(cm, cm, k_perp, 1.0, 0)
+
+    def test_trapped_at_zero_k_perp(self):
+        # J_nu(0) = delta_nu0 leaves the states' orthonormality.
+        for m_R, n_bar in ((0, 0), (1, 2), (-3, 1)):
+            cm = me.CenterOfMassState.trapped(m_R, n_bar, 1.3)
+            assert abs(me.icm0(cm, cm, 0.0, 1.0, 0) - 1.0) <= 1e-12
+        cm_in = me.CenterOfMassState.trapped(1, 2, 1.3)
+        cm_out = me.CenterOfMassState.trapped(1, 0, 1.3)
+        assert abs(me.icm0(cm_in, cm_out, 0.0, 1.0, 0)) <= 1e-12
+
+    def test_trapped_high_quanta_within_tolerance(self, finite_evaluations):
+        # From (m_R, n_bar) = (-1, 2) at k alpha = 3 to m_R' = -1 + order,
+        # n_bar' = 0..29.  The tolerance once bound the integral before
+        # the states' norm (down to ~1e-11 here) scaled it: over orders
+        # -14..14 49 such overlaps raised ConvergenceError, and 80 more
+        # took 2,037 to 140,511 evaluations.
+        cm_in = me.CenterOfMassState.trapped(-1, 2, 1.0)
+        for order in (-14, -6, 0, 6, 14):
+            for n_bar in range(30):
+                cm_out = me.CenterOfMassState.trapped(-1 + order, n_bar, 1.0)
+                me.icm0(cm_in, cm_out, 3.0, 1.0, order)
+        assert len(finite_evaluations) == 150
+        assert max(finite_evaluations) <= 2000
+
+    @pytest.mark.parametrize("n_bar, m_R, k_alpha, nu_max, n_max, shortfall", [
+        (0, 0, 1.0, 8, 10, 2e-11), (1, 1, 2.0, 12, 20, 6e-8)])
+    def test_trapped_sum_rule(self, n_bar, m_R, k_alpha, nu_max, n_max,
+                              shortfall):
+        # sum_nu sum_n_bar' |icm0|^2 = 1: Neumann's sum_nu J_nu(kR)^2 = 1
+        # (DLMF 10.23.3) and the completeness of the oscillator states at
+        # each m_R'.  Truncated to |nu| <= nu_max and n_bar' < n_max, the
+        # sum falls short of 1 by the dropped terms: 1.3e-11 and 4.1e-8.
+        cm_in = me.CenterOfMassState.trapped(m_R, n_bar, 1.0)
+        total = 0.0
+        for nu in range(-nu_max, nu_max + 1):
+            for n_out in range(n_max):
+                cm_out = me.CenterOfMassState.trapped(m_R + nu, n_out, 1.0)
+                total += abs(me.icm0(cm_in, cm_out, k_alpha, 1.0, nu)) ** 2
+        assert -1e-12 <= 1.0 - total <= shortfall
 
     def test_free_non_convergence_raises(self):
         # k_R = 1e-6 puts the cut-offs beyond 1152 half-periods.

@@ -27,7 +27,7 @@ class TestIntegrateFinite:
             quadrature.integrate_finite(math.exp, 2.0, 2.0)
 
     def test_mild_singularity_in_derivative(self):
-        r = quadrature.integrate_finite(math.sqrt, 0.0, 1.0, tol=1e-10)
+        r = quadrature.integrate_finite(math.sqrt, 0.0, 1.0)
         assert r.value == pytest.approx(2.0 / 3.0, abs=1e-9)
 
     def test_evaluations_are_k21_panels(self):
@@ -36,7 +36,7 @@ class TestIntegrateFinite:
         for f, b in ((lambda x: x * x * math.exp(-x * x), 12.0),
                      (math.sqrt, 1.0),
                      (lambda x: math.cos(7.0 * x) * math.exp(-x), 20.0)):
-            r = quadrature.integrate_finite(f, 0.0, b, tol=1e-10)
+            r = quadrature.integrate_finite(f, 0.0, b)
             assert r.evaluations > 21
             assert (r.evaluations - 21) % 42 == 0
 
@@ -56,7 +56,7 @@ class TestSemiInfinite:
         for scale in (0.0, -1.0):
             with pytest.raises(InvalidArgumentError):
                 quadrature.integrate_bessel_semiinfinite(
-                    f, scale, (12.0, 16.0), lambda x0: 0.0, 1e-10)
+                    f, scale, (12.0, 16.0), lambda x0: 0.0)
 
     def test_cell_error_is_not_hidden(self):
         # A unit step on [0, 0.3), inside the first cell of a recoil
@@ -64,7 +64,7 @@ class TestSemiInfinite:
         # either raise or carry an estimate that covers its true error.
         # Integrand, tail and cut-offs (max(12, m^2)/k and max(16, m^2 + 4)/k
         # over the factors) are those of _triple_bessel_oracle(1.0, 0.7,
-        # 1.4, 1, 1, 1, 0, tol), whose exact value is Sonine-Gegenbauer's
+        # 1.4, 1, 1, 1, 0), whose exact value is Sonine-Gegenbauer's
         # 2 Delta / (pi a b c).
         ks, orders = (1.0, 0.7, 1.4), (1, 1, 1)
         f = lambda x: (bessel_j(1, ks[0] * x) * bessel_j(1, ks[1] * x)
@@ -75,7 +75,7 @@ class TestSemiInfinite:
         exact = 2.0 * area / (math.pi * ks[0] * ks[1] * ks[2]) + 0.3
         try:
             r = quadrature.integrate_bessel_semiinfinite(
-                f, sum(ks), (12.0 / 0.7, 16.0 / 0.7), tail, 1e-9)
+                f, sum(ks), (12.0 / 0.7, 16.0 / 0.7), tail)
         except ConvergenceError as exc:
             assert exc.partial.abs_error_estimate > 1e-9
             return
@@ -88,9 +88,10 @@ class TestSemiInfinite:
         f = lambda x: bessel_j(0, x)
         with pytest.raises(ConvergenceError) as info:
             quadrature.integrate_bessel_semiinfinite(
-                f, 1.0, (12.0, 16.0), lambda x0: 0.0, 1e-10)
+                f, 1.0, (12.0, 16.0), lambda x0: 0.0)
         assert not info.value.partial.converged
-        assert info.value.partial.abs_error_estimate > 1e-10
+        assert (info.value.partial.abs_error_estimate
+                > quadrature.SEMIINFINITE_TOL)
         assert info.value.partial.evaluations == 21
 
 

@@ -238,38 +238,41 @@ class TestPochhammer:
         assert specfun.pochhammer(7.3, 0) == 1.0
 
 
-class TestHyp2F2:
+class TestHyp1F1Scaled:
+    @staticmethod
+    def _want(a, b, x):
+        with mpmath.workdps(40):
+            return float(mpmath.exp(-x) * mpmath.hyp1f1(a, b, x))
+
     def test_against_mpmath(self):
-        cases = [
-            (0.5, 1.5, 2.0, 3.0, 1.7),
-            (1.0, 1.0, 2.0, 2.0, -4.0),
-            (2.0, 0.25, 1.5, 0.75, 0.9),
-        ]
-        for a1, a2, b1, b2, x in cases:
-            want = float(mpmath.hyper([a1, a2], [b1, b2], x))
-            res = specfun.hyp2f2(a1, a2, b1, b2, x)
-            assert complex(res.value).real == pytest.approx(want, rel=1e-10)
+        # The vortex series' parameters: a = n >= 0, b = m + n_bar + 1 >= 1.
+        cases = [(0.5, 2.0, 1.7), (0.0, 3.0, 2.5), (1.0, 1.0, 0.0),
+                 (2.0, 5.0, 30.0), (3.0, 17.0, 0.3), (4.0, 9.0, 100.0)]
+        for a, b, x in cases:
+            res = specfun.hyp1f1_scaled(a, b, x)
+            assert res.value == pytest.approx(self._want(a, b, x), rel=1e-11)
             assert res.terms_used >= 1
 
     def test_truncation_estimate_is_honest(self):
-        res = specfun.hyp2f2(1.0, 1.0, 2.0, 2.0, 0.5, tol=1e-6)
-        exact = float(mpmath.hyper([1, 1], [2, 2], 0.5))
-        assert abs(complex(res.value).real - exact) <= 10 * max(
-            res.truncation_estimate, 1e-15)
+        # At SERIES_REL_TOL, wherever the term ratio at the stop is below
+        # 1/2, so that twice the first omitted term bounds the tail.
+        for a, b, x in ((1.0, 2.0, 0.5), (0.5, 2.0, 1.7), (5.0, 6.0, 2.25),
+                        (2.0, 5.0, 30.0)):
+            res = specfun.hyp1f1_scaled(a, b, x)
+            assert abs(res.value - self._want(a, b, x)) <= res.truncation_estimate
 
-    def test_log_scale_past_overflow(self):
-        # e^{-x} 1F1(2; 5; x) at x = 800: e^{-x} underflows and the
-        # terms overflow, but their products stay in range.
-        x = 800.0
-        res = specfun.hyp2f2(2.0, 1.0, 5.0, 1.0, x, log_scale=-x)
-        want = float(mpmath.exp(-x) * mpmath.hyp1f1(2, 5, x))
-        assert res.value == pytest.approx(want, rel=1e-10)
+    def test_past_overflow(self):
+        # At x = 800 e^{-x} underflows and the terms of 1F1(2; 5; x)
+        # overflow, but their products stay in range.
+        res = specfun.hyp1f1_scaled(2.0, 5.0, 800.0)
+        assert res.value == pytest.approx(self._want(2.0, 5.0, 800.0), rel=1e-10)
 
-    def test_rejects_bad_b_parameters(self):
+    @pytest.mark.parametrize("a, b, x", [
+        (-1.0, 2.0, 0.5), (1.0, 0.0, 0.5), (1.0, -3.0, 0.5), (1.0, 2.0, -0.5),
+        (math.nan, 2.0, 0.5), (1.0, math.inf, 0.5), (1.0, 2.0, math.inf)])
+    def test_rejects_arguments_outside_its_domain(self, a, b, x):
         with pytest.raises(InvalidArgumentError):
-            specfun.hyp2f2(1.0, 1.0, 0.0, 2.0, 0.5)
-        with pytest.raises(InvalidArgumentError):
-            specfun.hyp2f2(1.0, 1.0, -3.0, 2.0, 0.5)
+            specfun.hyp1f1_scaled(a, b, x)
 
 
 class TestExpintE:
