@@ -7,7 +7,8 @@ batteries plus the candidate-vs-oracle discrepancy report).
 
 Exit codes: 0 success, 1 verification failure, 2 invalid flags (also a
 verify --only that selects nothing), 3 domain error (also a scan
-parameter that no point reads).
+parameter that the quantity does not take, or a bad output path or
+format: a scan checks its whole config before any point runs).
 """
 
 from __future__ import annotations
@@ -26,10 +27,6 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_INT_PARAMS = {"m", "m_R", "m_R_in", "m_R_out", "m_r_in", "m_r_out", "n",
-               "n_bar", "order", "v_max"}
-
 
 # ---------------------------------------------------------------------------
 # field / channels / amplitude
@@ -52,9 +49,9 @@ def _parse_fields(text, types, usage, required=None):
 def cmd_field(args) -> int:
     at = _parse_fields(args.at, (float,) * 4, "--at expects RHO,PHI,Z[,T]",
                        required=3)
-    flat = _eval_field_point(dict(zip(("rho", "phi", "z", "t"), at),
-                                  kind=args.kind, m=args.m,
-                                  k_perp=args.kperp, k_z=args.kz))
+    flat = _eval_field_point(**dict(zip(("rho", "phi", "z", "t"), at)),
+                             kind=args.kind, m=args.m, k_perp=args.kperp,
+                             k_z=args.kz)
     out = {f: {c: [flat[f + c + "_re"], flat[f + c + "_im"]] for c in "xyz"}
            for f in "AEB"}
     out["omega"] = math.hypot(args.kperp, args.kz)
@@ -140,41 +137,43 @@ def _require(what, value, kind):
     return value
 
 
-def _integer(what, value):
-    """A JSON number as an int; a non-integral one is a domain error."""
-    if isinstance(value, float) and not value.is_integer():
+def _scan_value(what, value, kind):
+    """value as a kind, an evaluator's annotation: "str", "int" (an integral
+    number, returned as an int) or None (a number); else a domain error."""
+    if kind == "str":
+        return _require(what, value, str)
+    _require(what, value, _NUMBER)
+    if kind == "int" and isinstance(value, float) and not value.is_integer():
         raise TwistkitError(f"scan config: {what} must be an integer, "
                             f"not {value!r}")
-    return int(value)
+    return int(value) if kind == "int" else value
 
 
 def _grid_axis(name, spec):
     _require(f"grid axis {name}", spec, dict)
     start, stop, count = (_require(f"grid axis {name}: {key}", spec[key], _NUMBER)
                           for key in ("start", "stop", "count"))
-    count = _integer(f"grid axis {name}: count", count)
+    count = _scan_value(f"grid axis {name}: count", count, "int")
     if count < 1:
         raise TwistkitError(f"grid axis {name}: count must be >= 1")
     if start > stop:
         raise TwistkitError(f"grid axis {name}: start must be <= stop")
     if count == 1:
-        vals = [start]
-    else:
-        step = (stop - start) / (count - 1)
-        vals = [start + i * step for i in range(count)]
-    return vals
+        return [start]
+    step = (stop - start) / (count - 1)
+    return [start + i * step for i in range(count)]
 
 
-def _param(name, value):
-    """value, an int for an integer parameter."""
-    return _integer(name, value) if name in _INT_PARAMS else value
+# Each evaluator's parameters are its quantity's parameter list: a default
+# makes one optional, an ``int`` or ``str`` annotation gives its type, and
+# any other parameter is a number.  cmd_scan reads the list from the
+# function's code object and checks the whole config against it before it
+# evaluates a point.
 
-
-def _eval_field_point(params):
-    mode = ModeSpec(ModeKind(params.get("kind", "tm")), params["m"],
-                    params["k_perp"], params["k_z"])
-    p = CylPoint(params.get("rho", 1.0), params.get("phi", 0.0),
-                 params.get("z", 0.0), params.get("t", 0.0))
+def _eval_field_point(m: int, k_perp, k_z, kind: str = "tm", rho=1.0,
+                      phi=0.0, z=0.0, t=0.0):
+    mode = ModeSpec(ModeKind(kind), m, k_perp, k_z)
+    p = CylPoint(rho, phi, z, t)
     out = {}
     for label, fn in (("A", fields.vector_potential),
                       ("E", fields.electric_field),
@@ -187,63 +186,54 @@ def _eval_field_point(params):
     return out
 
 
-def _eval_expansion_error(params):
-    m = params.get("m", 1)
-    k = params["k_perp"]
-    R = expansion.PlanarVec(params["R"], params.get("phi_R", 0.3))
-    q = expansion.PlanarVec(params["q"], params.get("phi_q", 1.1))
-    v_max = params.get("v_max", expansion.default_v_max(k, R, q))
-    approx = expansion.psi_shifted(m, k, R, q, v_max).value
-    direct = expansion.psi_displaced_direct(m, k, R, q)
+def _eval_expansion_error(k_perp, R, q, m: int = 1, phi_R=0.3, phi_q=1.1,
+                          v_max: int = None):
+    R = expansion.PlanarVec(R, phi_R)
+    q = expansion.PlanarVec(q, phi_q)
+    if v_max is None:
+        v_max = expansion.default_v_max(k_perp, R, q)
+    approx = expansion.psi_shifted(m, k_perp, R, q, v_max).value
+    direct = expansion.psi_displaced_direct(m, k_perp, R, q)
     return {"abs_error": abs(approx - direct), "direct_abs": abs(direct)}
 
 
-def _eval_channel_table(params):
-    m = params["m"]
-    kind = ModeKind(params.get("kind", "tm"))
-    dip = matrix_elements.symbolic_channels(m, kind, "dipole")
-    spin = matrix_elements.symbolic_channels(m, kind, "spin")
+def _eval_channel_table(m: int, kind: str = "tm"):
+    dip = matrix_elements.symbolic_channels(m, ModeKind(kind), "dipole")
+    spin = matrix_elements.symbolic_channels(m, ModeKind(kind), "spin")
     return {"dipole_channels": len(dip), "spin_channels": len(spin)}
 
 
-def _eval_dipole_amplitude(params):
-    mode = ModeSpec(ModeKind(params.get("kind", "tm")),
-                    params.get("m", 0), params["k_perp"], params["k_z"])
-    alpha = params.get("alpha", 1.0)
-    cm_in = matrix_elements.CenterOfMassState.trapped(
-        params.get("m_R_in", 0), 0, alpha)
-    cm_out = matrix_elements.CenterOfMassState.trapped(
-        params.get("m_R_out", 0), 0, alpha)
-    int_in = matrix_elements.hydrogen_state(2, 1, params.get("m_r_in", 0))
-    int_out = matrix_elements.hydrogen_state(1, 0, params.get("m_r_out", 0))
+def _eval_dipole_amplitude(k_perp, k_z, kind: str = "tm", m: int = 0,
+                           alpha=1.0, m_R_in: int = 0, m_R_out: int = 0,
+                           m_r_in: int = 0, m_r_out: int = 0):
+    mode = ModeSpec(ModeKind(kind), m, k_perp, k_z)
+    cm_in = matrix_elements.CenterOfMassState.trapped(m_R_in, 0, alpha)
+    cm_out = matrix_elements.CenterOfMassState.trapped(m_R_out, 0, alpha)
+    int_in = matrix_elements.hydrogen_state(2, 1, m_r_in)
+    int_out = matrix_elements.hydrogen_state(1, 0, m_r_out)
     amps = matrix_elements.dipole_amplitude(mode, cm_in, cm_out, int_in, int_out)
     total = sum((a.amplitude for a in amps), 0j)
     return {"amplitude_re": total.real, "amplitude_im": total.imag,
             "channels": len(amps)}
 
 
-def _eval_icm0(params):
-    alpha = params.get("alpha", 1.0)
-    cm_in = matrix_elements.CenterOfMassState.trapped(
-        params.get("m_R_in", 0), params.get("n_bar", 0), alpha)
-    cm_out = matrix_elements.CenterOfMassState.trapped(
-        params.get("m_R_out", 0), params.get("n_bar", 0), alpha)
-    # icm0 ignores its k_z, so the scan reads none.
-    v = matrix_elements.icm0(cm_in, cm_out, params["k_perp"], 0.0,
-                             params.get("order", 0))
+def _eval_icm0(k_perp, alpha=1.0, m_R_in: int = 0, m_R_out: int = 0,
+               n_bar: int = 0, order: int = 0):
+    cm_in = matrix_elements.CenterOfMassState.trapped(m_R_in, n_bar, alpha)
+    cm_out = matrix_elements.CenterOfMassState.trapped(m_R_out, n_bar, alpha)
+    # icm0 ignores its k_z, so the scan takes none.
+    v = matrix_elements.icm0(cm_in, cm_out, k_perp, 0.0, order)
     return {"icm0_re": v.real, "icm0_im": v.imag}
 
 
-def _eval_triple_bessel(params):
-    r = matrix_elements.triple_bessel(
-        params["k_perp"], params["k_perp_R"], params["k_perp_Rp"],
-        params.get("m", 0), params.get("m_R", 0), params.get("n", 0))
+def _eval_triple_bessel(k_perp, k_perp_R, k_perp_Rp, m: int = 0,
+                        m_R: int = 0, n: int = 0):
+    r = matrix_elements.triple_bessel(k_perp, k_perp_R, k_perp_Rp, m, m_R, n)
     return {"value": r.value, "abs_error_estimate": r.abs_error_estimate}
 
 
-def _eval_suppression(params):
-    return {"value": matrix_elements.suppression_factor(
-        params["k_perp"], params.get("alpha", 1.0))}
+def _eval_suppression(k_perp, alpha=1.0):
+    return {"value": matrix_elements.suppression_factor(k_perp, alpha)}
 
 
 _QUANTITIES = {
@@ -287,21 +277,6 @@ class _Required(dict):
         raise TwistkitError(f"scan config: missing {key!r}")
 
 
-class _Point(_Required):
-    """One scan point's parameters; ``read`` records the keys asked for."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.read = set()
-
-    def __getitem__(self, key):
-        self.read.add(key)
-        return super().__getitem__(key)
-
-    def get(self, key, default=None):
-        return self[key] if key in self else default
-
-
 def cmd_scan(args) -> int:
     with open(args.config) as fh:
         config = json.load(fh, object_hook=_Required,
@@ -311,43 +286,46 @@ def cmd_scan(args) -> int:
     quantity = _require("quantity", config["quantity"], str)
     if quantity not in _QUANTITIES:
         raise TwistkitError(f"unknown scan quantity {quantity!r}")
+    evaluate = _QUANTITIES[quantity]
+    takes = evaluate.__code__.co_varnames[:evaluate.__code__.co_argcount]
     fixed = _require("fixed", config.get("fixed", {}), dict)
-    for name, value in fixed.items():
-        # The mode kind is the one parameter given by name.
-        _require(f"fixed {name}", value, str if name == "kind" else _NUMBER)
-        fixed[name] = _param(name, value)
-    axes = [(name, [_param(name, v) for v in _grid_axis(name, spec)])
-            for name, spec in _require("grid", config["grid"], dict).items()]
-    # Lexicographic order over grid indices.
-    points = [{}]
-    for name, vals in axes:
-        points = [dict(p, **{name: v}) for p in points for v in vals]
+    grid = _require("grid", config["grid"], dict)
 
-    # Grid values win over fixed ones; a name that no point reads is an error.
-    params = [_Point({**fixed, **p}) for p in points]
-    outputs = [_QUANTITIES[quantity](p) for p in params]
-    read = set().union(*(p.read for p in params))
-    unread = sorted(set(fixed).union(*points) - read)
-    if unread:
-        raise TwistkitError(f"scan config: {quantity} ignores {unread}")
-
-    param_names = [name for name, _ in axes]
-    out_names = list(outputs[0].keys()) if outputs else []
-    rows = [dict(p, **o) for p, o in zip(points, outputs)]
+    # The whole config is checked before any point runs: required names,
+    # then types (a name the quantity does not take has none), then such
+    # names, then the output.
+    for name in takes[:len(takes) - len(evaluate.__defaults__ or ())]:
+        if name not in fixed and name not in grid:
+            raise TwistkitError(f"scan config: missing {name!r}")
+    kinds = evaluate.__annotations__
+    fixed = {name: _scan_value(f"fixed {name}", value, kinds.get(name))
+             if name in takes else value for name, value in fixed.items()}
+    axes = [(name, [_scan_value(name, v, kinds.get(name))
+                    for v in _grid_axis(name, spec)])
+            for name, spec in grid.items()]
+    unknown = sorted(set(fixed).union(grid) - set(takes))
+    if unknown:
+        raise TwistkitError(f"scan config: {quantity} takes no {unknown}")
     out_cfg = _require("output", config.get("output", {}), dict)
     path = args.out or out_cfg.get("path")
     fmt = args.format or out_cfg.get("format", "csv")
     if path is None:
         raise TwistkitError("no output path (config output.path or --out)")
     _require("output path", path, str)
+    if fmt not in ("csv", "json"):
+        raise TwistkitError(f"unknown output format {fmt!r}")
+
+    # Lexicographic order over grid indices; grid values win over fixed ones.
+    points = [{}]
+    for name, vals in axes:
+        points = [dict(p, **{name: v}) for p in points for v in vals]
+    rows = [dict(p, **evaluate(**{**fixed, **p})) for p in points]
     if fmt == "csv":
-        _write_csv(path, param_names + out_names, rows)
-    elif fmt == "json":
+        _write_csv(path, list(rows[0]), rows)
+    else:
         with open(path, "w") as fh:
             json.dump(rows, fh, sort_keys=True)
             fh.write("\n")
-    else:
-        raise TwistkitError(f"unknown output format {fmt!r}")
     print(f"wrote {len(rows)} rows to {path}")
     return EXIT_OK
 

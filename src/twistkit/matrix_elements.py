@@ -199,13 +199,19 @@ def _conjugated_terms(mode_kind: ModeKind, m: int, interaction: str):
     return [(mu, -slot, c.conjugate()) for mu, slot, c in terms]
 
 
-def _require_valid_orders(order: Optional[TermOrder],
-                           max_multipole: int = 0) -> None:
-    """InvalidArgumentError unless max_multipole >= 0 and ``order`` (if
-    given) has n >= 0, v >= 0 and 0 <= s <= v: the check both channel
-    engines make before any bookkeeping."""
+def _require_valid_orders(interaction: str, order: Optional[TermOrder],
+                          max_multipole: int = 0) -> None:
+    """InvalidArgumentError unless max_multipole >= 0, ``order`` (if
+    given) has n >= 0, v >= 0 and 0 <= s <= v, and the interaction reads
+    each one given (dipole and spin neither, general not both): the check
+    both channel engines make before any bookkeeping."""
     if max_multipole < 0:
         raise InvalidArgumentError("max_multipole must be >= 0")
+    if interaction != "general" and (order is not None or max_multipole):
+        raise InvalidArgumentError(
+            f"the {interaction} interaction takes no order or max_multipole")
+    if order is not None and max_multipole:
+        raise InvalidArgumentError("give an order or a max_multipole, not both")
     if order is not None:
         n, v, s = order
         if n < 0 or v < 0 or not 0 <= s <= v:
@@ -259,10 +265,11 @@ def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
     (H_I1 at explicit ``order`` indices, or all orders with
     n + v <= max_multipole when ``order`` is None), or "spin" (H_I3 at
     leading order; the internal spatial state is unchanged).
-    InvalidArgumentError for max_multipole < 0 or an order outside
-    n >= 0, v >= 0, 0 <= s <= v.
+    InvalidArgumentError for max_multipole < 0, an order outside
+    n >= 0, v >= 0, 0 <= s <= v, or an order argument the interaction
+    does not read (see _require_valid_orders).
     """
-    _require_valid_orders(order, max_multipole)
+    _require_valid_orders(interaction, order, max_multipole)
     mode_kind = ModeKind(mode_kind)
     terms = _conjugated_terms(mode_kind, m, interaction)
     if interaction == "general":
@@ -328,7 +335,7 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     imports numpy on its first call, so importing twistkit does not.
     Orders are checked as in symbolic_channels.
     """
-    _require_valid_orders(order)
+    _require_valid_orders(interaction, order)
     import numpy as np
 
     mode_kind = ModeKind(mode_kind)

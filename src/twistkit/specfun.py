@@ -57,9 +57,8 @@ _RUN_X_MAX = 2000.0
 class SeriesResult:
     """Value of a truncated series plus bookkeeping.
 
-    ``truncation_estimate`` is an absolute bound on the dropped tail,
-    taken from the first omitted term (times a geometric safety factor
-    where the term ratio is known to be < 1/2).
+    ``truncation_estimate`` is an absolute estimate of the error: the
+    dropped tail, from the first omitted term (see each producer).
     """
 
     value: complex
@@ -290,21 +289,35 @@ def hyp1f1_scaled(a: float, b: float, x: float) -> SeriesResult:
     Terms are added until, past the largest one, a term is <=
     SERIES_REL_TOL of the partial sum.  Raises ConvergenceError (carrying
     the partial sum) past MAX_TERMS.
+
+    The estimate bounds the dropped tail plus the rounding, to first order
+    in u = 2^-53.  Past the stop a term ratio is at most the last for a >= 1
+    (it falls with k), below x / (b + k + 1) for a < 1, and 0 for a = 0.
+    ``drift``, log_t's absolute error over u, gains per step 5 (ratio's five
+    roundings), 2|log ratio| (log, under one ulp) and |log_t| (the sum); a
+    term is then off by (drift + 2) u relative (exp), and the k + 1 terms'
+    sum adds k u of the total.
     """
     if not (0.0 <= a < math.inf and 0.0 < b < math.inf
             and 0.0 <= x < math.inf):
         raise InvalidArgumentError("need finite a >= 0, b > 0 and x >= 0")
     log_t = -x
     total = math.exp(log_t)
+    drift = 0.0
     for k in range(MAX_TERMS):
         ratio = (a + k) * x / ((b + k) * (k + 1))
         nxt = 0.0
         if ratio != 0.0:
-            log_t += math.log(ratio)
+            step = math.log(ratio)
+            log_t += step
+            drift += 5.0 + 2.0 * abs(step) + abs(log_t)
             nxt = math.exp(log_t)
         if ratio < 1.0 and nxt <= SERIES_REL_TOL * total:
+            rho = ratio if a >= 1.0 or a == 0.0 else x / (b + k + 1)
+            tail = nxt / (1.0 - rho) if rho < 1.0 else math.inf
+            rounding = (drift + 2.0 + k) * 2.0 ** -53 * total
             return SeriesResult(value=total, terms_used=k + 1,
-                                truncation_estimate=2.0 * nxt)
+                                truncation_estimate=tail + rounding)
         total += nxt
     raise ConvergenceError("hyp1f1_scaled exceeded the term cap", partial=total)
 

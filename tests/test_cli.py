@@ -102,6 +102,20 @@ class TestChannels:
         assert "domain error" in err
         assert out == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--interaction", "dipole", "--order", "1,0,0"],
+        ["--interaction", "spin", "--max-multipole", "3"],
+        ["--interaction", "general", "--order", "0,1,0",
+         "--max-multipole", "2"]], ids=["dipole_order", "spin_multipole",
+                                        "general_both"])
+    def test_order_the_interaction_ignores_exits_3(self, flags, capsys):
+        # Each once exited 0 with a table that ignored one flag.
+        code, out, err = run(["channels", "--m", "2", "--kind", "tm", *flags],
+                             capsys)
+        assert code == 3
+        assert "domain error" in err
+        assert out == ""
+
 
 class TestAmplitude:
     def test_hydrogen_emission(self, capsys):
@@ -507,6 +521,35 @@ class TestScan:
         code, out, err = run(["scan", "--config", str(path)], capsys)
         assert code == 3
         assert "domain error" in err
+        assert out == ""
+        assert not (tmp_path / "out.csv").exists()
+
+    @pytest.mark.parametrize("fixed, output, named", [
+        ({"alpah": 1.0}, {"format": "csv"}, "['alpah']"),
+        ({"kind": "te"}, {"format": "csv"}, "['kind']"),
+        ({}, {"format": "xml"}, "'xml'"),
+        ({}, None, "no output path")],
+        ids=["unread_name", "unread_string", "unknown_format",
+             "missing_path"])
+    def test_config_error_exits_3_before_any_point_runs(
+            self, tmp_path, capsys, monkeypatch, fixed, output, named):
+        # The point is the unconverged one above: evaluated first, it
+        # would exit 3 naming body plus tail instead of the config error.
+        calls = []
+        original = matrix_elements.triple_bessel
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+        monkeypatch.setattr(matrix_elements, "triple_bessel", counted)
+        path, cfg = self._triple_bessel_config(tmp_path, 1e-6, 1.0, n=1)
+        cfg["fixed"] = fixed
+        cfg["output"] = dict(cfg["output"], **output) if output else {}
+        path.write_text(json.dumps(cfg))
+        code, out, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err and named in err
+        assert calls == []
         assert out == ""
         assert not (tmp_path / "out.csv").exists()
 

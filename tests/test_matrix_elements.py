@@ -150,13 +150,28 @@ class TestSelectionChannels:
         for interaction in ("dipole", "general", "spin"):
             with pytest.raises(InvalidArgumentError):
                 me.symbolic_channels(1.5, ModeKind.TM, interaction)
+            order = me.TermOrder(0, 0, 0) if interaction == "general" else None
             with pytest.raises(InvalidArgumentError):
                 me.azimuthal_channel_table(1.5, ModeKind.TM, interaction,
-                                           order=me.TermOrder(0, 0, 0))
+                                           order=order)
 
     def test_rejects_negative_max_multipole(self):
         with pytest.raises(InvalidArgumentError):
             me.symbolic_channels(1, ModeKind.TM, "general", max_multipole=-1)
+
+    @pytest.mark.parametrize("interaction, order, max_multipole", [
+        ("dipole", me.TermOrder(1, 0, 0), 0), ("spin", None, 3),
+        ("general", me.TermOrder(0, 1, 0), 2)])
+    def test_engines_reject_orders_the_interaction_ignores(
+            self, interaction, order, max_multipole):
+        # Each once gave a table as if the ignored argument were absent.
+        with pytest.raises(InvalidArgumentError):
+            me.symbolic_channels(2, ModeKind.TM, interaction,
+                                 max_multipole=max_multipole, order=order)
+        if not max_multipole:
+            with pytest.raises(InvalidArgumentError):
+                me.azimuthal_channel_table(2, ModeKind.TM, interaction,
+                                           order=order)
 
 
 class TestTripleBessel:

@@ -261,6 +261,21 @@ class TestHyp1F1Scaled:
             res = specfun.hyp1f1_scaled(a, b, x)
             assert abs(res.value - self._want(a, b, x)) <= res.truncation_estimate
 
+    @pytest.mark.parametrize("a, b, x", [
+        *((n, m + n_bar + 1, 0.25 * ka * ka) for ka in (20, 30, 40, 50, 60)
+          for n_bar, m, n in ((0, 2, 2), (0, 3, 1), (1, 2, 1), (2, 3, 2),
+                              (0, 1, 1))),
+        (2.0, 5.0, 800.0), (4.0, 9.0, 100.0), (5.0, 6.0, 2.25),
+        (0.5, 2.0, 1.7)])
+    def test_estimate_bounds_the_error_at_large_x(self, a, b, x):
+        # The vortex series' a = n and b = m + n_bar + 1 at k alpha =
+        # 20..60, x = (k alpha)^2 / 4, where the term ratio at the stop is
+        # 0.56-0.80: twice the first omitted term once fell below the error
+        # by up to 2.9x.  At x = 800 the rounding of the log-space sum
+        # matters too.
+        res = specfun.hyp1f1_scaled(a, b, x)
+        assert abs(res.value - self._want(a, b, x)) <= res.truncation_estimate
+
     def test_past_overflow(self):
         # At x = 800 e^{-x} underflows and the terms of 1F1(2; 5; x)
         # overflow, but their products stay in range.
