@@ -8,7 +8,8 @@ batteries plus the candidate-vs-oracle discrepancy report).
 Exit codes: 0 success, 1 verification failure, 2 invalid flags (also a
 verify --only that selects nothing), 3 domain error (also a scan
 parameter that the quantity does not take, or a bad output path or
-format: a scan checks its whole config before any point runs).
+format, or an output directory that does not exist: a scan checks its
+whole config before any point runs).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import argparse
 import cmath
 import json
 import math
+import os
 import sys
 
 from . import expansion, fields, matrix_elements, quadrature, specfun
@@ -293,7 +295,7 @@ def cmd_scan(args) -> int:
 
     # The whole config is checked before any point runs: required names,
     # then types (a name the quantity does not take has none), then such
-    # names, then the output.
+    # names, then the output: its path, format and directory.
     for name in takes[:len(takes) - len(evaluate.__defaults__ or ())]:
         if name not in fixed and name not in grid:
             raise TwistkitError(f"scan config: missing {name!r}")
@@ -314,6 +316,9 @@ def cmd_scan(args) -> int:
     _require("output path", path, str)
     if fmt not in ("csv", "json"):
         raise TwistkitError(f"unknown output format {fmt!r}")
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise TwistkitError(f"no directory {folder!r} for the output path")
 
     # Lexicographic order over grid indices; grid values win over fixed ones.
     points = [{}]

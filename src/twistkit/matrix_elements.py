@@ -10,7 +10,10 @@ Every emitted channel satisfies
 
 (the photon carries total angular momentum m along z).  A brute-force
 azimuthal double integral over the actual mode functions is provided as
-the independent oracle for the zero/nonzero classification.
+the independent oracle for the zero/nonzero classification: it samples
+the separable factors of each term and transforms them with 1-D FFTs,
+and it raises where its radial weights cannot resolve every channel
+(for some orders from |m| = 81, for every case from |m| = 85).
 """
 
 from __future__ import annotations
@@ -326,11 +329,23 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
                             ) -> Dict[Tuple[int, int, int], float]:
     """Brute-force azimuthal oracle.
 
-    Builds the actual (conjugated) expansion-term integrand on an
+    Samples the actual (conjugated) expansion-term integrand on an
     _N_PHI x _N_PHI trapezoid grid over (phi_R, phi_r) at kR = _KR_R,
     kq = _KR_Q and extracts every double Fourier coefficient; the keys of
     the returned table are the (delta_m_R, delta_m_r, delta_spin) with
     coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
+
+    Each term is radial * cos(w (phi_R - phi_r)) * f(phi_R) * g(phi_r),
+    and cos(w (phi_R - phi_r)) = cos w phi_R cos w phi_r
+    + sin w phi_R sin w phi_r, so the integrand of one spin change is a
+    sum of products U_k(phi_R) V_k(phi_r): its 2-D transform is
+    fft(U)^T fft(V), from 1-D transforms of the sampled factors.
+
+    InvalidArgumentError when the table cannot be trusted: a term's
+    weight |coupling * radial| underflows or falls below _CHANNEL_REL_TOL
+    times the largest, so its channels could drop under the threshold.
+    The weights J_{a+v}(_KR_R) J_{a+v}(_KR_Q) at a = |m| - 1 and |m| + 1
+    part that far for some orders from |m| = 81 on, for all from 85.
     The oracle is the library's one numpy user outside ``verify``; it
     imports numpy on its first call, so importing twistkit does not.
     Orders are checked as in symbolic_channels.
@@ -348,40 +363,43 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
         o = order
 
     phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
-    phi_R = phi[:, None]
-    phi_r = phi[None, :]
     n, v, s = o
-    grids: Dict[int, np.ndarray] = {}
-    scale = 0.0  # sum of |coupling * radial|: what cancellation starts from
+    w = v - 2 * s
+    cos_w, sin_w = np.cos(w * phi), np.sin(w * phi)
+    factors: Dict[int, Tuple[list, list]] = {}  # d_spin -> (U rows, V rows)
+    weights = []
     for mu, sigma, coupling in terms:
         a = abs(mu)
-        if a == 0:
-            if n != 0 or s != 0:
-                continue
-            radial = (specfun.bessel_j(v, _KR_R) * specfun.bessel_j(v, _KR_Q)
-                      * (2.0 if v else 1.0))
-            term = radial * np.cos(v * (phi_R - phi_r)) + 0j
-        else:
-            if n > a:
-                continue
-            sgn = 1 if mu > 0 else -1
-            parity = 1.0 if mu > 0 or a % 2 == 0 else -1.0
-            radial = (parity * specfun.bessel_j(a + v, _KR_R)
-                      * specfun.bessel_j(a + v, _KR_Q)
-                      * math.comb(a, n) * (_KR_Q / _KR_R) ** n)
-            term = (radial * np.cos((v - 2 * s) * (phi_R - phi_r))
-                    * np.exp(-1j * sgn * ((a - n) * phi_R + n * phi_r)))
-        scale += abs(coupling * radial)
+        if n > a or (a == 0 and s != 0):
+            continue
+        sgn = 1 if mu > 0 else -1
+        parity = 1.0 if mu > 0 or a % 2 == 0 else -1.0
+        # The psi_0 term's cos(v (phi_R - phi_r)) weighs 2 J_v J_v for v > 0.
+        radial = (parity * specfun.bessel_j(a + v, _KR_R)
+                  * specfun.bessel_j(a + v, _KR_Q)
+                  * math.comb(a, n) * (_KR_Q / _KR_R) ** n
+                  * (2.0 if a == 0 and v else 1.0))
+        weights.append(abs(coupling * radial))
         d_spin = sigma if spin_mode else 0
-        vec = 1.0 if spin_mode else np.exp(1j * sigma * phi_r)
-        contrib = coupling * term * vec
-        grids[d_spin] = grids.get(d_spin, 0) + contrib
+        f = np.exp(-1j * sgn * (a - n) * phi)
+        g = (coupling * radial
+             * np.exp(1j * ((0 if spin_mode else sigma) - sgn * n) * phi))
+        us, vs = factors.setdefault(d_spin, ([], []))
+        us += [cos_w * f, sin_w * f]
+        vs += [cos_w * g, sin_w * g]
+    if weights and not min(weights) >= max(_CHANNEL_REL_TOL * max(weights),
+                                           sys.float_info.min):
+        raise InvalidArgumentError(
+            f"the azimuthal oracle cannot resolve m = {m}: its term weights "
+            f"{min(weights):.3g}..{max(weights):.3g} span more than "
+            f"{1 / _CHANNEL_REL_TOL:.0e} or underflow")
 
-    spectra = {d_spin: np.abs(np.fft.fft2(grid) / (_N_PHI * _N_PHI))
-               for d_spin, grid in grids.items()}
+    spectra = {d_spin: np.abs(np.fft.fft(us, axis=1).T
+                              @ np.fft.fft(vs, axis=1)) / (_N_PHI * _N_PHI)
+               for d_spin, (us, vs) in factors.items()}
     peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
     table: Dict[Tuple[int, int, int], float] = {}
-    if peak <= 1e-13 * scale:
+    if peak <= 1e-13 * sum(weights):
         return table  # everything cancelled: no allowed channels
     half = _N_PHI // 2
     for d_spin, mags in spectra.items():

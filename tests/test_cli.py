@@ -528,13 +528,15 @@ class TestScan:
         ({"alpah": 1.0}, {"format": "csv"}, "['alpah']"),
         ({"kind": "te"}, {"format": "csv"}, "['kind']"),
         ({}, {"format": "xml"}, "'xml'"),
-        ({}, None, "no output path")],
+        ({}, None, "no output path"),
+        ({}, {"path": "no_such_dir/out.csv"}, "'no_such_dir'")],
         ids=["unread_name", "unread_string", "unknown_format",
-             "missing_path"])
+             "missing_path", "missing_directory"])
     def test_config_error_exits_3_before_any_point_runs(
             self, tmp_path, capsys, monkeypatch, fixed, output, named):
         # The point is the unconverged one above: evaluated first, it
         # would exit 3 naming body plus tail instead of the config error.
+        monkeypatch.chdir(tmp_path)  # where a relative output path points
         calls = []
         original = matrix_elements.triple_bessel
 

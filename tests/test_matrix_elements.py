@@ -10,7 +10,7 @@ import random
 import mpmath
 import pytest
 
-from twistkit import matrix_elements as me
+from twistkit import matrix_elements as me, specfun
 from twistkit.errors import (ConvergenceError, InvalidArgumentError,
                              SingularNormalizationError)
 from twistkit.fields import (CylPoint, ModeKind, ModeSpec, magnetic_field, psi,
@@ -70,6 +70,84 @@ class TestStates:
     def test_axial_momentum_constraint(self):
         cm = me.CenterOfMassState.free(0, 1.0, 0.7)
         assert me.axial_momentum_constraint(cm, 0.3) == pytest.approx(0.4)
+
+
+def _full_grid_table(m, mode_kind, interaction, order=None):
+    """The azimuthal oracle as it first stood, the reference for the
+    factored one: every term sampled on the full _N_PHI x _N_PHI grid and
+    one fft2 per spin change.  It never raises for unresolvable weights."""
+    me._require_valid_orders(interaction, order)
+    import numpy as np
+
+    mode_kind = ModeKind(mode_kind)
+    terms = me._conjugated_terms(mode_kind, m, interaction)
+    spin_mode = interaction == "spin"
+    o = me.TermOrder(0, 0, 0)
+    if interaction == "general":
+        if order is None:
+            raise InvalidArgumentError("the oracle needs explicit order indices")
+        o = order
+
+    phi = 2.0 * np.pi * np.arange(me._N_PHI) / me._N_PHI
+    phi_R = phi[:, None]
+    phi_r = phi[None, :]
+    n, v, s = o
+    grids = {}
+    scale = 0.0  # sum of |coupling * radial|: what cancellation starts from
+    for mu, sigma, coupling in terms:
+        a = abs(mu)
+        if a == 0:
+            if n != 0 or s != 0:
+                continue
+            radial = (specfun.bessel_j(v, me._KR_R)
+                      * specfun.bessel_j(v, me._KR_Q) * (2.0 if v else 1.0))
+            term = radial * np.cos(v * (phi_R - phi_r)) + 0j
+        else:
+            if n > a:
+                continue
+            sgn = 1 if mu > 0 else -1
+            parity = 1.0 if mu > 0 or a % 2 == 0 else -1.0
+            radial = (parity * specfun.bessel_j(a + v, me._KR_R)
+                      * specfun.bessel_j(a + v, me._KR_Q)
+                      * math.comb(a, n) * (me._KR_Q / me._KR_R) ** n)
+            term = (radial * np.cos((v - 2 * s) * (phi_R - phi_r))
+                    * np.exp(-1j * sgn * ((a - n) * phi_R + n * phi_r)))
+        scale += abs(coupling * radial)
+        d_spin = sigma if spin_mode else 0
+        vec = 1.0 if spin_mode else np.exp(1j * sigma * phi_r)
+        contrib = coupling * term * vec
+        grids[d_spin] = grids.get(d_spin, 0) + contrib
+
+    spectra = {d_spin: np.abs(np.fft.fft2(grid) / (me._N_PHI * me._N_PHI))
+               for d_spin, grid in grids.items()}
+    peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
+    table = {}
+    if peak <= 1e-13 * scale:
+        return table  # everything cancelled: no allowed channels
+    half = me._N_PHI // 2
+    for d_spin, mags in spectra.items():
+        rows, cols = np.nonzero(mags > me._CHANNEL_REL_TOL * peak)
+        for jR, jr in zip(rows.tolist(), cols.tolist()):
+            dR = jR if jR < half else jR - me._N_PHI
+            dr = jr if jr < half else jr - me._N_PHI
+            table[(dR, dr, d_spin)] = float(mags[jR, jr])
+    return table
+
+
+def _selection_cases(m):
+    """Every (m, kind, interaction, order) case up to n + v <= 3."""
+    orders = [me.TermOrder(n, v, s) for n in range(4) for v in range(4 - n)
+              for s in range(v + 1)]
+    for kind in (ModeKind.TE, ModeKind.TM):
+        yield m, kind, "dipole", None
+        yield m, kind, "spin", None
+        for o in orders:
+            yield m, kind, "general", o
+
+
+def _symbolic_keys(m, kind, interaction, order):
+    return {(c.delta_m_R, c.delta_m_r, c.delta_spin_e)
+            for c in me.symbolic_channels(m, kind, interaction, order=order)}
 
 
 class TestSelectionChannels:
@@ -172,6 +250,39 @@ class TestSelectionChannels:
             with pytest.raises(InvalidArgumentError):
                 me.azimuthal_channel_table(2, ModeKind.TM, interaction,
                                            order=order)
+
+    @pytest.mark.parametrize("m", range(-6, 7))
+    def test_factored_oracle_matches_the_full_grid(self, m):
+        # The same channels, and magnitudes within 1e-14 of the case's
+        # largest, as the full-grid fft2 it replaced.
+        for case in _selection_cases(m):
+            want = _full_grid_table(*case)
+            got = me.azimuthal_channel_table(*case)
+            assert set(got) == set(want), case
+            peak = max(want.values(), default=0.0)
+            for key, mag in want.items():
+                assert abs(got[key] - mag) <= 1e-14 * peak, (case, key)
+
+    def test_oracle_resolves_every_case_up_to_m_40(self):
+        for m in range(-40, 41):
+            for case in _selection_cases(m):
+                assert (set(me.azimuthal_channel_table(*case))
+                        == _symbolic_keys(*case)), case
+
+    def test_oracle_raises_where_it_once_lost_channels(self):
+        # The full-grid oracle returned partial tables from m = 84 on (the
+        # weight ratio between |mu| = m - 1 and m + 1 falls below 1e-9) and
+        # {} from m ~ 90 on (the weights underflow).  Wherever the oracle
+        # still answers, that old table was right too.
+        for m in range(84, 131):
+            for case in _selection_cases(m):
+                try:
+                    got = me.azimuthal_channel_table(*case)
+                except InvalidArgumentError:
+                    continue
+                want = _symbolic_keys(*case)
+                assert set(got) == want, case
+                assert set(_full_grid_table(*case)) == want, case
 
 
 class TestTripleBessel:

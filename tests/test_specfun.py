@@ -254,8 +254,9 @@ class TestHyp1F1Scaled:
             assert res.terms_used >= 1
 
     def test_truncation_estimate_is_honest(self):
-        # At SERIES_REL_TOL, wherever the term ratio at the stop is below
-        # 1/2, so that twice the first omitted term bounds the tail.
+        # At SERIES_REL_TOL, at small and moderate x, for a < 1 and a >= 1:
+        # the estimate sums the dropped tail as a geometric series in a
+        # bound on the term ratio past the stop, and adds the rounding.
         for a, b, x in ((1.0, 2.0, 0.5), (0.5, 2.0, 1.7), (5.0, 6.0, 2.25),
                         (2.0, 5.0, 30.0)):
             res = specfun.hyp1f1_scaled(a, b, x)
