@@ -1,6 +1,12 @@
 """Selection rules and transition matrix elements for Bessel-photon
 emission by a hydrogen-like atom.
 
+How the atom meets the field is decided in one place, _bracket: the
+fields.mode_terms table of A (H_I1, paired with r) or B = curl A (H_I3,
+paired with S), conjugated for emission.  Both selection engines and
+both amplitude builders read it, and the engines take the expansion
+orders an interaction reads from _interaction_orders.
+
 The selection engine does exact integer bookkeeping of the azimuthal
 exponents carried by every term of the displaced-mode expansion: a
 channel is allowed iff the phi_R and phi_r exponent sums both vanish.
@@ -167,9 +173,17 @@ class DipoleCouplings:
 
 @dataclass(frozen=True)
 class SpinParticle:
+    """The spin coupling's particle: g-factor, charge and mass, g and q
+    finite, 0 < M < inf."""
+
     g: float
     q: float
     M: float
+
+    def __post_init__(self):
+        if not (math.isfinite(self.g) and math.isfinite(self.q)
+                and 0.0 < self.M < math.inf):
+            raise InvalidArgumentError("need finite g and q and 0 < M < inf")
 
 
 @dataclass(frozen=True)
@@ -190,24 +204,29 @@ class CandidateComparison:
 # Selection rules
 # ---------------------------------------------------------------------------
 
-def _conjugated_terms(mode_kind: ModeKind, m: int, interaction: str):
-    """(mu, sigma, coupling) of the emission bracket: the conjugated
+def _bracket(mode: ModeSpec, interaction: str, emission: bool = True):
+    """(pref, [(mu, sigma, c), ...]) of the atom-field bracket, from
     fields.mode_terms of A (H_I1: "dipole", "general") or B = curl A (H_I3:
-    "spin") at k_perp = k_z, without the prefactor.  sigma = -slot is the
-    phi_r exponent of r . e_slot* (H_I1) or the spin change (H_I3)."""
+    "spin").  Absorption takes the terms as they are, sigma = slot;
+    emission conjugates pref and each c, sigma = -slot: the phi_r exponent
+    of r . e_slot* under H_I1, the spin change under H_I3."""
     if interaction not in ("dipole", "general", "spin"):
         raise InvalidArgumentError(f"unknown interaction {interaction!r}")
-    _, terms = fields.mode_terms(ModeSpec(mode_kind, m, 1.0, 1.0),
-                                 curl=interaction == "spin")
-    return [(mu, -slot, c.conjugate()) for mu, slot, c in terms]
+    pref, terms = fields.mode_terms(mode, curl=interaction == "spin")
+    if emission:
+        pref = pref.conjugate()
+        terms = [(mu, -slot, c.conjugate()) for mu, slot, c in terms]
+    return pref, terms
 
 
-def _require_valid_orders(interaction: str, order: Optional[TermOrder],
-                          max_multipole: int = 0) -> None:
-    """InvalidArgumentError unless max_multipole >= 0, ``order`` (if
-    given) has n >= 0, v >= 0 and 0 <= s <= v, and the interaction reads
-    each one given (dipole and spin neither, general not both): the check
-    both channel engines make before any bookkeeping."""
+def _interaction_orders(interaction: str, order: Optional[TermOrder],
+                        max_multipole: int = 0):
+    """The (TermOrder, Channel.order) pairs an interaction reads: the
+    leading term, as DIPOLE, for dipole and spin; for general the given
+    order, or every order with n + v <= max_multipole.
+    InvalidArgumentError unless max_multipole >= 0, ``order`` (if given)
+    has n >= 0, v >= 0 and 0 <= s <= v, and the interaction reads each one
+    given (dipole and spin neither, general not both)."""
     if max_multipole < 0:
         raise InvalidArgumentError("max_multipole must be >= 0")
     if interaction != "general" and (order is not None or max_multipole):
@@ -221,6 +240,10 @@ def _require_valid_orders(interaction: str, order: Optional[TermOrder],
             raise InvalidArgumentError(
                 f"order (n, v, s) = ({n}, {v}, {s}) needs n >= 0, v >= 0 "
                 f"and 0 <= s <= v")
+    if interaction != "general":
+        return [(TermOrder(0, 0, 0), DIPOLE)]
+    orders = [order] if order is not None else _enumerate_orders(max_multipole)
+    return [(o, o) for o in orders]
 
 
 def _term_exponents(mu: int, order: TermOrder):
@@ -262,56 +285,37 @@ def _enumerate_orders(max_multipole: int):
 def symbolic_channels(m: int, mode_kind: ModeKind, interaction: str,
                       max_multipole: int = 0,
                       order: Optional[TermOrder] = None) -> List[Channel]:
-    """Enumerate allowed channels by exact integer bookkeeping.
+    """Enumerate allowed emission channels by exact integer bookkeeping
+    over the terms of the emission bracket (_bracket).
 
     ``interaction``: "dipole" (n = v = s = 0 terms of H_I1), "general"
     (H_I1 at explicit ``order`` indices, or all orders with
     n + v <= max_multipole when ``order`` is None), or "spin" (H_I3 at
-    leading order; the internal spatial state is unchanged).
-    InvalidArgumentError for max_multipole < 0, an order outside
+    leading order; the internal spatial state is unchanged).  The
+    bracket's sigma adds to delta_m_r under H_I1 and is delta_spin under
+    H_I3.  InvalidArgumentError for max_multipole < 0, an order outside
     n >= 0, v >= 0, 0 <= s <= v, or an order argument the interaction
-    does not read (see _require_valid_orders).
+    does not read (see _interaction_orders).
     """
-    _require_valid_orders(interaction, order, max_multipole)
+    orders = _interaction_orders(interaction, order, max_multipole)
     mode_kind = ModeKind(mode_kind)
-    terms = _conjugated_terms(mode_kind, m, interaction)
-    if interaction == "general":
-        orders = [order] if order is not None else _enumerate_orders(max_multipole)
-        markers = {}
-    else:
-        orders = [TermOrder(0, 0, 0)]
-        markers = {TermOrder(0, 0, 0): DIPOLE}
+    _, terms = _bracket(ModeSpec(mode_kind, m, 1.0, 1.0), interaction)
+    spin = interaction == "spin"
 
     # Components sharing |mu| (only mu = -1/+1 at m = 0) carry identical
     # radial weights, so their contributions to one channel can cancel
     # exactly: accumulate signed couplings per (channel, |mu|) group and
     # keep a channel only if some group survives.
     sums: Dict[tuple, complex] = {}
-    for o in orders:
+    for o, marker in orders:
         for mu, sigma, coupling in terms:
             for exp_r, exp_q, parity in _term_exponents(mu, o):
-                if interaction == "spin":
-                    d_spin = sigma
-                    d_m_R = exp_r
-                    d_m_r = exp_q
-                else:
-                    d_spin = 0
-                    d_m_R = exp_r
-                    d_m_r = sigma + exp_q
-                key = (d_m_R, d_m_r, d_spin, markers.get(o, o), abs(mu))
+                d_m_r, d_spin = (exp_q, sigma) if spin else (exp_q + sigma, 0)
+                key = (exp_r, d_m_r, d_spin, marker, abs(mu))
                 sums[key] = sums.get(key, 0.0) + parity * coupling
-    seen = set()
-    out: List[Channel] = []
-    for (d_m_R, d_m_r, d_spin, o, _a), total in sums.items():
-        if abs(total) < 1e-12:
-            continue
-        ckey = (d_m_R, d_m_r, d_spin, o)
-        if ckey in seen:
-            continue
-        seen.add(ckey)
-        out.append(Channel(delta_m_R=d_m_R, delta_m_r=d_m_r,
-                           delta_spin_e=d_spin, mode_kind=mode_kind,
-                           order=o))
+    kept = {key[:4] for key, total in sums.items() if abs(total) >= 1e-12}
+    out = [Channel(d_m_R, d_m_r, d_spin, mode_kind, o)
+           for d_m_R, d_m_r, d_spin, o in kept]
     out.sort(key=lambda c: (c.delta_m_R, c.delta_m_r, c.delta_spin_e,
                             c.order if c.order is not None else (-1, -1, -1)))
     return out
@@ -329,9 +333,10 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
                             ) -> Dict[Tuple[int, int, int], float]:
     """Brute-force azimuthal oracle.
 
-    Samples the actual (conjugated) expansion-term integrand on an
-    _N_PHI x _N_PHI trapezoid grid over (phi_R, phi_r) at kR = _KR_R,
-    kq = _KR_Q and extracts every double Fourier coefficient; the keys of
+    Samples the actual expansion-term integrand of the emission bracket
+    (_bracket, as symbolic_channels reads it) on an _N_PHI x _N_PHI
+    trapezoid grid over (phi_R, phi_r) at kR = _KR_R, kq = _KR_Q and
+    extracts every double Fourier coefficient; the keys of
     the returned table are the (delta_m_R, delta_m_r, delta_spin) with
     coefficient magnitude above _CHANNEL_REL_TOL times the largest one.
 
@@ -348,19 +353,17 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     part that far for some orders from |m| = 81 on, for all from 85.
     The oracle is the library's one numpy user outside ``verify``; it
     imports numpy on its first call, so importing twistkit does not.
-    Orders are checked as in symbolic_channels.
+    Orders are checked as in symbolic_channels (_interaction_orders); the
+    general interaction needs an explicit order.
     """
-    _require_valid_orders(interaction, order)
+    [(o, _)] = _interaction_orders(interaction, order)
     import numpy as np
 
     mode_kind = ModeKind(mode_kind)
-    terms = _conjugated_terms(mode_kind, m, interaction)
+    _, terms = _bracket(ModeSpec(mode_kind, m, 1.0, 1.0), interaction)
+    if interaction == "general" and order is None:
+        raise InvalidArgumentError("the oracle needs explicit order indices")
     spin_mode = interaction == "spin"
-    o = TermOrder(0, 0, 0)
-    if interaction == "general":
-        if order is None:
-            raise InvalidArgumentError("the oracle needs explicit order indices")
-        o = order
 
     phi = 2.0 * np.pi * np.arange(_N_PHI) / _N_PHI
     n, v, s = o
@@ -851,7 +854,14 @@ def i_rel(int_in: InternalState, int_out: InternalState, j: int) -> float:
     """Dipole internal matrix element: the printed angular selection
     factor (primed = final state; the parity-partner branch of the j = 0
     bracket carries the evidently omitted Kronecker delta) times the
-    radial integral int r^3 Theta_F Theta_0 dr."""
+    radial integral int r^3 Theta_F Theta_0 dr.
+
+    With its |m_r|, the printed factor is non-zero for one built-in pair
+    alone, 2p_0 -> 1s at j = 0 (1.290): every sigma transition
+    2p_{+-1} -> 1s and every 1s -> 2p absorption gives exactly 0, although
+    r is Hermitian, so <1s|r_j|2p_m> != 0.  Whether the paper prints this
+    or the factor was mis-transcribed cannot be told from its abstract;
+    the factor is kept as printed until it can."""
     if j not in (-1, 0, 1):
         raise InvalidArgumentError("j must be in {-1, 0, +1}")
     l0, lf = int_in.l_r, int_out.l_r
@@ -888,24 +898,23 @@ def dipole_amplitude(mode: ModeSpec, cm_in: CenterOfMassState,
     supplied state pair.  Channels violating
     delta_m_R + delta_m_r = -m (emission) are simply absent.
     """
-    pref, terms = fields.mode_terms(mode, curl=False)
+    pref, terms = _bracket(mode, "dipole", direction == "emission")
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
     if direction not in ("emission", "absorption"):
         raise InvalidArgumentError("direction must be emission or absorption")
-    # Absorption pairs r with A; emission with A*, which conjugates each
-    # coupling and negates the azimuthal exponents mu and slot.
+    # sigma is d_m_r; psi_mu (absorption) carries e^{i mu phi_R}, conj psi_mu
+    # (emission) e^{-i mu phi_R}.  i_rel takes the slot, sign * sigma.
     sign = -1 if direction == "emission" else 1
     d_m_r = int_out.m_r - int_in.m_r
     d_m_R = cm_out.m_R - cm_in.m_R
     out: List[ChannelAmplitude] = []
-    for mu, slot, c in terms:
-        if d_m_r != sign * slot or d_m_R != sign * mu:
+    for mu, sigma, c in terms:
+        if d_m_r != sigma or d_m_R != sign * mu:
             continue
-        coupling = pref * c if sign > 0 else (pref * c).conjugate()
-        coupling = coupling * (-1j) * charges_masses.q_e * charges_masses.energy_scale
+        coupling = pref * c * (-1j) * charges_masses.q_e * charges_masses.energy_scale
         cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, mu)
-        rel_val = i_rel(int_in, int_out, sign * d_m_r)
+        rel_val = i_rel(int_in, int_out, sign * sigma)
         amp = coupling * cm_val * rel_val
         ch = Channel(delta_m_R=d_m_R, delta_m_r=d_m_r, delta_spin_e=0,
                      mode_kind=mode.kind, order=DIPOLE)
@@ -923,23 +932,25 @@ def spin_matrix_element(mode: ModeSpec, particle: SpinParticle,
     """H_I3 (spin) emission amplitude; None when the azimuthal
     bookkeeping forbids the transition or the internal spatial state
     changes (it must not at this order).  Both spin projections must be
-    +/- 1/2 (InvalidArgumentError otherwise), so the spin changes by
-    -1, 0 or +1."""
+    +/- 1/2, so the spin changes by -1, 0 or +1, and the center-of-mass
+    variants must match (InvalidArgumentError otherwise)."""
     if abs(spin_in) != 0.5 or abs(spin_out) != 0.5:
         raise InvalidArgumentError("spin-1/2 projections must be +/- 1/2")
-    pref, terms = fields.mode_terms(mode, curl=True)
+    pref, terms = _bracket(mode, "spin")
+    if cm_in.variant != cm_out.variant:
+        raise InvalidArgumentError("center-of-mass variants must match")
     if (int_in.l_r, int_in.m_r) != (int_out.l_r, int_out.m_r):
         return None
     d_spin = int(spin_out - spin_in)
     d_m_R = cm_out.m_R - cm_in.m_R
-    # Emission pairs S with B*: the spin change and d_m_R are -slot and -mu.
-    for mu, slot, c in terms:
-        if d_spin != -slot or d_m_R != -mu:
+    # sigma is the spin change, and conj psi_mu carries e^{-i mu phi_R}.
+    for mu, sigma, c in terms:
+        if d_spin != sigma or d_m_R != -mu:
             continue
         # spin ladder matrix element: S_+- flip = 1, S_z diagonal = s_z
         ladder = 1.0 if d_spin != 0 else spin_in
-        coupling = ((pref * c).conjugate()
-                    * (particle.g * particle.q / (2.0 * particle.M)) * ladder)
+        coupling = (pref * c * (particle.g * particle.q / (2.0 * particle.M))
+                    * ladder)
         cm_val = icm0(cm_in, cm_out, mode.k_perp, mode.k_z, mu)
         ch = Channel(delta_m_R=d_m_R, delta_m_r=0, delta_spin_e=d_spin,
                      mode_kind=mode.kind, order=DIPOLE)

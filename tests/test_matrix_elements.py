@@ -67,6 +67,15 @@ class TestStates:
         with pytest.raises(InvalidArgumentError):
             me.DipoleCouplings(q_e, energy_scale)
 
+    @pytest.mark.parametrize("g, q, M", [
+        (2.0, 1.0, 0.0), (2.0, 1.0, -1.0), (2.0, 1.0, math.inf),
+        (2.0, 1.0, math.nan), (math.nan, 1.0, 1.0), (2.0, math.inf, 1.0)])
+    def test_spin_particle_needs_finite_charges_and_positive_mass(self, g, q, M):
+        # M = 0 once raised a bare ZeroDivisionError inside the coupling,
+        # g = NaN gave a NaN amplitude and M = -1 was accepted.
+        with pytest.raises(InvalidArgumentError):
+            me.SpinParticle(g, q, M)
+
     def test_axial_momentum_constraint(self):
         cm = me.CenterOfMassState.free(0, 1.0, 0.7)
         assert me.axial_momentum_constraint(cm, 0.3) == pytest.approx(0.4)
@@ -76,11 +85,11 @@ def _full_grid_table(m, mode_kind, interaction, order=None):
     """The azimuthal oracle as it first stood, the reference for the
     factored one: every term sampled on the full _N_PHI x _N_PHI grid and
     one fft2 per spin change.  It never raises for unresolvable weights."""
-    me._require_valid_orders(interaction, order)
+    me._interaction_orders(interaction, order)
     import numpy as np
 
     mode_kind = ModeKind(mode_kind)
-    terms = me._conjugated_terms(mode_kind, m, interaction)
+    terms = me._bracket(ModeSpec(mode_kind, m, 1.0, 1.0), interaction)[1]
     spin_mode = interaction == "spin"
     o = me.TermOrder(0, 0, 0)
     if interaction == "general":
@@ -1031,6 +1040,18 @@ class TestSpinMatrixElement:
                                        self.cm0, self.cm0, self.s1, self.s1)
 
 
+    def test_center_of_mass_variants_must_match(self):
+        # free -> trapped once returned None when no channel matched
+        # (m_R' = 5) and raised in icm0 when one did (m_R' = -1).
+        mode = ModeSpec(ModeKind.TM, 0, 0.8, 1.2)
+        free = me.CenterOfMassState.free(0, 1.0)
+        for m_R_out in (5, -1):
+            cm_out = me.CenterOfMassState.trapped(m_R_out, 0, 1.0)
+            with pytest.raises(InvalidArgumentError):
+                me.spin_matrix_element(mode, self.particle, -0.5, 0.5,
+                                       free, cm_out, self.s1, self.s1)
+
+
 def _slot_coefficients(field, mode, rho=1.1, phi=0.4):
     """a_slot of a field sum_slot a_slot psi_{m - slot} e_slot read at
     z = t = 0, with e_{+1} = e_x + i e_y, e_{-1} = e_x - i e_y, e_0 = e_z."""
@@ -1088,6 +1109,43 @@ class TestCouplingsMatchFields:
                 ladder = s_in if slot == 0 else 1.0
                 want = b.conjugate() * (p.g * p.q / (2.0 * p.M)) * ladder
                 assert abs(r.coupling - want) <= 1e-13 * abs(want)
+
+
+class TestBuildersMatchEngines:
+    """The amplitude builders find the symbolic engine's channels, one for
+    one: dipole emission channels, and absorption channels negated, are
+    the "dipole" set; spin channels are the "spin" set."""
+
+    cm0 = me.CenterOfMassState.trapped(0, 0, 1.0)
+    s1 = me.hydrogen_state(1, 0)
+    particle = me.SpinParticle(g=2.0, q=1.0, M=1.0)
+
+    @pytest.mark.parametrize("m", range(-3, 4))
+    @pytest.mark.parametrize("kind", [ModeKind.TE, ModeKind.TM])
+    def test_channel_sets_agree(self, kind, m):
+        mode = ModeSpec(kind, m, 0.8, 1.2)
+        emitted, absorbed, spin = set(), set(), set()
+        for m_R_out in range(-6, 7):
+            cm_out = me.CenterOfMassState.trapped(m_R_out, 0, 1.0)
+            for m_r in (-1, 0, 1):
+                p2 = me.hydrogen_state(2, 1, m_r)
+                for a in me.dipole_amplitude(mode, self.cm0, cm_out, p2, self.s1):
+                    emitted.add((a.channel.delta_m_R, a.channel.delta_m_r))
+                for a in me.dipole_amplitude(mode, self.cm0, cm_out, self.s1, p2,
+                                             direction="absorption"):
+                    absorbed.add((-a.channel.delta_m_R, -a.channel.delta_m_r))
+            for s_in in (-0.5, 0.5):
+                for s_out in (-0.5, 0.5):
+                    r = me.spin_matrix_element(mode, self.particle, s_in, s_out,
+                                               self.cm0, cm_out, self.s1, self.s1)
+                    if r is not None:
+                        spin.add((r.channel.delta_m_R, r.channel.delta_spin_e))
+        dipole = {(c.delta_m_R, c.delta_m_r)
+                  for c in me.symbolic_channels(m, kind, "dipole")}
+        assert emitted == dipole
+        assert absorbed == dipole
+        assert spin == {(c.delta_m_R, c.delta_spin_e)
+                        for c in me.symbolic_channels(m, kind, "spin")}
 
 
 class TestCandidateComparisons:
