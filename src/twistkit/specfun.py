@@ -10,15 +10,18 @@ consecutive p from one direct evaluation), and the Gegenbauer
 polynomials that drive the cylindrical addition theorem (a run of degrees
 by recurrence; one degree by its cosine sum, the reference).
 
-Every function is a pure function of its arguments.  The one piece of
-module-level mutable state is a memo of the Hankel-expansion ratios
-(4m^2 - (2k-1)^2) / (8k), a list per order m that grows only as far as a
-call has read it; its entries depend on (m, k) alone, so the memo changes
-no result.
+Every function is a pure function of its arguments.  The module-level
+mutable state is two memos, neither of which changes a result: the
+ascending series' coefficient rows (_SERIES_ROWS), one row per order m
+built in full on the first call at that order, and the Hankel-expansion
+ratios (4m^2 - (2k-1)^2) / (8k) (_HANKEL_RATIOS), a list per order m that
+grows only as far as a call has read it.  Their entries depend on the
+order and the index alone.
 """
 
 from __future__ import annotations
 
+import bisect
 import cmath
 import math
 from dataclasses import dataclass
@@ -75,25 +78,72 @@ class SeriesResult:
             raise InvalidArgumentError("series value is not finite")
 
 
+def _require_integer(name: str, value, least: int):
+    # np.int64 passes, as int does; a float, even 2.0, does not.  The class
+    # test spares an int the hasattr.
+    if ((value.__class__ is not int and not hasattr(value, "__index__"))
+            or value < least):
+        raise InvalidArgumentError(
+            f"{name} must be an integer >= {least}, got {value!r}")
+
+
+# The ascending series J_m(x) = (x/2)^m / m! * S, S = sum_t c_t h^t with
+# h = (x/2)^2 and c_t = (-1)^t m! / (t! (m+t)!).  Keeping N terms drops
+# the alternating tail from c_N h^N on.  Its first term is at most
+# _SERIES_TAIL for h <= L_N = (_SERIES_TAIL / |c_N|)^(1/N).  As
+# 1/|c_N| = N! (m+N)! / m! <= N^N (m+N)^N and _SERIES_TAIL < 1,
+# L_N < N (m+N), so at those h the terms fall from c_N on (their ratio is
+# h / ((t+1)(m+t+1))) and the whole tail is below its first term.  _SERIES_TAIL = 2^-56 keeps it under the
+# rounding S already carries:
+#   - where x^2 < 4(m+1) the terms fall from c_0 = 1, so S lies above 1/8
+#     (its least there is 0.224, J_0(2) at m = 0), and its last step,
+#     adding c_0, rounds to half an ulp of S, at least 2^-56;
+#   - at x < 8 the terms cancel: S's partial sums reach its largest term,
+#     at least c_0 = 1, and carry their rounding, at least 2^-53 absolute
+#     (the largest term reaches ~1e2 at x = 8, hence the ~4e-14 there).
+_SERIES_TAIL = 2.0 ** -56
+
+# Per order m >= 0: (L_1, L_2, ...), the largest h for each term count
+# (increasing); (c_{N-1}, ..., c_1, c_0), the coefficients highest first;
+# and lgamma(m + 1).  Filled by _series_row up to the count whose L_N
+# reaches max(16, m + 1), the largest h the series branch takes.
+_SERIES_ROWS: Dict[int, Tuple[List[float], List[float], float]] = {}
+
+
+def _series_row(order: int) -> Tuple[List[float], List[float], float]:
+    top = max(16.0, order + 1.0)
+    coeffs = [1.0]
+    limits = []
+    denom = 1  # N! (m+N)! / m!, exact, so each c_N is correctly rounded
+    t = 0
+    while not limits or limits[-1] < top:
+        t += 1
+        denom *= t * (order + t)
+        c = 1 / denom
+        limits.append((_SERIES_TAIL / c) ** (1.0 / t) if c else math.inf)
+        coeffs.append(-c if t % 2 else c)
+    coeffs.pop()  # c_N of the last count is dropped, not summed
+    row = (limits, coeffs[::-1], math.lgamma(order + 1))
+    _SERIES_ROWS[order] = row
+    return row
+
+
 def _bessel_j_series(order: int, x: float) -> float:
-    # Ascending series: J_m(x) = sum_t (-1)^t (x/2)^{m+2t} / (t! (m+t)!)
-    half = 0.5 * x
-    # First term (x/2)^m / m!, built in log space to dodge overflow for
-    # large order.
+    # The term count is read from the row before the loop, so the loop is
+    # Horner's rule alone, with no division, abs() or convergence test.
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    log_t0 = order * math.log(half) - math.lgamma(order + 1)
+    limits, coeffs, log_fact = _SERIES_ROWS.get(order) or _series_row(order)
+    half = 0.5 * x
+    # (x/2)^m / m! in log space, which neither overflows nor underflows.
+    log_t0 = order * math.log(half) - log_fact
     if log_t0 < -745.0:  # underflows to zero anyway
         return 0.0
-    term = math.exp(log_t0)
-    total = term
     h2 = half * half
-    for t in range(1, MAX_TERMS):
-        term *= -h2 / (t * (order + t))
-        total += term
-        if abs(term) <= 1e-17 * (abs(total) + 1e-300):
-            return total
-    raise ConvergenceError("bessel_j series did not converge", partial=total)
+    total = 0.0
+    for c in coeffs[len(coeffs) - 1 - bisect.bisect_left(limits, h2):]:
+        total = total * h2 + c
+    return math.exp(log_t0) * total
 
 
 def _miller_start(top: int, x: float) -> int:
@@ -161,10 +211,8 @@ def bessel_j_run(order: int, n: int, x: float) -> List[float]:
     that one pass step could overflow it cannot start; there the run is
     n bessel_j calls.
     """
-    if not (hasattr(order, "__index__") and order >= 0):
-        raise InvalidArgumentError(f"order must be an integer >= 0, got {order!r}")
-    if not (hasattr(n, "__index__") and n >= 1):
-        raise InvalidArgumentError(f"n must be an integer >= 1, got {n!r}")
+    _require_integer("order", order, 0)
+    _require_integer("n", n, 1)
     if not math.isfinite(x) or x < 0.0:
         raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
     if x == 0.0:
@@ -233,7 +281,10 @@ def bessel_j(order: int, x: float) -> float:
     Three branches: the ascending series for small x (or x^2 < 4(order+1)),
     Hankel's asymptotic expansion for x >= 18.5, accepted only while its
     terms keep falling to 1e-17 of the sum, else Miller's backward
-    recurrence.  Accurate to at least 12 significant digits.  A negative
+    recurrence.  Absolute errors, as the tests pin them: the series within
+    ~4e-14 up to x = 8 (its terms cancel; far less at small x), Miller
+    within ~1e-15 up to x = 3000, Hankel within 3e-16.  Near a zero no
+    double-precision value keeps its relative digits.  A negative
     order is J_{-m} = (-1)^m J_m: a sign on the one evaluation.  A
     non-integral order (a float, even 2.0) raises InvalidArgumentError.
     """
@@ -258,8 +309,9 @@ def bessel_j(order: int, x: float) -> float:
 
 def laguerre(n: int, alpha: float, x: float) -> float:
     """Generalized Laguerre polynomial L_n^alpha(x), three-term recurrence."""
-    if n < 0:
-        raise InvalidArgumentError("n must be >= 0")
+    # _require_integer's test inline: trapped icm0 calls this twice a node.
+    if (n.__class__ is not int and not hasattr(n, "__index__")) or n < 0:
+        raise InvalidArgumentError(f"n must be an integer >= 0, got {n!r}")
     if not (math.isfinite(alpha) and math.isfinite(x)):
         raise InvalidArgumentError("alpha and x must be finite")
     if n == 0:
@@ -272,8 +324,7 @@ def laguerre(n: int, alpha: float, x: float) -> float:
 
 def pochhammer(a: float, n: int) -> float:
     """Rising factorial (a)_n = a (a+1) ... (a+n-1); 1 for n = 0."""
-    if n < 0:
-        raise InvalidArgumentError("n must be >= 0")
+    _require_integer("n", n, 0)
     out = 1.0
     for k in range(n):
         out *= a + k
@@ -393,8 +444,7 @@ def gegenbauer_coefficients(l: int, v: int) -> List[float]:
     term so that l + v ~ 30 does not overflow."""
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
-    if v < 0:
-        raise InvalidArgumentError("v must be >= 0")
+    _require_integer("v", v, 0)
     # s = 0 coefficient: G(l) G(l+v) / (v! G(l)^2) = (l)_v / v!
     coeff = 1.0
     for k in range(v):
@@ -424,8 +474,7 @@ def gegenbauer_run(l: int, n: int, delta_phi: float) -> List[float]:
     gegenbauer_coeff's cosine sums take O(n^2)."""
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
-    if n < 1:
-        raise InvalidArgumentError(f"n must be >= 1, got {n!r}")
+    _require_integer("n", n, 1)
     t2 = 2.0 * math.cos(delta_phi)
     out = [1.0, t2 * l]
     for v in range(2, n):
