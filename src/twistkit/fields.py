@@ -194,30 +194,21 @@ def mode_terms(mode: ModeSpec, curl: bool):
 
 def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
     """A (curl=False) or B = curl A (curl=True) from mode_terms; an L/R
-    mode adds its TM and TE terms, of its base order, into the same slots.
-    The profiles psi_{m-1}, psi_m, psi_{m+1} take their Bessel values
-    from one run over |mu|, with J_{-n} = (-1)^n J_n."""
+    mode adds its TM and TE terms, of its base order, into the same slots."""
     if mode.kind in (ModeKind.L, ModeKind.R):
         dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
         m = dec.base_m
         parts = ((ModeSpec(ModeKind.TM, m, mode.k_perp, mode.k_z), dec.c_tm),
                  (ModeSpec(ModeKind.TE, m, mode.k_perp, mode.k_z), dec.c_te))
     else:
-        m = mode.m
         parts = ((mode, 1.0),)
-    lo = abs(m) - 1 if m else 0  # the least |mu| of m - 1, m, m + 1
-    run = specfun.bessel_j_run(lo, abs(m) + 2 - lo, mode.k_perp * p.rho)
-    psis = {}
-    for mu in (m - 1, m, m + 1):
-        j = run[abs(mu) - lo]
-        psis[mu] = (-j if mu < 0 and mu % 2 else j) * cmath.exp(1j * mu * p.phi)
     phase = _phase(mode, p)
     slots = [0.0, 0.0, 0.0]  # indexed by slot: e_z, e_x + i e_y, e_x - i e_y
     for part, weight in parts:
         pref, terms = mode_terms(part, curl)
         pref *= weight * phase
         for mu, slot, c in terms:
-            slots[slot] += pref * c * psis[mu]
+            slots[slot] += pref * c * psi(mu, mode.k_perp, p.rho, p.phi)
     return _circular_sample(slots[1], slots[-1], slots[0])
 
 

@@ -93,8 +93,8 @@ def _require_integer(name: str, value, least: int):
 # _SERIES_TAIL for h <= L_N = (_SERIES_TAIL / |c_N|)^(1/N).  As
 # 1/|c_N| = N! (m+N)! / m! <= N^N (m+N)^N and _SERIES_TAIL < 1,
 # L_N < N (m+N), so at those h the terms fall from c_N on (their ratio is
-# h / ((t+1)(m+t+1))) and the whole tail is below its first term.  _SERIES_TAIL = 2^-56 keeps it under the
-# rounding S already carries:
+# h / ((t+1)(m+t+1))) and the whole tail is below its first term.
+# _SERIES_TAIL = 2^-56 keeps it under the rounding S already carries:
 #   - where x^2 < 4(m+1) the terms fall from c_0 = 1, so S lies above 1/8
 #     (its least there is 0.224, J_0(2) at m = 0), and its last step,
 #     adding c_0, rounds to half an ulp of S, at least 2^-56;
@@ -111,6 +111,9 @@ _SERIES_ROWS: Dict[int, Tuple[List[float], List[float], float]] = {}
 
 
 def _series_row(order: int) -> Tuple[List[float], List[float], float]:
+    # A Python int, so that denom stays exact: an np.int64 order would
+    # make it an np.int64, which wraps past 2^63 (at N ~ 12 for m = 5).
+    order = int(order)
     top = max(16.0, order + 1.0)
     coeffs = [1.0]
     limits = []
@@ -309,9 +312,7 @@ def bessel_j(order: int, x: float) -> float:
 
 def laguerre(n: int, alpha: float, x: float) -> float:
     """Generalized Laguerre polynomial L_n^alpha(x), three-term recurrence."""
-    # _require_integer's test inline: trapped icm0 calls this twice a node.
-    if (n.__class__ is not int and not hasattr(n, "__index__")) or n < 0:
-        raise InvalidArgumentError(f"n must be an integer >= 0, got {n!r}")
+    _require_integer("n", n, 0)
     if not (math.isfinite(alpha) and math.isfinite(x)):
         raise InvalidArgumentError("alpha and x must be finite")
     if n == 0:

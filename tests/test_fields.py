@@ -138,17 +138,17 @@ class TestFieldStructure:
             assert abs(l + w * w * a) < 1e-6 * w * w * max(s.norm(), 1e-3)
 
 
-def _per_psi_field(mode, p, curl, bessel=specfun.bessel_j):
-    """The reference composition: one psi, so one scalar Bessel value, per
-    term of mode_terms, and an L/R mode as the sum of its TM and TE fields
-    scaled by lr_decomposition.  bessel=lambda order, x: 1.0 gives the
-    field's natural amplitude."""
+def _recursive_field(mode, p, curl, bessel=specfun.bessel_j):
+    """The reference composition: one psi per term of mode_terms, and an
+    L/R mode as the sum of its TM and TE FieldSamples, each scaled by
+    lr_decomposition.  bessel=lambda order, x: 1.0 gives the field's
+    natural amplitude."""
     if mode.kind in (ModeKind.L, ModeKind.R):
         dec = fields.lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
         base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
         base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
-        return (_per_psi_field(base_tm, p, curl, bessel).scaled(dec.c_tm)
-                + _per_psi_field(base_te, p, curl, bessel).scaled(dec.c_te))
+        return (_recursive_field(base_tm, p, curl, bessel).scaled(dec.c_tm)
+                + _recursive_field(base_te, p, curl, bessel).scaled(dec.c_te))
     pref, terms = fields.mode_terms(mode, curl)
     pref *= cmath.exp(1j * (mode.k_z * p.z - mode.omega() * p.t))
     slots = [0.0, 0.0, 0.0]
@@ -159,13 +159,13 @@ def _per_psi_field(mode, p, curl, bessel=specfun.bessel_j):
     return FieldSample(plus + minus, 1j * (plus - minus), slots[0])
 
 
-class TestOneBesselRunPerField:
-    # k_perp rho = 2500 lies past the run's Miller range, where it is
-    # scalar bessel_j calls (Hankel's expansion).
+class TestSlotComposition:
+    # k_perp rho over every bessel_j branch: 0, the series (0.3, 5), Miller
+    # (12) and Hankel's expansion (2500).
     ARGS = (0.0, 0.3, 5.0, 12.0, 2500.0)
 
     @pytest.mark.parametrize("kind", list(ModeKind))
-    def test_matches_the_per_psi_composition(self, kind):
+    def test_matches_the_recursive_composition(self, kind):
         k_perp, k_z = 1.3, 0.7
         for m in range(-6, 7):
             mode = ModeSpec(kind, m, k_perp, k_z)
@@ -176,41 +176,12 @@ class TestOneBesselRunPerField:
                         ("A", fields.vector_potential(mode, p), False, 1.0),
                         ("E", fields.electric_field(mode, p), False, 1j * w),
                         ("B", fields.magnetic_field(mode, p), True, 1.0)):
-                    want = _per_psi_field(mode, p, curl).scaled(factor)
-                    unit = _per_psi_field(mode, p, curl,
+                    want = _recursive_field(mode, p, curl).scaled(factor)
+                    unit = _recursive_field(mode, p, curl,
                                           lambda order, x: 1.0).scaled(factor)
                     err = max(abs(getattr(got, c) - getattr(want, c))
                               for c in "xyz")
                     assert err <= 1e-14 * unit.norm(), (kind, m, x, label)
-
-    def test_one_run_per_field_call(self, monkeypatch):
-        runs = []
-        scalar = []
-        run, bessel_j = specfun.bessel_j_run, specfun.bessel_j
-
-        def counted_run(order, n, x):
-            runs.append((order, n))
-            return run(order, n, x)
-
-        def counted_scalar(order, x):
-            scalar.append(order)
-            return bessel_j(order, x)
-        monkeypatch.setattr(specfun, "bessel_j_run", counted_run)
-        monkeypatch.setattr(specfun, "bessel_j", counted_scalar)
-        p = CylPoint(1.7, 0.4, 0.2, 0.1)
-        for kind in ModeKind:
-            for m in (-3, 0, 1, 4):
-                mode = ModeSpec(kind, m, 1.1, 0.8)
-                for fn in (fields.vector_potential, fields.electric_field,
-                           fields.magnetic_field):
-                    runs.clear()
-                    fn(mode, p)
-                    # L/R read the orders of their base m + 1 or m - 1.
-                    base = m + {ModeKind.L: 1, ModeKind.R: -1}.get(kind, 0)
-                    # |mu| over base - 1, base, base + 1.
-                    lo = abs(base) - 1 if base else 0
-                    assert runs == [(lo, abs(base) + 2 - lo)]
-        assert scalar == []
 
 
 class TestPolarizationDecomposition:

@@ -198,6 +198,19 @@ class TestBesselJSeries:
         assert least == mpmath.hyp0f1(1, -1)
         assert 0.125 < least < 0.225
 
+    @pytest.mark.parametrize("order", [5, -5, 12])
+    def test_numpy_order_builds_an_exact_row(self, monkeypatch, order):
+        # The first call at an order builds its row; from an np.int64 order
+        # the row's exact denominator N! (m+N)! / m! once became an
+        # np.int64, which wraps past 2^63 (N ~ 12 at m = 5), and every later
+        # int call at that order read the garbage row.
+        monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+        first = specfun.bessel_j(np.int64(order), 6.0)
+        later = specfun.bessel_j(order, 6.0)
+        monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
+        assert first == later == specfun.bessel_j(order, 6.0)
+        assert abs(later - mpmath.besselj(order, 6.0)) <= self.BOUND
+
 
 class TestBesselJRun:
     def test_against_mpmath_no_worse_than_scalar(self):
