@@ -11,8 +11,8 @@ fields
     TE/TM/L/R Bessel modes: vector potential, electric and magnetic
     fields, circular-basis decompositions.
 expansion
-    Addition-theorem expansions of a vortex profile about a displaced
-    center, with per-term breakdowns.
+    The addition-theorem expansion of a vortex profile about a displaced
+    center, and its first-order two-displacement bracket.
 matrix_elements
     Center-of-mass and internal matrix elements (free recoil integrals
     by Graf's closed form where the orders allow, else body plus tail),

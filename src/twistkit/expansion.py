@@ -2,9 +2,9 @@
 
 The scalar profile psi_m evaluated at R - q (vector difference of two
 transverse vectors) is expanded through the Gegenbauer addition theorem
-combined with an exact binomial phase expansion.  The v = 0 truncation,
-the first-order two-displacement bracket, and the two-mode product
-expansion build on the same pieces.
+times the binomial phase (psi_shifted), checked against the direct
+evaluation (psi_displaced_direct).  The first-order two-displacement
+bracket (quadrupole_expand) truncates the same profile at O(|r|).
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import List
 
 from . import specfun
 from .errors import InvalidArgumentError, SingularConfigurationError
@@ -38,20 +37,14 @@ class PlanarVec:
         return PlanarVec(abs(c), cmath.phase(c))
 
 
-@dataclass(frozen=True)
-class ExpansionTerm:
-    """One (n, v, s) term of the combined displaced-profile series."""
-
-    n: int
-    v: int
-    s: int
-    value: complex
-
-
 def default_v_max(k_perp: float, R: PlanarVec, q: PlanarVec) -> int:
     """Automatic truncation: Bessel orders decay uniformly once the order
-    exceeds the argument, so k_perp * min(R, q) + 40 suffices."""
-    return int(math.ceil(k_perp * min(R.r, q.r))) + 40
+    exceeds the argument, so k_perp * min(R, q) + 40 suffices.  A
+    non-finite k_perp * min(R, q) raises InvalidArgumentError."""
+    x = k_perp * min(R.r, q.r)
+    if not math.isfinite(x):
+        raise InvalidArgumentError(f"k_perp * min(R, q) = {x!r} is not finite")
+    return math.ceil(x) + 40
 
 
 def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
@@ -63,7 +56,8 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
                           / ((kR)^l (kq)^l) C_v^l(cos(phi_R - phi_q)),
 
     the Bessel values from one bessel_j_run per argument, the C_v^l from
-    gegenbauer_run's recurrence in v.
+    gegenbauer_run's recurrence in v.  The theorem's (l+v) weight is used:
+    the printed (m-v) variant fails the direct-evaluation oracle.
     """
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
@@ -110,50 +104,14 @@ def phase_expand(m: int, k_perp: float, R: PlanarVec, q: PlanarVec) -> complex:
     return total / (k_perp * rho) ** m
 
 
-def psi_shifted_terms(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
-                      v_max: int) -> List[ExpansionTerm]:
-    """Per-term breakdown of the displaced-profile series for m > 0.
-
-    Term (n, v, s) value:
-
-        2^m (m-1)! (m+v) J_{m+v}(kR) J_{m+v}(kq) / (kq)^m
-        * G(m+s) G(m+v-s) / (s! (v-s)! G(m)^2) cos((v-2s)(phi_R - phi_q))
-        * (-1)^n C(m,n) (q/R)^n e^{i(m-n)phi_R} e^{i n phi_q}
-
-    The theorem's (l+v) weight is used; the printed (m-v) variant fails
-    the direct-evaluation oracle.
-    """
-    if m < 1:
-        raise InvalidArgumentError("m must be >= 1 for the term breakdown")
-    if not (R.r > 0.0 and q.r > 0.0):
-        raise InvalidArgumentError("need R.r > 0 and q.r > 0")
-    xr = k_perp * R.r
-    xq = k_perp * q.r
-    dphi = R.phi - q.phi
-    pref_m = 2.0 ** m * math.factorial(m - 1) / xq ** m
-    jr = specfun.bessel_j_run(m, v_max + 1, xr)
-    jq = specfun.bessel_j_run(m, v_max + 1, xq)
-    terms: List[ExpansionTerm] = []
-    for v in range(v_max + 1):
-        radial = pref_m * (m + v) * jr[v] * jq[v]
-        for s, coeff in enumerate(specfun.gegenbauer_coefficients(m, v)):
-            ang = coeff * math.cos((v - 2 * s) * dphi)
-            for n in range(m + 1):
-                val = (radial * ang * (-1) ** n * math.comb(m, n)
-                       * (q.r / R.r) ** n
-                       * cmath.exp(1j * ((m - n) * R.phi + n * q.phi)))
-                terms.append(ExpansionTerm(n=n, v=v, s=s, value=val))
-    return terms
-
-
 def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
                 v_max: int) -> SeriesResult:
     """Series value of psi_m at the displaced point R - q; converges to
     J_m(k rho) e^{i m phi_rho}.  For m >= 1 it is the exact factorisation
     [J_m(k rho) / (k rho)^m] (k (R - q))^m: the gegenbauer_expand ratio
-    series times the binomial as one complex power (psi_shifted_terms has
-    the (n, v, s) breakdown).  ``terms_used`` counts the v_max + 1 radial
-    terms; ``truncation_estimate`` is the last one's magnitude."""
+    series times the binomial as one complex power.  ``terms_used`` counts
+    the v_max + 1 radial terms; ``truncation_estimate`` is the last one's
+    magnitude."""
     if m < 0:
         raise InvalidArgumentError("m must be >= 0")
     if v_max < 0:
@@ -191,49 +149,30 @@ def psi_displaced_direct(m: int, k_perp: float, R: PlanarVec,
     return specfun.bessel_j(m, k_perp * rho) * cmath.exp(1j * m * phi)
 
 
-def _binomial_phase(radial: float, power: int, R: PlanarVec, d: float,
-                    phi_d: float) -> complex:
-    """radial ((R + d e^{i phi_d}) / |R|)^power, the binomial phase sum of
-    the displaced-profile truncations (d may be negative).  At R = 0 the
-    d/R factors are singular unless power is 0 (the value is radial) or
-    d is 0 (the value is 0: radial carries J_power(0) = 0); otherwise
-    SingularConfigurationError."""
-    if R.r == 0.0:
-        if power == 0:
-            return complex(radial)
-        if d == 0.0:
-            return 0j
-        raise SingularConfigurationError(
-            "R = 0 with a displacement: the (d/R)^n factors are singular")
-    return radial * (cmath.exp(1j * R.phi)
-                     + d / R.r * cmath.exp(1j * phi_d)) ** power
-
-
-def centered_cm_approx(m: int, k_perp: float, R: PlanarVec,
-                       q: PlanarVec) -> complex:
-    """v = 0 truncation (spatial part):
-
-        J_m(kR) sum_n (-1)^n C(m,n) (q/R)^n e^{i(m-n)phi_R} e^{i n phi_q}
-            = J_m(kR) (e^{i phi_R} - (q/R) e^{i phi_q})^m.
-    """
-    if m < 0:
-        raise InvalidArgumentError("m must be >= 0")
-    return _binomial_phase(specfun.bessel_j(m, k_perp * R.r), m, R,
-                           -q.r, q.phi)
-
-
 def _first_order_profile(m: int, k_perp: float, R: PlanarVec,
                          u: PlanarVec) -> complex:
     """psi_m at the displaced point R + u, accurate through O(|u|):
 
         [J_m(kR) - k u J_{m+1}(kR) cos(phi_R - phi_u)]
         * (e^{i phi_R} + (u/R) e^{i phi_u})^m.
+
+    At R = 0 the u/R factor is singular unless m is 0 (the value is the
+    radial factor) or u is 0 (the value is 0: the radial factor carries
+    J_m(0) = 0); otherwise SingularConfigurationError.
     """
     xr = k_perp * R.r
     radial = (specfun.bessel_j(m, xr)
               - k_perp * u.r * specfun.bessel_j(m + 1, xr)
               * math.cos(R.phi - u.phi))
-    return _binomial_phase(radial, m, R, u.r, u.phi)
+    if R.r == 0.0:
+        if m == 0:
+            return complex(radial)
+        if u.r == 0.0:
+            return 0j
+        raise SingularConfigurationError(
+            "R = 0 with a displacement: the (u/R)^n factors are singular")
+    return radial * (cmath.exp(1j * R.phi)
+                     + u.r / R.r * cmath.exp(1j * u.phi)) ** m
 
 
 def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
@@ -260,20 +199,3 @@ def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
     if b > 0.0:
         out -= b * _first_order_profile(m, k_perp, R, un)
     return out
-
-
-def product_expand(m1: int, m2: int, k1: float, k2: float, R: PlanarVec,
-                   r: PlanarVec, mass_ratio: float) -> complex:
-    """Double-binomial truncation of psi_{m1} psi_{m2} at the displaced
-    point R + mass_ratio * r (spatial part):
-
-        J_{m1}(k1 R) J_{m2}(k2 R)
-        sum_{n, n'} C(m1,n) C(m2,n') (u/R)^{n+n'}
-        e^{i(m1+m2-n-n') phi_R} e^{i(n+n') phi_r},   u = mass_ratio * r,
-
-    summed by Vandermonde as (e^{i phi_R} + (u/R) e^{i phi_r})^{m1+m2}.
-    """
-    if m1 < 0 or m2 < 0:
-        raise InvalidArgumentError("orders must be >= 0")
-    radial = specfun.bessel_j(m1, k1 * R.r) * specfun.bessel_j(m2, k2 * R.r)
-    return _binomial_phase(radial, m1 + m2, R, mass_ratio * r.r, r.phi)

@@ -95,9 +95,6 @@ class FieldSample:
     def scaled(self, factor: complex) -> "FieldSample":
         return FieldSample(factor * self.x, factor * self.y, factor * self.z)
 
-    def __add__(self, other: "FieldSample") -> "FieldSample":
-        return FieldSample(self.x + other.x, self.y + other.y, self.z + other.z)
-
     def norm(self) -> float:
         return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2)
 

@@ -96,9 +96,9 @@ class InternalState:
     r_max: float = 60.0
 
     def __post_init__(self):
-        if self.l_r < 0:
-            raise InvalidArgumentError("l_r must be >= 0")
-        if abs(self.m_r) > self.l_r:
+        specfun._require_integer("l_r", self.l_r, 0)
+        specfun._require_integer("m_r", self.m_r, -self.l_r)
+        if self.m_r > self.l_r:
             raise InvalidArgumentError("|m_r| must be <= l_r")
 
 

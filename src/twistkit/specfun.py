@@ -8,7 +8,7 @@ scaled as e^{-x} 1F1(a; b; x) (the vortex series), the generalized
 exponential integral E_p at half-integer p (alone, or as a ladder of
 consecutive p from one direct evaluation), and the Gegenbauer
 polynomials that drive the cylindrical addition theorem (a run of degrees
-by recurrence; one degree by its cosine sum, the reference).
+by recurrence).
 
 Every function is a pure function of its arguments.  The module-level
 mutable state is two memos, neither of which changes a result: the
@@ -154,7 +154,8 @@ def _miller_start(top: int, x: float) -> int:
     return start + start % 2
 
 
-def _miller_pass(order: int, n: int, x: float) -> Tuple[List[float], float]:
+def _miller_pass(order: int, n: int, x: float,
+                 start: int) -> Tuple[List[float], float]:
     # [J_order(x), ..., J_{order+n-1}(x)] times a common factor, and that
     # factor, by the backward recurrence
     # J_{k-1} = (2k/x) J_k - J_{k+1} from an arbitrary start, normalized by
@@ -162,10 +163,11 @@ def _miller_pass(order: int, n: int, x: float) -> Tuple[List[float], float]:
     # above the turning point max(order + n - 1, x), across a transition
     # layer ~x^(1/3) wide, so the margin is counted in that unit: with
     # 10 x^(1/3) + 8 what remains is the rounding of the ~x steps (at most
-    # ~1e-15 up to x = 3000; a fixed margin of 30 loses 2e-4 there).  Each
-    # pass takes an odd then an even index.  The coefficient 2k/x is formed
+    # ~1e-15 up to x = 3000; a fixed margin of 30 loses 2e-4 there).  The
+    # caller passes start = _miller_start(order + n - 1, x), which
+    # bessel_j_run's overflow guard reads too.  Each pass takes an odd then
+    # an even index.  The coefficient 2k/x is formed
     # at each step: k times a hoisted 2/x loses 3e-15 at x ~ 2000.
-    start = _miller_start(order + n - 1, x)
     # The pass at even k sets J_{k-1} (index k - 1 - order of the run) and
     # J_{k-2}, so the even k in [order + 1, order + n + 1] keep values;
     # k_keep is the next of them, -1 once the run is complete.
@@ -198,7 +200,7 @@ def _miller_pass(order: int, n: int, x: float) -> Tuple[List[float], float]:
 
 
 def _bessel_j_miller(order: int, x: float) -> float:
-    out, norm = _miller_pass(order, 1, x)
+    out, norm = _miller_pass(order, 1, x, _miller_start(order, x))
     return out[0] / norm
 
 
@@ -222,9 +224,10 @@ def bessel_j_run(order: int, n: int, x: float) -> List[float]:
         return [1.0 if order + i == 0 else 0.0 for i in range(n)]
     # A pass multiplies |even| by up to (2 start / x)^2 between rescales,
     # which must stay under 1e58 to keep 1e250 from overflowing.
-    if x > _RUN_X_MAX or 2.0 * _miller_start(order + n - 1, x) > 1e28 * x:
+    start = _miller_start(order + n - 1, x)
+    if x > _RUN_X_MAX or 2.0 * start > 1e28 * x:
         return [bessel_j(order + i, x) for i in range(n)]
-    out, norm = _miller_pass(order, n, x)
+    out, norm = _miller_pass(order, n, x, start)
     return [v / norm for v in out]
 
 
@@ -439,40 +442,10 @@ def expint_e_ladder(p0: float, n: int, z: complex) -> List[complex]:
     return out
 
 
-def gegenbauer_coefficients(l: int, v: int) -> List[float]:
-    """Coefficients c_s = G(l+s) G(l+v-s) / (s! (v-s)! G(l)^2), s = 0..v,
-    of the cosine sum of C_v^l, built multiplicatively from the s = 0
-    term so that l + v ~ 30 does not overflow."""
-    if l < 1:
-        raise InvalidArgumentError("l must be >= 1")
-    _require_integer("v", v, 0)
-    # s = 0 coefficient: G(l) G(l+v) / (v! G(l)^2) = (l)_v / v!
-    coeff = 1.0
-    for k in range(v):
-        coeff *= (l + k) / (k + 1)
-    coeffs = [coeff]
-    for s in range(1, v + 1):
-        # ratio of consecutive coefficients:
-        #   c_s / c_{s-1} = (l+s-1)(v-s+1) / (s (l+v-s))
-        coeff *= (l + s - 1) * (v - s + 1) / (s * (l + v - s))
-        coeffs.append(coeff)
-    return coeffs
-
-
-def gegenbauer_coeff(l: int, v: int, delta_phi: float) -> float:
-    """Gegenbauer polynomial C_v^l(cos delta_phi) via its cosine sum
-    sum_{s=0}^{v} c_s cos((v-2s) delta_phi), c_s from gegenbauer_coefficients."""
-    total = 0.0
-    for s, coeff in enumerate(gegenbauer_coefficients(l, v)):
-        total += coeff * math.cos((v - 2 * s) * delta_phi)
-    return total
-
-
 def gegenbauer_run(l: int, n: int, delta_phi: float) -> List[float]:
     """[C_0^l(t), C_1^l(t), ..., C_{n-1}^l(t)], t = cos delta_phi, by the
     three-term recurrence v C_v^l = 2 t (v + l - 1) C_{v-1}^l
-    - (v + 2l - 2) C_{v-2}^l (DLMF 18.9.1, Table 18.9.1): O(n) where
-    gegenbauer_coeff's cosine sums take O(n^2)."""
+    - (v + 2l - 2) C_{v-2}^l (DLMF 18.9.1, Table 18.9.1), O(n) in all."""
     if l < 1:
         raise InvalidArgumentError("l must be >= 1")
     _require_integer("n", n, 1)

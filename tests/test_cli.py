@@ -308,6 +308,18 @@ class TestScan:
             assert code == 3
             assert "domain error" in err
 
+    def test_non_finite_truncation_exits_3(self, tmp_path, capsys):
+        # k_perp * min(R, q) = 1e400 overflows to inf: the automatic v_max
+        # once raised a bare OverflowError (a traceback and exit 1).
+        path, cfg = self._config(
+            tmp_path, quantity="expansion_error", fixed={"m": 2},
+            grid={name: {"start": 1e200, "stop": 1e200, "count": 1}
+                  for name in ("k_perp", "R", "q")})
+        code, _, err = run(["scan", "--config", str(path)], capsys)
+        assert code == 3
+        assert "domain error" in err
+        assert not os.path.exists(cfg["output"]["path"])
+
     def _json_rows(self, tmp_path, capsys, **overrides):
         out = tmp_path / "out.json"
         path, _ = self._config(tmp_path, output={"path": str(out),

@@ -86,17 +86,6 @@ class TestPsiShifted:
         want = expansion.psi_displaced_direct(0, 1.1, R, q)
         assert complex(got).real == pytest.approx(complex(want).real, abs=1e-12)
 
-    @pytest.mark.parametrize("m", [1, 2, 3, 4])
-    def test_per_term_breakdown_sums_to_value(self, m):
-        # psi_shifted sums the ratio series times one complex power;
-        # psi_shifted_terms spells out every (n, v, s) term separately.
-        R = PlanarVec(1.2, 0.3)
-        q = PlanarVec(0.8, 1.7)
-        terms = expansion.psi_shifted_terms(m, 1.0, R, q, 25)
-        total = sum(t.value for t in terms)
-        whole = expansion.psi_shifted(m, 1.0, R, q, 25).value
-        assert total == pytest.approx(whole, abs=1e-14)
-
     def test_rejects_negative_m(self):
         with pytest.raises(InvalidArgumentError):
             expansion.psi_shifted(-1, 1.0, PlanarVec(1, 0), PlanarVec(0.5, 0), 10)
@@ -130,36 +119,6 @@ class TestPhaseExpand:
                                    PlanarVec(1.0, 0.5))
 
 
-class TestCenteredCmApprox:
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-    def test_exact_at_zero_displacement(self, m):
-        R = PlanarVec(1.7, 0.4)
-        q = PlanarVec(0.0, 0.9)
-        got = expansion.centered_cm_approx(m, 1.0, R, q)
-        want = expansion.psi_displaced_direct(m, 1.0, R, q)
-        assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
-
-    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
-    def test_error_is_first_order(self, m):
-        R = PlanarVec(1.7, 0.4)
-        errs = []
-        for qq in (0.02, 0.01, 0.005):
-            q = PlanarVec(qq, 0.9)
-            errs.append(abs(expansion.centered_cm_approx(m, 1.0, R, q)
-                            - expansion.psi_displaced_direct(m, 1.0, R, q)))
-        # Halving q should halve the residual.
-        assert errs[1] / errs[0] == pytest.approx(0.5, abs=0.05)
-        assert errs[2] / errs[1] == pytest.approx(0.5, abs=0.05)
-
-    def test_near_cancellation(self):
-        # R - q = 0.02: the binomial factor is 0.02^5, not a sum of O(1)
-        # terms cancelling to it.
-        got = expansion.centered_cm_approx(5, 1.0, PlanarVec(1.0, 0.0),
-                                           PlanarVec(0.98, 0.0))
-        want = specfun.bessel_j(5, 1.0) * 0.02 ** 5
-        assert abs(got - want) <= 1e-12 * abs(want)
-
-
 class TestQuadrupoleExpand:
     def test_first_order_error_is_quadratic(self):
         m, k = 2, 1.0
@@ -191,53 +150,21 @@ class TestQuadrupoleExpand:
             expansion.quadrupole_expand(1, 1.0, PlanarVec(1, 0),
                                         PlanarVec(0.1, 0), 1.5, 0.0)
 
-
-class TestOriginRule:
-    """At R = 0 the three truncations share one rule: the radial factor at
-    order 0, 0 without a displacement, SingularConfigurationError with
-    one."""
-
+    # At R = 0: the radial factor at order 0, 0 without a displacement,
+    # SingularConfigurationError with one.
     O = PlanarVec(0.0, 0.0)
     r = PlanarVec(0.3, 0.9)
 
     @pytest.mark.parametrize("m", [1, 2])
-    def test_zero_displacement_gives_zero(self, m):
-        assert expansion.centered_cm_approx(m, 1.0, self.O, self.O) == 0.0
-        assert expansion.product_expand(m, 0, 1.0, 0.8, self.O, self.O,
-                                        0.5) == 0.0
+    def test_origin_without_displacement_gives_zero(self, m):
         assert expansion.quadrupole_expand(m, 1.0, self.O, self.O,
                                            0.9995, 0.0005) == 0.0
 
-    def test_order_zero_is_the_radial_factor(self):
-        assert expansion.centered_cm_approx(0, 1.0, self.O, self.r) == 1.0
-        assert expansion.product_expand(0, 0, 1.0, 0.8, self.O, self.r,
-                                        0.5) == 1.0
+    def test_origin_at_order_zero_is_the_radial_factor(self):
         assert expansion.quadrupole_expand(
             0, 1.0, self.O, self.r, 0.9995, 0.0005) == pytest.approx(0.999)
 
-    def test_displacement_raises(self):
-        for call in (
-                lambda: expansion.centered_cm_approx(1, 1.0, self.O, self.r),
-                lambda: expansion.product_expand(1, 0, 1.0, 0.8, self.O,
-                                                 self.r, 0.5),
-                lambda: expansion.quadrupole_expand(1, 1.0, self.O, self.r,
-                                                    0.9995, 0.0005)):
-            with pytest.raises(SingularConfigurationError):
-                call()
-
-
-class TestProductExpand:
-    def test_zero_displacement_is_plain_product(self):
-        R = PlanarVec(1.3, 0.7)
-        got = expansion.product_expand(2, 1, 1.0, 0.8, R, PlanarVec(0.0, 0.0), 0.5)
-        want = (specfun.bessel_j(2, 1.3) * specfun.bessel_j(1, 0.8 * 1.3)
-                * cmath.exp(3j * 0.7))
-        assert got == pytest.approx(want, abs=1e-13)
-
-    def test_near_cancellation(self):
-        # R + 0.49 r = 0.02: the order-6 binomial is 0.02^6.
-        got = expansion.product_expand(4, 2, 1.0, 0.8, PlanarVec(1.0, 0.0),
-                                       PlanarVec(2.0, math.pi), 0.49)
-        want = (specfun.bessel_j(4, 1.0) * specfun.bessel_j(2, 0.8)
-                * 0.02 ** 6)
-        assert abs(got - want) <= 1e-12 * abs(want)
+    def test_origin_with_displacement_raises(self):
+        with pytest.raises(SingularConfigurationError):
+            expansion.quadrupole_expand(1, 1.0, self.O, self.r,
+                                        0.9995, 0.0005)

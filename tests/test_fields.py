@@ -147,8 +147,9 @@ def _recursive_field(mode, p, curl, bessel=specfun.bessel_j):
         dec = fields.lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
         base_tm = ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z)
         base_te = ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z)
-        return (_recursive_field(base_tm, p, curl, bessel).scaled(dec.c_tm)
-                + _recursive_field(base_te, p, curl, bessel).scaled(dec.c_te))
+        tm = _recursive_field(base_tm, p, curl, bessel).scaled(dec.c_tm)
+        te = _recursive_field(base_te, p, curl, bessel).scaled(dec.c_te)
+        return FieldSample(tm.x + te.x, tm.y + te.y, tm.z + te.z)
     pref, terms = fields.mode_terms(mode, curl)
     pref *= cmath.exp(1j * (mode.k_z * p.z - mode.omega() * p.t))
     slots = [0.0, 0.0, 0.0]

@@ -29,11 +29,17 @@ class TestStates:
 
     def test_non_integral_quantum_numbers_are_rejected(self):
         # free(1.5, 0.7) once failed later, with a TypeError in the recoil
-        # dispatcher; trapped(0.5, 0, 1.0) gave an icm0 of 0.678 for a state
-        # that does not exist.
+        # dispatcher; trapped(0.5, 0, 1.0) gave an icm0 of 0.678, and
+        # InternalState(1.5, 0, ...) an i_rel against 1s of 0.0, for states
+        # that do not exist.
+        radial = me.hydrogen_radial_2p()
         for make in (lambda: me.CenterOfMassState.free(1.5, 0.7),
                      lambda: me.CenterOfMassState.trapped(0.5, 0, 1.0),
-                     lambda: me.CenterOfMassState.trapped(0, 1.5, 1.0)):
+                     lambda: me.CenterOfMassState.trapped(0, 1.5, 1.0),
+                     lambda: me.InternalState(1.5, 0, radial),
+                     lambda: me.InternalState(1, 0.5, radial),
+                     lambda: me.InternalState(1, -2, radial),
+                     lambda: me.InternalState(1, 2, radial)):
             with pytest.raises(InvalidArgumentError):
                 make()
 
