@@ -25,6 +25,23 @@ class TestPlanarVec:
             PlanarVec(-0.5, 0.0)
 
 
+class TestDefaultVMax:
+    def test_argument_plus_forty(self):
+        assert expansion.default_v_max(1.5, PlanarVec(2.0, 0.3),
+                                       PlanarVec(0.7, 1.0)) == 42
+        assert expansion.default_v_max(2.0, PlanarVec(0.0, 0.0),
+                                       PlanarVec(3.0, 1.0)) == 40
+
+    @pytest.mark.parametrize("k, R, q", [(1e200, 1e200, 1e200),
+                                         (math.inf, 1.0, 1.0),
+                                         (math.nan, 1.0, 1.0)])
+    def test_non_finite_argument_is_rejected(self, k, R, q):
+        # 1e200 * 1e200 overflows to inf; math.ceil(inf) once raised a bare
+        # OverflowError.
+        with pytest.raises(InvalidArgumentError):
+            expansion.default_v_max(k, PlanarVec(R, 0.0), PlanarVec(q, 0.0))
+
+
 class TestGegenbauerExpand:
     def test_matches_ratio_form(self):
         rng = np.random.RandomState(2)
@@ -86,6 +103,20 @@ class TestPsiShifted:
         want = expansion.psi_displaced_direct(0, 1.1, R, q)
         assert complex(got).real == pytest.approx(complex(want).real, abs=1e-12)
 
+    @pytest.mark.parametrize("m", range(7))
+    def test_near_coincident_points(self, m):
+        # R - q = 0.02: the power (k (R - q))^m is 0.02^m in one complex
+        # power, and the ratio series has no cancellation, so the value
+        # keeps its relative accuracy.
+        R = PlanarVec(1.0, 0.4)
+        q = PlanarVec(0.98, 0.4)
+        got = expansion.psi_shifted(m, 1.0, R, q,
+                                    expansion.default_v_max(1.0, R, q)).value
+        with mpmath.workdps(30):
+            want = complex(mpmath.besselj(m, mpmath.mpf(1) - mpmath.mpf(0.98))
+                           * mpmath.expj(m * 0.4))
+        assert abs(got - want) <= 1e-12 * abs(want)
+
     def test_rejects_negative_m(self):
         with pytest.raises(InvalidArgumentError):
             expansion.psi_shifted(-1, 1.0, PlanarVec(1, 0), PlanarVec(0.5, 0), 10)
@@ -120,8 +151,19 @@ class TestPhaseExpand:
 
 
 class TestQuadrupoleExpand:
-    def test_first_order_error_is_quadratic(self):
-        m, k = 2, 1.0
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_zero_displacement_is_the_leading_term(self, m):
+        # r = 0 leaves (a - b) psi_m(R).
+        R = PlanarVec(1.7, 0.4)
+        a, b = 0.9995, 0.0005
+        got = expansion.quadrupole_expand(m, 1.0, R, PlanarVec(0.0, 0.9), a, b)
+        want = (a - b) * expansion.psi_displaced_direct(
+            m, 1.0, R, PlanarVec(0.0, 0.0))
+        assert got == pytest.approx(want, rel=1e-14, abs=1e-16)
+
+    @pytest.mark.parametrize("m", [0, 1, 2, 3, 4])
+    def test_first_order_error_is_quadratic(self, m):
+        k = 1.0
         R = PlanarVec(1.7, 0.4)
         a, b = 0.9995, 0.0005
         errs = []

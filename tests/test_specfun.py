@@ -268,6 +268,22 @@ class TestBesselJRun:
         assert mpmath.besselj(1600, x) < 1e-308
         assert abs(run[-1]) < 1e-300
 
+    def test_one_miller_start_per_call(self, monkeypatch):
+        # The overflow guard and the pass share one start; the values are
+        # those of a pass from that start.
+        calls = []
+        real = specfun._miller_start
+
+        def counted(top, x):
+            calls.append((top, x))
+            return real(top, x)
+
+        monkeypatch.setattr(specfun, "_miller_start", counted)
+        run = specfun.bessel_j_run(2, 10, 3.0)
+        assert calls == [(11, 3.0)]
+        out, norm = specfun._miller_pass(2, 10, 3.0, real(11, 3.0))
+        assert run == [v / norm for v in out]
+
     def test_scalar_calls_outside_the_pass_range(self):
         for order, n, x in ((3, 5, 1e-30), (0, 4, 2500.0)):
             want = [specfun.bessel_j(order + i, x) for i in range(n)]
