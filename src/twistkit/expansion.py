@@ -10,24 +10,24 @@ bracket (quadrupole_expand) truncates the same profile at O(|r|).
 from __future__ import annotations
 
 import cmath
+import collections
 import math
-from dataclasses import dataclass
 
 from . import specfun
 from .errors import InvalidArgumentError, SingularConfigurationError
 from .specfun import SeriesResult
 
 
-@dataclass(frozen=True)
-class PlanarVec:
+class PlanarVec(collections.namedtuple("PlanarVec", "r phi")):
     """A transverse vector by magnitude and azimuth."""
 
-    r: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 0.0:
-            raise InvalidArgumentError("magnitude must be >= 0")
+    def __new__(cls, r: float, phi: float):
+        if not 0.0 <= r < math.inf:
+            raise InvalidArgumentError(
+                f"magnitude must be >= 0 and finite, got r = {r!r}")
+        return tuple.__new__(cls, (r, phi))
 
     def to_complex(self) -> complex:
         return self.r * cmath.exp(1j * self.phi)
@@ -59,10 +59,8 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     gegenbauer_run's recurrence in v.  The theorem's (l+v) weight is used:
     the printed (m-v) variant fails the direct-evaluation oracle.
     """
-    if l < 1:
-        raise InvalidArgumentError("l must be >= 1")
-    if v_max < 0:
-        raise InvalidArgumentError("v_max must be >= 0")
+    specfun._require_integer("l", l, 1)
+    specfun._require_integer("v_max", v_max, 0)
     if not (R.r > 0.0 and q.r > 0.0):
         raise InvalidArgumentError("the ratio form needs R.r > 0 and q.r > 0")
     xr = k_perp * R.r
@@ -91,8 +89,7 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
 def phase_expand(m: int, k_perp: float, R: PlanarVec, q: PlanarVec) -> complex:
     """Exact finite binomial sum equal to e^{i m phi_rho}, where phi_rho
     is the azimuth of R - q."""
-    if m < 0:
-        raise InvalidArgumentError("m must be >= 0")
+    specfun._require_integer("m", m, 0)
     rho = abs(R.to_complex() - q.to_complex())
     if rho == 0.0:
         raise SingularConfigurationError("phase undefined at rho = 0")
@@ -112,10 +109,8 @@ def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     series times the binomial as one complex power.  ``terms_used`` counts
     the v_max + 1 radial terms; ``truncation_estimate`` is the last one's
     magnitude."""
-    if m < 0:
-        raise InvalidArgumentError("m must be >= 0")
-    if v_max < 0:
-        raise InvalidArgumentError("v_max must be >= 0")
+    specfun._require_integer("m", m, 0)
+    specfun._require_integer("v_max", v_max, 0)
     if m == 0:
         # cosine series: J_0(k rho) = sum_v J_v(kR) J_v(kq) cos(v dphi)
         if not (R.r > 0.0 and q.r > 0.0):
@@ -190,8 +185,7 @@ def quadrupole_expand(m: int, k_perp: float, R: PlanarVec, r: PlanarVec,
         raise InvalidArgumentError("mass_ratio_e must be in (0, 1]")
     if not (0.0 <= mass_ratio_N < 1.0):
         raise InvalidArgumentError("mass_ratio_N must be in [0, 1)")
-    if m < 0:
-        raise InvalidArgumentError("m must be >= 0")
+    specfun._require_integer("m", m, 0)
     a, b = mass_ratio_e, mass_ratio_N
     ue = PlanarVec(a * r.r, r.phi)
     un = PlanarVec(b * r.r, r.phi + math.pi)  # displacement -b r

@@ -22,8 +22,8 @@ verification pins this form.
 from __future__ import annotations
 
 import cmath
+import collections
 import math
-from dataclasses import dataclass
 from enum import Enum
 
 from . import specfun
@@ -37,37 +37,32 @@ class ModeKind(str, Enum):
     R = "r"
 
 
-@dataclass(frozen=True)
-class ModeSpec:
+class ModeSpec(collections.namedtuple("ModeSpec", "kind m k_perp k_z")):
     """A Bessel photon mode: kind, integer azimuthal order m, wavenumbers."""
 
-    kind: ModeKind
-    m: int
-    k_perp: float
-    k_z: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not hasattr(self.m, "__index__"):
-            raise InvalidArgumentError(f"m must be an integer, got {self.m!r}")
-        if not (self.k_perp > 0.0 and math.isfinite(self.k_perp)):
+    def __new__(cls, kind: ModeKind, m: int, k_perp: float, k_z: float):
+        if not hasattr(m, "__index__"):
+            raise InvalidArgumentError(f"m must be an integer, got {m!r}")
+        if not (k_perp > 0.0 and math.isfinite(k_perp)):
             raise InvalidArgumentError("k_perp must be finite and > 0")
-        if not math.isfinite(self.k_z):
+        if not math.isfinite(k_z):
             raise InvalidArgumentError("k_z must be finite")
+        return tuple.__new__(cls, (kind, m, k_perp, k_z))
 
     def omega(self) -> float:
         return math.hypot(self.k_perp, self.k_z)
 
 
-@dataclass(frozen=True)
-class CylPoint:
-    rho: float
-    phi: float
-    z: float
-    t: float = 0.0
+class CylPoint(collections.namedtuple("CylPoint", "rho phi z t")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rho < 0.0:
-            raise InvalidArgumentError("rho must be >= 0")
+    def __new__(cls, rho: float, phi: float, z: float, t: float = 0.0):
+        if not 0.0 <= rho < math.inf:
+            raise InvalidArgumentError(
+                f"rho must be >= 0 and finite, got {rho!r}")
+        return tuple.__new__(cls, (rho, phi, z, t))
 
     def to_cartesian(self):
         return (self.rho * math.cos(self.phi),
@@ -79,18 +74,15 @@ class CylPoint:
         return CylPoint(math.hypot(x, y), math.atan2(y, x), z, t)
 
 
-@dataclass(frozen=True)
-class FieldSample:
+class FieldSample(collections.namedtuple("FieldSample", "x y z")):
     """Complex Cartesian components of A, E, or B at one point."""
 
-    x: complex
-    y: complex
-    z: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (cmath.isfinite(self.x) and cmath.isfinite(self.y)
-                and cmath.isfinite(self.z)):
+    def __new__(cls, x: complex, y: complex, z: complex):
+        if not (cmath.isfinite(x) and cmath.isfinite(y) and cmath.isfinite(z)):
             raise InvalidArgumentError("field components must be finite")
+        return tuple.__new__(cls, (x, y, z))
 
     def scaled(self, factor: complex) -> "FieldSample":
         return FieldSample(factor * self.x, factor * self.y, factor * self.z)
@@ -99,17 +91,16 @@ class FieldSample:
         return math.sqrt(abs(self.x) ** 2 + abs(self.y) ** 2 + abs(self.z) ** 2)
 
 
-@dataclass(frozen=True)
-class TmTeDecomposition:
+class TmTeDecomposition(collections.namedtuple(
+        "TmTeDecomposition", "c_tm c_te base_m")):
     """An L/R mode as coefficients over the TE/TM pair of order base_m."""
 
-    c_tm: complex
-    c_te: complex
-    base_m: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.c_tm) ** 2 + abs(self.c_te) ** 2 <= 0.0:
+    def __new__(cls, c_tm: complex, c_te: complex, base_m: int):
+        if abs(c_tm) ** 2 + abs(c_te) ** 2 <= 0.0:
             raise InvalidArgumentError("decomposition must be nonzero")
+        return tuple.__new__(cls, (c_tm, c_te, base_m))
 
     def norm(self) -> float:
         return math.sqrt(abs(self.c_tm) ** 2 + abs(self.c_te) ** 2)

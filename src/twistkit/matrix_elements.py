@@ -25,9 +25,9 @@ and it raises where its radial weights cannot resolve every channel
 from __future__ import annotations
 
 import cmath
+import collections
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from . import fields, quadrature, specfun
@@ -42,8 +42,8 @@ FREE_BESSEL = "free_bessel"
 TRAPPED_HO = "trapped_ho"
 
 
-@dataclass(frozen=True)
-class CenterOfMassState:
+class CenterOfMassState(collections.namedtuple(
+        "CenterOfMassState", "variant m_R k_z_R k_perp_R n_bar alpha")):
     """Center-of-mass wavefunction parameters.
 
     Free atoms: a Bessel state J_{m_R}(k_perp_R R) e^{i k_z_R z}; trapped
@@ -52,28 +52,25 @@ class CenterOfMassState:
     k_perp_R (free) and alpha (trapped) positive and finite, k_z_R finite.
     """
 
-    variant: str
-    m_R: int
-    k_z_R: float = 0.0
-    k_perp_R: float = 0.0
-    n_bar: int = 0
-    alpha: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(hasattr(v, "__index__") for v in (self.m_R, self.n_bar)):
+    def __new__(cls, variant: str, m_R: int, k_z_R: float = 0.0,
+                k_perp_R: float = 0.0, n_bar: int = 0, alpha: float = 0.0):
+        if not (hasattr(m_R, "__index__") and hasattr(n_bar, "__index__")):
             raise InvalidArgumentError("m_R and n_bar must be integers")
-        if not math.isfinite(self.k_z_R):
+        if not math.isfinite(k_z_R):
             raise InvalidArgumentError("k_z_R must be finite")
-        if self.variant == FREE_BESSEL:
-            if not 0.0 < self.k_perp_R < math.inf:
+        if variant == FREE_BESSEL:
+            if not 0.0 < k_perp_R < math.inf:
                 raise InvalidArgumentError("free states need 0 < k_perp_R < inf")
-        elif self.variant == TRAPPED_HO:
-            if not 0.0 < self.alpha < math.inf:
+        elif variant == TRAPPED_HO:
+            if not 0.0 < alpha < math.inf:
                 raise InvalidArgumentError("trapped states need 0 < alpha < inf")
-            if self.n_bar < 0:
+            if n_bar < 0:
                 raise InvalidArgumentError("n_bar must be >= 0")
         else:
-            raise InvalidArgumentError(f"unknown variant {self.variant!r}")
+            raise InvalidArgumentError(f"unknown variant {variant!r}")
+        return tuple.__new__(cls, (variant, m_R, k_z_R, k_perp_R, n_bar, alpha))
 
     @staticmethod
     def free(m_R: int, k_perp_R: float, k_z_R: float = 0.0):
@@ -85,21 +82,20 @@ class CenterOfMassState:
         return CenterOfMassState(TRAPPED_HO, m_R, n_bar=n_bar, alpha=alpha)
 
 
-@dataclass(frozen=True)
-class InternalState:
+class InternalState(collections.namedtuple(
+        "InternalState", "l_r m_r radial r_max")):
     """Internal hydrogenic state: (l_r, m_r) and a radial function handle
     normalized as int r^2 Theta(r)^2 dr = 1."""
 
-    l_r: int
-    m_r: int
-    radial: Callable[[float], float]
-    r_max: float = 60.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        specfun._require_integer("l_r", self.l_r, 0)
-        specfun._require_integer("m_r", self.m_r, -self.l_r)
-        if self.m_r > self.l_r:
+    def __new__(cls, l_r: int, m_r: int, radial: Callable[[float], float],
+                r_max: float = 60.0):
+        specfun._require_integer("l_r", l_r, 0)
+        specfun._require_integer("m_r", m_r, -l_r)
+        if m_r > l_r:
             raise InvalidArgumentError("|m_r| must be <= l_r")
+        return tuple.__new__(cls, (l_r, m_r, radial, r_max))
 
 
 def hydrogen_radial_1s(a: float = 1.0) -> Callable[[float], float]:
@@ -132,23 +128,21 @@ class TermOrder(NamedTuple):
 DIPOLE = None  # dipole marker for Channel.order
 
 
-@dataclass(frozen=True)
-class Channel:
+class Channel(collections.namedtuple(
+        "Channel", "delta_m_R delta_m_r delta_spin_e mode_kind order")):
     """One allowed transition channel."""
 
-    delta_m_R: int
-    delta_m_r: int
-    delta_spin_e: int
-    mode_kind: ModeKind
-    order: Optional[TermOrder]
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.delta_spin_e not in (-1, 0, 1):
+    def __new__(cls, delta_m_R: int, delta_m_r: int, delta_spin_e: int,
+                mode_kind: ModeKind, order: Optional[TermOrder]):
+        if delta_spin_e not in (-1, 0, 1):
             raise InvalidArgumentError("delta_spin_e must be in {-1, 0, +1}")
+        return tuple.__new__(
+            cls, (delta_m_R, delta_m_r, delta_spin_e, mode_kind, order))
 
 
-@dataclass(frozen=True)
-class ChannelAmplitude:
+class ChannelAmplitude(NamedTuple):
     """A channel plus its complex amplitude and factor provenance."""
 
     channel: Channel
@@ -158,36 +152,32 @@ class ChannelAmplitude:
     coupling: complex
 
 
-@dataclass(frozen=True)
-class DipoleCouplings:
+class DipoleCouplings(collections.namedtuple(
+        "DipoleCouplings", "q_e energy_scale")):
     """Caller-supplied scalars entering the dipole amplitudes: the charge
     and the internal energy difference, each one finite real scale."""
 
-    q_e: float = 1.0
-    energy_scale: float = 1.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.q_e) and math.isfinite(self.energy_scale)):
+    def __new__(cls, q_e: float = 1.0, energy_scale: float = 1.0):
+        if not (math.isfinite(q_e) and math.isfinite(energy_scale)):
             raise InvalidArgumentError("q_e and energy_scale must be finite")
+        return tuple.__new__(cls, (q_e, energy_scale))
 
 
-@dataclass(frozen=True)
-class SpinParticle:
+class SpinParticle(collections.namedtuple("SpinParticle", "g q M")):
     """The spin coupling's particle: g-factor, charge and mass, g and q
     finite, 0 < M < inf."""
 
-    g: float
-    q: float
-    M: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (math.isfinite(self.g) and math.isfinite(self.q)
-                and 0.0 < self.M < math.inf):
+    def __new__(cls, g: float, q: float, M: float):
+        if not (math.isfinite(g) and math.isfinite(q) and 0.0 < M < math.inf):
             raise InvalidArgumentError("need finite g and q and 0 < M < inf")
+        return tuple.__new__(cls, (g, q, M))
 
 
-@dataclass(frozen=True)
-class CandidateComparison:
+class CandidateComparison(NamedTuple):
     """Oracle value vs a printed closed-form candidate."""
 
     oracle: complex

@@ -10,8 +10,8 @@ closed-form fields.
 
 from __future__ import annotations
 
+import collections
 import math
-from dataclasses import dataclass
 from typing import Callable, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError
@@ -71,16 +71,16 @@ _GK21 = (
 _GK_NODES = 2 * len(_GK21[0]) - 1
 
 
-@dataclass(frozen=True)
-class QuadResult:
-    value: float
-    abs_error_estimate: float
-    evaluations: int
-    converged: bool
+class QuadResult(collections.namedtuple(
+        "QuadResult", "value abs_error_estimate evaluations converged")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not (self.abs_error_estimate >= 0.0):
+    def __new__(cls, value: float, abs_error_estimate: float,
+                evaluations: int, converged: bool):
+        if not (abs_error_estimate >= 0.0):
             raise InvalidArgumentError("abs_error_estimate must be >= 0")
+        return tuple.__new__(
+            cls, (value, abs_error_estimate, evaluations, converged))
 
     def scaled(self, factor: float) -> "QuadResult":
         """This result times factor, value and estimate alike."""

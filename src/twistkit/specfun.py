@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import bisect
 import cmath
+import collections
 import math
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError
@@ -56,26 +56,26 @@ _HANKEL_X_MIN = 18.5
 _RUN_X_MAX = 2000.0
 
 
-@dataclass(frozen=True)
-class SeriesResult:
+class SeriesResult(collections.namedtuple(
+        "SeriesResult", "value terms_used truncation_estimate")):
     """Value of a truncated series plus bookkeeping.
 
     ``truncation_estimate`` is an absolute estimate of the error: the
     dropped tail, from the first omitted term (see each producer).
     """
 
-    value: complex
-    terms_used: int
-    truncation_estimate: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.terms_used < 1:
+    def __new__(cls, value: complex, terms_used: int,
+                truncation_estimate: float):
+        if terms_used < 1:
             raise InvalidArgumentError("terms_used must be >= 1")
-        if not (self.truncation_estimate >= 0.0):
+        if not (truncation_estimate >= 0.0):
             raise InvalidArgumentError("truncation_estimate must be >= 0")
-        v = complex(self.value)
+        v = complex(value)
         if not (math.isfinite(v.real) and math.isfinite(v.imag)):
             raise InvalidArgumentError("series value is not finite")
+        return tuple.__new__(cls, (value, terms_used, truncation_estimate))
 
 
 def _require_integer(name: str, value, least: int):

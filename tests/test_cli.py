@@ -52,6 +52,15 @@ class TestField:
         assert code == 3
         assert "domain error" in err
 
+    @pytest.mark.parametrize("rho", ["nan", "inf", "-1"])
+    def test_bad_rho_exits_3(self, rho, capsys):
+        code, out, err = run(["field", "--kind", "tm", "--m", "1",
+                              "--kperp", "0.8", "--kz", "1.2",
+                              f"--at={rho},0,0"], capsys)
+        assert code == 3
+        assert out == ""
+        assert "domain error: rho must be >= 0 and finite" in err
+
     @pytest.mark.parametrize("at", ["1,x,0", "1,0", "1,0,0,0,5"])
     def test_malformed_point_exits_2(self, at, capsys):
         code, _, err = run(["field", "--kind", "tm", "--m", "1",
@@ -626,15 +635,20 @@ class TestVerify:
         assert "margin=" in line and "bound=" in line
 
 
-# A fresh interpreter: the test modules import numpy themselves.  The scan,
-# field and trapped amplitude calls must leave numpy unloaded; then the
-# channel oracle and verify, numpy's two users, must still work.
+# A fresh interpreter: the test modules import numpy themselves.  The import
+# must add none of numpy, dataclasses and inspect to the modules the
+# interpreter already holds (site may preload some); the scan, field and
+# trapped amplitude calls must leave numpy unloaded; then the channel oracle
+# and verify, numpy's two users, must still work.
 _NUMPY_FREE_CHILD = r"""
 import contextlib, io, json, os, sys
+before = set(sys.modules)
 import twistkit, twistkit.cli
 from twistkit import cli, matrix_elements
 from twistkit.fields import ModeKind
-report = {"after_import": "numpy" in sys.modules, "codes": []}
+added = set(sys.modules) - before
+report = {"added": sorted({"numpy", "dataclasses", "inspect"} & added),
+          "codes": []}
 with contextlib.redirect_stdout(io.StringIO()):
     for n in (0, 1):
         grid = {name: {"start": v, "stop": v, "count": 1} for name, v in
@@ -670,7 +684,7 @@ class TestNumpyFreeStart:
             capture_output=True, text=True, env=env, timeout=120)
         assert child.returncode == 0, child.stderr
         report = json.loads(child.stdout.splitlines()[-1])
-        assert not report["after_import"]
+        assert report["added"] == []
         assert report["codes"] == [0, 0, 0, 0]
         assert not report["after_calls"]
         # The table the oracle gave when numpy was imported with the module.

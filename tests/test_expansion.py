@@ -25,6 +25,35 @@ class TestPlanarVec:
             PlanarVec(-0.5, 0.0)
 
 
+_R, _Q = PlanarVec(1.3, 0.4), PlanarVec(0.6, 1.9)
+
+
+@pytest.mark.parametrize("fn, args, name", [
+    ("psi_shifted", (1.5, 1.0, _R, _Q, 10), "m"),
+    ("psi_shifted", (2.0, 1.0, _R, _Q, 10), "m"),
+    ("psi_shifted", (2, 1.0, _R, _Q, 10.5), "v_max"),
+    ("psi_shifted", (0, 1.0, _R, _Q, 10.5), "v_max"),
+    ("phase_expand", (1.5, 1.0, _R, _Q), "m"),
+    ("gegenbauer_expand", (1.5, 1.0, _R, _Q, 10), "l"),
+    ("gegenbauer_expand", (2, 1.0, _R, _Q, 10.5), "v_max"),
+    ("quadrupole_expand", (1.5, 1.0, _R, _Q, 0.9, 0.1), "m"),
+])
+def test_non_integral_argument_names_itself(fn, args, name):
+    # A float, even 2.0, is rejected by its own name before math.factorial,
+    # range or bessel_j_run (as n = v_max + 1) sees it.
+    with pytest.raises(InvalidArgumentError,
+                       match=rf"^{name} must be an integer >= \d, got "):
+        getattr(expansion, fn)(*args)
+
+
+def test_numpy_integers_are_accepted():
+    want = expansion.psi_shifted(3, 1.0, _R, _Q, 30)
+    got = expansion.psi_shifted(np.int64(3), 1.0, _R, _Q, np.int64(30))
+    assert got == want
+    assert (expansion.phase_expand(np.int64(3), 1.0, _R, _Q)
+            == expansion.phase_expand(3, 1.0, _R, _Q))
+
+
 class TestDefaultVMax:
     def test_argument_plus_forty(self):
         assert expansion.default_v_max(1.5, PlanarVec(2.0, 0.3),
