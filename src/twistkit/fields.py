@@ -62,6 +62,13 @@ class CylPoint(collections.namedtuple("CylPoint", "rho phi z t")):
         if not 0.0 <= rho < math.inf:
             raise InvalidArgumentError(
                 f"rho must be >= 0 and finite, got {rho!r}")
+        # One test on the common path: the sum is finite when all three
+        # are (one that overflows only takes the loop, which finds none).
+        if not math.isfinite(phi + z + t):
+            for name, value in (("phi", phi), ("z", z), ("t", t)):
+                if not math.isfinite(value):
+                    raise InvalidArgumentError(
+                        f"{name} must be finite, got {value!r}")
         return tuple.__new__(cls, (rho, phi, z, t))
 
     def to_cartesian(self):

@@ -95,6 +95,9 @@ class InternalState(collections.namedtuple(
         specfun._require_integer("m_r", m_r, -l_r)
         if m_r > l_r:
             raise InvalidArgumentError("|m_r| must be <= l_r")
+        if not callable(radial):
+            raise InvalidArgumentError(
+                f"radial must be callable, got {radial!r}")
         return tuple.__new__(cls, (l_r, m_r, radial, r_max))
 
 
@@ -138,6 +141,9 @@ class Channel(collections.namedtuple(
                 mode_kind: ModeKind, order: Optional[TermOrder]):
         if delta_spin_e not in (-1, 0, 1):
             raise InvalidArgumentError("delta_spin_e must be in {-1, 0, +1}")
+        if mode_kind.__class__ is not ModeKind:
+            raise InvalidArgumentError(
+                f"mode_kind must be a ModeKind, got {mode_kind!r}")
         return tuple.__new__(
             cls, (delta_m_R, delta_m_r, delta_spin_e, mode_kind, order))
 

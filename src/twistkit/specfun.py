@@ -1,8 +1,9 @@
 """Self-contained special-function kernel.
 
-Bessel J of every integer order (ascending series for small x; Hankel's
-asymptotic expansion for x >= 18.5 while its terms keep falling to 1e-17;
-else Miller's backward recurrence; runs of orders >= 0 from one Miller pass),
+Bessel J of every integer order (ascending series for small x; for
+x >= 8 and order <= x, J_0 and J_1 from fitted modulus-phase polynomials
+and the forward recurrence; else Miller's backward recurrence; runs of
+orders >= 0 from one Miller pass),
 generalized Laguerre polynomials, Pochhammer symbols, Kummer's function
 scaled as e^{-x} 1F1(a; b; x) (the vortex series), the generalized
 exponential integral E_p at half-integer p (alone, or as a ladder of
@@ -25,7 +26,7 @@ import bisect
 import cmath
 import collections
 import math
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .errors import ConvergenceError, InvalidArgumentError
 
@@ -36,24 +37,21 @@ MAX_TERMS = 10_000
 # Relative truncation of hyp1f1_scaled's series.
 SERIES_REL_TOL = 1e-12
 
-# Crossover between the ascending power series and the backward (Miller)
-# recurrence.  The series loses ~x/2.3 decimal digits to cancellation at
+# Crossover between the ascending power series and the large-x branches
+# (the J_0/J_1 fit with the forward recurrence, or Miller's backward
+# recurrence).  The series loses ~x/2.3 decimal digits to cancellation at
 # low order, so the crossover sits at 8 rather than higher: at x = 8 the
 # largest series term is ~4e2, keeping the absolute error near 4e-14.
+# The fit holds from x = 8 (t = 64/x^2 = 1) on.
 _SERIES_X_MAX = 8.0
 
-# Hankel's asymptotic expansion is tried from here on.  Its guard first
-# accepts at x = 18.55 (m = 0; no order accepts below it).  With the
-# memoized ratios an accepted expansion costs what the Miller call it
-# replaces costs at x = 18.6 (8-9 us each, m = 0..3) and less beyond (5-6
-# vs 8-10 us at x = 22), so the crossover is the guard's own first
-# acceptance and the threshold stays there.
-_HANKEL_X_MIN = 18.5
-
 # bessel_j_run's Miller pass takes ~x/2 steps; beyond this x its run is
-# scalar bessel_j calls (Hankel's expansion where it holds).  Miller stays
-# within ~1e-15 absolute up to x = 3000.
+# scalar bessel_j calls (the fit and the forward recurrence for orders up
+# to x).  Miller stays within ~1e-15 absolute up to x = 3000.
 _RUN_X_MAX = 2000.0
+
+# The largest m whose 1/m! is a normal float (1/171! is subnormal).
+_FACT_MAX = 170
 
 
 class SeriesResult(collections.namedtuple(
@@ -105,15 +103,15 @@ _SERIES_TAIL = 2.0 ** -56
 
 # Per order m >= 0: (L_1, L_2, ...), the largest h for each term count
 # (increasing); (c_{N-1}, ..., c_1, c_0), the coefficients highest first;
-# and lgamma(m + 1).  Filled by _series_row up to the count whose L_N
-# reaches max(16, m + 1), the largest h the series branch takes.
-_SERIES_ROWS: Dict[int, Tuple[List[float], List[float], float]] = {}
+# and 1/m!, correctly rounded from the exact integer, for m <= _FACT_MAX
+# (None above, where the prefactor is taken in log space).  Filled by
+# _series_row up to the count whose L_N reaches max(16, m + 1), the largest
+# h the series branch takes.
+_SERIES_ROWS: Dict[int, Tuple[List[float], List[float], Optional[float]]] = {}
 
 
-def _series_row(order: int) -> Tuple[List[float], List[float], float]:
-    # A Python int, so that denom stays exact: an np.int64 order would
-    # make it an np.int64, which wraps past 2^63 (at N ~ 12 for m = 5).
-    order = int(order)
+def _series_row(order: int
+                ) -> Tuple[List[float], List[float], Optional[float]]:
     top = max(16.0, order + 1.0)
     coeffs = [1.0]
     limits = []
@@ -126,7 +124,8 @@ def _series_row(order: int) -> Tuple[List[float], List[float], float]:
         limits.append((_SERIES_TAIL / c) ** (1.0 / t) if c else math.inf)
         coeffs.append(-c if t % 2 else c)
     coeffs.pop()  # c_N of the last count is dropped, not summed
-    row = (limits, coeffs[::-1], math.lgamma(order + 1))
+    inv_fact = 1 / math.factorial(order) if order <= _FACT_MAX else None
+    row = (limits, coeffs[::-1], inv_fact)
     _SERIES_ROWS[order] = row
     return row
 
@@ -136,17 +135,24 @@ def _bessel_j_series(order: int, x: float) -> float:
     # Horner's rule alone, with no division, abs() or convergence test.
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    limits, coeffs, log_fact = _SERIES_ROWS.get(order) or _series_row(order)
+    limits, coeffs, inv_fact = _SERIES_ROWS.get(order) or _series_row(order)
     half = 0.5 * x
-    # (x/2)^m / m! in log space, which neither overflows nor underflows.
-    log_t0 = order * math.log(half) - log_fact
-    if log_t0 < -745.0:  # underflows to zero anyway
-        return 0.0
+    if inv_fact is not None:
+        # (x/2)^m / m! to a few ulps (a log-space exp loses ~1e-13 at
+        # m ~ 170).  The branch takes half < max(4, sqrt(m + 1)), so the
+        # power cannot overflow; where it underflows, so does J_m.
+        t0 = half ** order * inv_fact
+    else:
+        # In log space, which neither overflows nor underflows.
+        log_t0 = order * math.log(half) - math.lgamma(order + 1)
+        if log_t0 < -745.0:  # underflows to zero anyway
+            return 0.0
+        t0 = math.exp(log_t0)
     h2 = half * half
     total = 0.0
     for c in coeffs[len(coeffs) - 1 - bisect.bisect_left(limits, h2):]:
         total = total * h2 + c
-    return math.exp(log_t0) * total
+    return t0 * total
 
 
 def _miller_start(top: int, x: float) -> int:
@@ -248,55 +254,94 @@ def hankel_ratios(order: int, n: int) -> List[float]:
     return ratios
 
 
-def _bessel_j_hankel(order: int, x: float) -> float | None:
-    # J_m(x) = sqrt(2/(pi x)) (P cos chi - Q sin chi), chi = x - (2m+1) pi/4
-    # (A&S 9.2.5-9.2.10); t_k = t_{k-1} a_k / x feeds P = t_0 - t_2 + t_4 ...,
-    # Q = t_1 - t_3 + ...  Each pass adds a Q then a P term, the sign of
-    # t_{2j} folded into the running term.  None unless |t_k| keeps falling
-    # (|a_k / x| < 1, checked for both terms of a pass before they are
-    # added) until a pass ends on a P term below 1e-17 (|P| + |Q|); a Q
-    # term below it is followed by one smaller P term.
-    ratios = _HANKEL_RATIOS.get(order) or hankel_ratios(order, 2)
-    p = 1.0
-    q = 0.0
-    term = 1.0
-    for k in range(0, MAX_TERMS, 2):
-        if k + 2 > len(ratios):
-            hankel_ratios(order, k + 2)
-        r_q = ratios[k] / x
-        r_p = ratios[k + 1] / x
-        if not (-1.0 < r_q < 1.0 and -1.0 < r_p < 1.0):
-            return None
-        term *= r_q
-        q += term
-        term *= -r_p
-        p += term
-        if abs(term) <= 1e-17 * (abs(p) + abs(q)):
-            break
-    # cos/sin of (2m+1) pi/4 are exactly +-1/sqrt(2); expanding
-    # cos(x - phase) keeps x unrounded (x - phase would lose ~x 1e-16).
-    c = 1.0 if (order + 1) % 4 < 2 else -1.0
-    s = 1.0 if order % 4 < 2 else -1.0
-    return ((p * c + q * s) * math.cos(x)
-            + (p * s - q * c) * math.sin(x)) / math.sqrt(math.pi * x)
+# For x >= 8, H_n^(1)(x) = sqrt(2/(pi x)) (P_n + i Q_n) e^{i chi_n},
+# chi_n = x - (2n+1) pi/4.  Rows of the degree-12 polynomials in
+# t = 64/x^2 on [0, 1], highest degree first: (P_0, q_0, P_1, q_1), with
+# q_n = (x/8) Q_n.  Fitted by mpmath.chebyfit at 40 digits, each within
+# ~5e-18 of the function; tools/fit_bessel_j01.py rebuilds the table and,
+# with --check, compares it with this one.
+_J01_FIT = (
+    (1.3219700423350835e-10, -1.3477937580357612e-10,
+     -1.4038395089577798e-10, 1.4280722112309597e-10),
+    (-1.0029066979633945e-09, 1.011031238186147e-09,
+     1.0657770307911482e-09, -1.071914270433146e-09),
+    (3.589369421372812e-09, -3.555524278992273e-09,
+     -3.818735305533677e-09, 3.773309315230924e-09),
+    (-8.31251965044764e-09, 8.000995612956512e-09,
+     8.860855361799285e-09, -8.504914198988601e-09),
+    (1.4845549354895297e-08, -1.3609419519258223e-08,
+     -1.5879522872690333e-08, 1.4507979244604333e-08),
+    (-2.4185615179408813e-08, 2.0428537127580895e-08,
+     2.6030250382020736e-08, -2.1888377038312212e-08),
+    (4.339314718568921e-08, -3.228985891642277e-08,
+     -4.719167778074151e-08, 3.489697880824557e-08),
+    (-1.0229475399421496e-07, 6.399781418673288e-08,
+     1.1307073738668152e-07, -7.010042468690825e-08),
+    (3.620184781129259e-07, -1.8162398074592788e-07,
+     -4.102893385438351e-07, 2.0299308556246271e-07),
+    (-2.183917728558513e-06, 8.238425985656106e-07,
+     2.5809939131965017e-06, -9.5058781859599e-07),
+    (2.738088361130017e-05, -6.9307860941428686e-06,
+     -3.520399323335166e-05, 8.470960796899506e-06),
+    (-0.0010986328124985556, 0.00014305114745934768,
+     0.001831054687498473, -0.00020027160644363478),
+    (1.0, -0.015624999999999995,
+     1.0, 0.04687499999999999),
+)
+
+
+def _bessel_j_fit(order: int, x: float) -> float:
+    # J_0 and J_1 from the fit, then J_{k+1} = (2k/x) J_k - J_{k-1} up to
+    # order <= x, where the recurrence is stable.  The coefficient 2k/x is
+    # formed at each step, as in the Miller pass.  cos and sin of
+    # chi_n expand into those of x (cos/sin of (2n+1) pi/4 are +-1/sqrt(2)),
+    # which keeps x unrounded: x - phase would lose ~x 1e-16.
+    t = 64.0 / (x * x)
+    p0 = q0 = p1 = q1 = 0.0
+    for a, b, c, d in _J01_FIT:
+        p0 = p0 * t + a
+        q0 = q0 * t + b
+        p1 = p1 * t + c
+        q1 = q1 * t + d
+    cos_x = math.cos(x)
+    sin_x = math.sin(x)
+    r = 8.0 / x
+    scale = math.sqrt(math.pi * x)
+    j0 = (p0 * (cos_x + sin_x) - r * q0 * (sin_x - cos_x)) / scale
+    if order == 0:
+        return j0
+    j1 = (p1 * (sin_x - cos_x) + r * q1 * (sin_x + cos_x)) / scale
+    for k in range(1, order):
+        j0, j1 = j1, (2.0 * k / x) * j1 - j0
+    return j1
 
 
 def bessel_j(order: int, x: float) -> float:
     """Cylindrical Bessel function J_order(x) for every integer order, x >= 0.
 
-    Three branches: the ascending series for small x (or x^2 < 4(order+1)),
-    Hankel's asymptotic expansion for x >= 18.5, accepted only while its
-    terms keep falling to 1e-17 of the sum, else Miller's backward
-    recurrence.  Absolute errors, as the tests pin them: the series within
-    ~4e-14 up to x = 8 (its terms cancel; far less at small x), Miller
-    within ~1e-15 up to x = 3000, Hankel within 3e-16.  Near a zero no
-    double-precision value keeps its relative digits.  A negative
-    order is J_{-m} = (-1)^m J_m: a sign on the one evaluation.  A
-    non-integral order (a float, even 2.0) raises InvalidArgumentError.
+    Three branches, chosen from (order, x) alone: the ascending series for
+    x < 8 or x^2 < 4(order+1); for x >= 8 and order <= x, J_0 and J_1 from
+    fitted modulus-phase polynomials in 64/x^2, then the forward
+    recurrence up to the order (O(order) steps, never O(x)); else, for
+    x < order <= x^2/4 - 1, Miller's backward recurrence.  Absolute
+    errors, as the tests pin them: the series within ~4e-14 up to x = 8
+    (its terms cancel; far less at small x) and within 1e-15 relative
+    where its terms fall and order <= 170; the fit within 3e-16 at orders
+    0..12 and 1e-15 at every order <= x up to x = 3000; Miller within
+    ~1.5e-15 up to x = 3000.  Near a zero no double-precision value keeps
+    its relative digits.  A negative order is J_{-m} = (-1)^m J_m: a sign
+    on the one evaluation.  A non-integral order (a float, even 2.0)
+    raises InvalidArgumentError.
     """
     # The class test spares an int the hasattr: ~0.02 us a call, not ~0.06.
-    if order.__class__ is not int and not hasattr(order, "__index__"):
-        raise InvalidArgumentError(f"order must be an integer, got {order!r}")
+    # An np.int64 order becomes an int: it would make a series row's exact
+    # denominator an np.int64, which wraps past 2^63 (at N ~ 12 for m = 5),
+    # and the series' power and the value returned numpy scalars.
+    if order.__class__ is not int:
+        if not hasattr(order, "__index__"):
+            raise InvalidArgumentError(
+                f"order must be an integer, got {order!r}")
+        order = order.__index__()
     if not math.isfinite(x) or x < 0.0:
         raise InvalidArgumentError(f"x must be finite and >= 0, got {x!r}")
     sign = -1.0 if order < 0 and order % 2 else 1.0
@@ -306,10 +351,8 @@ def bessel_j(order: int, x: float) -> float:
     # only up to the fixed crossover where the digit loss stays small.
     if x < _SERIES_X_MAX or x * x < 4.0 * (order + 1.0):
         return sign * _bessel_j_series(order, x)
-    if x >= _HANKEL_X_MIN:
-        value = _bessel_j_hankel(order, x)
-        if value is not None:
-            return sign * value
+    if order <= x:
+        return sign * _bessel_j_fit(order, x)
     return sign * _bessel_j_miller(order, x)
 
 

@@ -61,6 +61,18 @@ class TestField:
         assert out == ""
         assert "domain error: rho must be >= 0 and finite" in err
 
+    @pytest.mark.parametrize("at, name", [("1,nan,0", "phi"),
+                                          ("1,0,inf", "z"),
+                                          ("1,0,0,-inf", "t")])
+    def test_non_finite_coordinate_exits_3(self, at, name, capsys):
+        # Named before any field is evaluated, not by the field's sample.
+        code, out, err = run(["field", "--kind", "tm", "--m", "1",
+                              "--kperp", "0.8", "--kz", "1.2",
+                              f"--at={at}"], capsys)
+        assert code == 3
+        assert out == ""
+        assert f"domain error: {name} must be finite" in err
+
     @pytest.mark.parametrize("at", ["1,x,0", "1,0", "1,0,0,0,5"])
     def test_malformed_point_exits_2(self, at, capsys):
         code, _, err = run(["field", "--kind", "tm", "--m", "1",

@@ -162,6 +162,12 @@ BAD = [
     (SpinParticle, (math.nan, 1.0, 1.0), "need finite g and q and 0 < M"),
     (SpinParticle, (2.0, 1.0, 0.0), "need finite g and q and 0 < M"),
     (SpinParticle, (2.0, 1.0, math.inf), "need finite g and q and 0 < M"),
+    (CylPoint, (1.0, math.nan, 0.0), "phi must be finite, got nan"),
+    (CylPoint, (1.0, 0.0, math.inf), "z must be finite, got inf"),
+    (CylPoint, (1.0, 0.0, 0.0, -math.inf), "t must be finite, got -inf"),
+    (InternalState, (0, 0, None), "radial must be callable, got None"),
+    (Channel, (0, 0, 0, "tm", None), "mode_kind must be a ModeKind"),
+    (Channel, (0, 0, 0, None, None), "mode_kind must be a ModeKind"),
 ]
 
 
@@ -171,3 +177,8 @@ BAD = [
 def test_each_check_raises(cls, args, message):
     with pytest.raises(InvalidArgumentError, match=message):
         cls(*args)
+
+
+def test_large_finite_coordinates_build():
+    # phi + z + t overflows here, yet each coordinate is finite.
+    assert CylPoint(1.0, 1e308, 1e308, 1e308).t == 1e308

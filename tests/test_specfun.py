@@ -28,43 +28,104 @@ class TestBesselJ:
         assert specfun.bessel_j(3, 0.0) == 0.0
 
     def test_crossover_continuity(self):
-        # Both sides of the series/recurrence and recurrence/Hankel
-        # switches stay on the oracle.
-        hx = specfun._HANKEL_X_MIN
+        # Both sides of the series/fit switch at x = 8 and of the fit/Miller
+        # switch at order = floor(x), floor(x) + 1 stay on the oracle.
         for order in (0, 1, 5):
-            for x in (8.0 - 1e-9, 8.0 + 1e-9, 16.0 - 1e-9, 16.0 + 1e-9,
-                      hx - 1e-9, hx + 1e-9):
+            for x in (8.0 - 1e-9, 8.0 + 1e-9, 16.0 - 1e-9, 16.0 + 1e-9):
                 want = float(mpmath.besselj(order, x))
                 got = specfun.bessel_j(order, x)
                 assert got == pytest.approx(want, abs=1e-13)
+        for x in (8.5, 12.3, 19.0, 40.7, 99.9):
+            for order in (math.floor(x), math.floor(x) + 1):
+                want = float(mpmath.besselj(order, x))
+                got = specfun.bessel_j(order, x)
+                assert got == pytest.approx(want, abs=1e-13)
+            # Where both hold, the fit and Miller agree.
+            order = math.floor(x)
+            assert abs(specfun._bessel_j_fit(order, x)
+                       - specfun._bessel_j_miller(order, x)) <= 2e-15
 
-    def test_hankel_range_against_mpmath(self):
-        # Orders 0..60, x log-uniform on [16, 3000]: Hankel's expansion
-        # where its guard accepts, Miller's recurrence elsewhere.
+    def test_large_x_range_against_mpmath(self):
+        # Orders 0..60, x log-uniform on [16, 3000]: the fit and the
+        # forward recurrence for order <= x, Miller's recurrence above.
         rng = np.random.RandomState(16)
-        accepted = 0
+        fitted = 0
         for _ in range(300):
             order = int(rng.randint(0, 61))
             x = float(np.exp(rng.uniform(np.log(16.0), np.log(3000.0))))
-            accepted += specfun._bessel_j_hankel(order, x) is not None
+            fitted += order <= x
             want = float(mpmath.besselj(order, x))
             assert specfun.bessel_j(order, x) == pytest.approx(want, abs=1e-15)
-        assert accepted > 100
+        assert fitted > 200
 
-    def test_hankel_branch_against_mpmath(self):
-        # Hankel's expansion alone where its guard accepts, orders 0..12,
-        # x log-uniform on [18.5, 200]: within 3e-16 absolute.
+    def test_fit_branch_against_mpmath(self):
+        # The fit alone at orders 0..12, x log-uniform on [8, 200], every
+        # draw with order <= x: within 3e-16 absolute (worst measured
+        # 2.2e-16 over 3000 draws).
         rng = np.random.RandomState(12)
-        accepted = 0
+        fitted = 0
         for _ in range(300):
             order = int(rng.randint(0, 13))
-            x = float(np.exp(rng.uniform(np.log(18.5), np.log(200.0))))
-            got = specfun._bessel_j_hankel(order, x)
-            if got is None:
+            x = float(np.exp(rng.uniform(np.log(8.0), np.log(200.0))))
+            if order > x:
                 continue
-            accepted += 1
+            fitted += 1
+            got = specfun._bessel_j_fit(order, x)
+            assert specfun.bessel_j(order, x) == got
             assert abs(got - float(mpmath.besselj(order, x))) <= 3e-16
-        assert accepted > 200
+        assert fitted > 280
+
+    def test_fit_at_every_order_up_to_x(self):
+        # The forward recurrence up to the turning point, x log-uniform on
+        # [8, 3000] and any order <= x: within 1e-15 absolute (worst
+        # measured 3.9e-16 over 1500 draws); far beyond, ~1e-19.
+        rng = np.random.RandomState(8)
+        for _ in range(100):
+            x = float(np.exp(rng.uniform(np.log(8.0), np.log(3000.0))))
+            order = int(rng.randint(0, int(x) + 1))
+            want = float(mpmath.besselj(order, x))
+            assert abs(specfun._bessel_j_fit(order, x) - want) <= 1e-15
+        for x in (1e4, 1e6, 1e12):
+            for order in (0, 1, 2, 5):
+                want = float(mpmath.besselj(order, x))
+                assert abs(specfun.bessel_j(order, x) - want) <= 1e-18
+
+    @staticmethod
+    def _stored_fit(t):
+        p0 = q0 = p1 = q1 = 0.0
+        for a, b, c, d in specfun._J01_FIT:
+            p0, q0 = p0 * t + a, q0 * t + b
+            p1, q1 = p1 * t + c, q1 * t + d
+        return p0, q0, p1, q1
+
+    @pytest.mark.parametrize("t", [1e-3, 0.05, 0.25, 0.5, 0.75, 1.0])
+    def test_stored_fit_against_mpmath(self, t):
+        # P_n and q_n = (x/8) Q_n at x = 8/sqrt(t), from J_n and Y_n:
+        # sqrt(pi x/2) (J, Y) = (P cos chi - Q sin chi, P sin chi + Q cos chi)
+        # with chi = x - (2n+1) pi/4.  P's error is its own rounding near 1
+        # (half an ulp is 1.1e-16); q's, ~0.05 at most, shows the fit's
+        # own ~5e-18.
+        assert len(specfun._J01_FIT) == 13
+        with mpmath.workdps(40):
+            x = 8 / mpmath.sqrt(t)
+            want = []
+            for n in (0, 1):
+                chi = x - (2 * n + 1) * mpmath.pi / 4
+                j = mpmath.besselj(n, x) * mpmath.sqrt(mpmath.pi * x / 2)
+                y = mpmath.bessely(n, x) * mpmath.sqrt(mpmath.pi * x / 2)
+                want.append(j * mpmath.cos(chi) + y * mpmath.sin(chi))
+                want.append((x / 8) * (y * mpmath.cos(chi)
+                                       - j * mpmath.sin(chi)))
+            errs = [float(abs(g - w))
+                    for g, w in zip(self._stored_fit(t), want)]
+        assert errs[0] <= 1.5e-16 and errs[2] <= 1.5e-16
+        assert errs[1] <= 2e-17 and errs[3] <= 2e-17
+
+    def test_stored_fit_limits_at_infinity(self):
+        # t = 0: P_n = 1, Q_n ~ (4n^2 - 1)/(8x), so q_n = (4n^2 - 1)/64.
+        p0, q0, p1, q1 = self._stored_fit(0.0)
+        assert p0 == p1 == 1.0
+        assert abs(q0 + 1 / 64) <= 1e-17 and abs(q1 - 3 / 64) <= 1e-17
 
     def test_miller_against_mpmath(self):
         # Miller's recurrence alone, orders 0..60, x log-uniform on
@@ -81,16 +142,32 @@ class TestBesselJ:
             want = float(mpmath.besselj(order, x))
             assert abs(specfun._bessel_j_miller(order, x) - want) <= 1.5e-15
 
-    def test_hankel_threshold_is_where_the_guard_accepts(self):
-        # Just above the threshold the m = 0 expansion is accepted, so
-        # trying it there is not wasted work.
-        assert specfun._bessel_j_hankel(0, specfun._HANKEL_X_MIN + 0.1) is not None
+    @pytest.mark.parametrize("order, x, branch", [
+        (0, 8.0 - 1e-9, "_bessel_j_series"), (0, 8.0, "_bessel_j_fit"),
+        (8, 8.0, "_bessel_j_fit"), (9, 8.0, "_bessel_j_miller"),
+        (15, 8.0, "_bessel_j_miller"), (16, 8.0, "_bessel_j_series"),
+        (-3, 40.0, "_bessel_j_fit"), (40, 20.0, "_bessel_j_miller"),
+        (99, 20.0, "_bessel_j_miller"), (100, 20.0, "_bessel_j_series"),
+        (0, 1e6, "_bessel_j_fit")])
+    def test_branch_is_chosen_before_any_work(self, monkeypatch, order, x,
+                                              branch):
+        # One branch per call, picked from (order, x): no try and fall back.
+        calls = []
+        for name in ("_bessel_j_series", "_bessel_j_fit", "_bessel_j_miller"):
+            real = getattr(specfun, name)
 
-    def test_hankel_guard_falls_back(self):
-        # At m = 40, x = 20 the asymptotic terms grow from the start.
-        assert specfun._bessel_j_hankel(40, 20.0) is None
+            def counted(m, y, name=name, real=real):
+                calls.append(name)
+                return real(m, y)
+            monkeypatch.setattr(specfun, name, counted)
+        specfun.bessel_j(order, x)
+        assert calls == [branch]
+
+    def test_order_above_x_takes_miller(self):
+        # At m = 40, x = 20 the order lies between x and x^2/4 - 1.
         want = float(mpmath.besselj(40, 20.0))
         got = specfun.bessel_j(40, 20.0)
+        assert got == specfun._bessel_j_miller(40, 20.0)
         assert got == pytest.approx(want, abs=1e-12, rel=1e-11)
 
     def test_large_order_underflow_is_zero(self):
@@ -98,11 +175,13 @@ class TestBesselJ:
 
     def test_negative_orders_on_every_branch(self, monkeypatch):
         # J_{-m} = (-1)^m J_m from one evaluation, on the series (x = 3),
-        # Miller (x = 12) and Hankel (x = 40) branches; a wrapper of
-        # specfun.bessel_j, as the benchmark's tracer is, sees one call.
+        # fit (x = 12 and 40) and Miller (x = 9, orders 10..16) branches;
+        # a wrapper of specfun.bessel_j, as the benchmark's tracer is, sees
+        # one call.
         original = specfun.bessel_j
-        for x in (3.0, 12.0, 40.0):
-            for m in range(1, 8):
+        for x, orders in ((3.0, range(1, 8)), (12.0, range(1, 8)),
+                          (40.0, range(1, 8)), (9.0, range(10, 17))):
+            for m in orders:
                 got = original(-m, x)
                 assert got == (-1) ** m * original(m, x)
                 assert abs(got - float(mpmath.besselj(-m, x))) <= 1e-14
@@ -147,10 +226,26 @@ class TestBesselJSeries:
             want = mpmath.besselj(order, x)
             assert abs(specfun._bessel_j_series(order, x) - want) <= self.BOUND
 
+    def test_relative_error_where_the_terms_fall(self):
+        # x^2 < 4(m+1) at m <= 170: (x/2)^m times the stored 1/m!, and a
+        # sum that loses no digits, so the error is relative (worst
+        # measured 4.0e-16 over 3000 draws).
+        rng = np.random.RandomState(170)
+        for _ in range(600):
+            order = int(rng.randint(0, specfun._FACT_MAX + 1))
+            top = 2.0 * math.sqrt(order + 1.0)
+            x = float(np.exp(rng.uniform(math.log(1e-3), math.log(top))))
+            want = mpmath.besselj(order, x)
+            if abs(want) < 1e-290:  # subnormal or zero: no relative digits
+                continue
+            got = specfun._bessel_j_series(order, x)
+            assert abs(got - want) <= 1e-15 * abs(want)
+
     def test_against_mpmath_at_large_order(self):
         # x >= 8 with x^2 < 4(m+1): the terms fall from the start, so the
-        # relative error is that of (x/2)^m / m! in log space (worst
-        # measured 1.6e-13 at m <= 200).
+        # relative error is that of (x/2)^m / m!: from the stored 1/m! at
+        # m <= 170, in log space above (worst measured 1.6e-13 at
+        # m <= 200).
         rng = np.random.RandomState(26)
         for _ in range(300):
             order = int(rng.randint(16, 201))
@@ -215,8 +310,9 @@ class TestBesselJSeries:
 class TestBesselJRun:
     def test_against_mpmath_no_worse_than_scalar(self):
         # Orders 0..80, x in [1e-3, 60], run lengths 1..60: the worst
-        # absolute error, and the worst relative one above the turning
-        # point (order > x, no zeros), are at most the scalar's.
+        # absolute error is at most the scalar's, and the worst relative
+        # one above the turning point (order > x, no zeros) is within
+        # 4e-15 (measured: run 3.5e-15, scalar 1.9e-15).
         rng = np.random.RandomState(21)
         xs = [1e-3, 7.9, 8.0, 18.5, 60.0]
         xs += [float(x) for x in np.exp(rng.uniform(math.log(1e-3), math.log(60.0), 115))]
@@ -238,7 +334,8 @@ class TestBesselJRun:
                     scalar_rel = max(scalar_rel, e_scalar / float(abs(want)))
         assert run_abs <= 1e-15
         assert run_abs <= scalar_abs
-        assert run_rel <= scalar_rel
+        assert run_rel <= 4e-15
+        assert scalar_rel <= 4e-15
 
     def test_at_zero_exact(self):
         assert specfun.bessel_j_run(0, 4, 0.0) == [1.0, 0.0, 0.0, 0.0]
