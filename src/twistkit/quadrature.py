@@ -114,20 +114,21 @@ def _gauss_kronrod(f, a, b):
     return kron, err
 
 
-def integrate_finite(f: Callable[[float], float], a: float, b: float
-                     ) -> QuadResult:
+def integrate_finite(f: Callable[[float], float], a: float, b: float,
+                     cells: int = 1) -> QuadResult:
     """Adaptive bisection on full-precision G10/K21 panels (QUADPACK
-    qk21): the panel with the largest estimate is halved until the summed
-    estimates are <= FINITE_TOL (absolute), 21 + 42 j evaluations after j
-    halvings.  ConvergenceError (the partial QuadResult) past
-    _FINITE_MAX_EVALS."""
+    qk21), from ``cells`` equal ones: the panel with the largest estimate
+    is halved until the summed estimates are <= FINITE_TOL (absolute),
+    21 (cells + 2 j) evaluations after j halvings.  ConvergenceError (the
+    partial QuadResult) past _FINITE_MAX_EVALS."""
     if not (a < b):
         raise InvalidArgumentError("need a < b")
-    value, err = _gauss_kronrod(f, a, b)
-    intervals = [(err, a, b, value)]
-    evals = _GK_NODES
-    total = value
-    total_err = err
+    edges = [a + (b - a) * j / cells for j in range(cells + 1)]
+    intervals = [(e, lo, hi, v) for lo, hi in zip(edges, edges[1:])
+                 for v, e in [_gauss_kronrod(f, lo, hi)]]
+    evals = _GK_NODES * cells
+    total = sum(it[3] for it in intervals)
+    total_err = sum(it[0] for it in intervals)
     while total_err > FINITE_TOL and evals < _FINITE_MAX_EVALS:
         intervals.sort(key=lambda it: it[0])
         worst = intervals.pop()

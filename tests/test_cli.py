@@ -641,6 +641,25 @@ class TestVerify:
         code, out, _ = run(["verify", "--only", "overlap"], capsys)
         assert code == 0 and out.startswith("PASS overlap.")
 
+    def test_addition_theorem_reference_is_a_miller_pass(self, monkeypatch):
+        # psi_shifted is checked against J_m(k rho) e^{i m phi} from
+        # bessel_j_run, not against psi_displaced_direct's scalar series
+        # (which only the quadrupole check, after it, still calls).
+        import numpy as np
+        calls = []
+        direct = cli.expansion.psi_displaced_direct
+
+        def counted(*args):
+            calls.append(args)
+            return direct(*args)
+        monkeypatch.setattr(cli.expansion, "psi_displaced_direct", counted)
+        results = []
+        cli._verify_expansion(results, np.random.RandomState(0))
+        name, ok, margin, _ = results[0]
+        assert name == "expansion.addition_theorem" and ok
+        assert margin <= 1e-13
+        assert len(calls) < cli._EXPANSION_CASES
+
     def test_report_line_format(self, capsys):
         _, out, _ = run(["verify", "--only", "overlap"], capsys)
         line = [l for l in out.splitlines() if l.startswith("PASS")][0]

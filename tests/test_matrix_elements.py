@@ -749,15 +749,16 @@ class TestCenterOfMassIntegrals:
         assert me.suppression_factor(0.0, 1.1) == 1.0
 
     def test_trapped_ground_state_on_k21_panels(self, finite_evaluations):
-        # e^{-k^2 alpha^2 / 4} to rounding, in at most 150 evaluations.
+        # e^{-k^2 alpha^2 / 4} to rounding, in 105 evaluations each: the
+        # derived cut-off sqrt(ln 1e16) = 6.07 takes five K21 panels at
+        # every k alpha in [0.5, 3] (up to seven with the old cut-off 8).
         for alpha in (0.8, 1.0, 1.4):
             cm = me.CenterOfMassState.trapped(0, 0, alpha)
             for k_alpha in (0.5, 1.0, 2.0, 3.0):
                 k = k_alpha / alpha
                 got = me.icm0(cm, cm, k, 1.0, 0)
                 assert abs(got - me.suppression_factor(k, alpha)) <= 1e-14
-        assert len(finite_evaluations) == 12
-        assert max(finite_evaluations) <= 150
+        assert finite_evaluations == [105] * 12
 
     @pytest.mark.parametrize("k_alpha", [1.0, 3.0])
     @pytest.mark.parametrize("m_in, n_in, m_out, n_out, order", [
@@ -944,6 +945,107 @@ class TestCenterOfMassIntegrals:
                              me.ho_vortex_candidate):
                 with pytest.raises(InvalidArgumentError):
                     evaluate(*args)
+
+
+def _trapped_integral_args(rng, form):
+    """(weight, p, n1, a1, n2, a2, nu) of _laguerre_gauss_bessel as one of
+    its three callers forms them, every n and a <= 15."""
+    if form == "icm0":  # the states' norm; p = 1 + |m_R| + |m_R'|
+        n1, a1, n2, a2 = (rng.randint(0, 15) for _ in range(4))
+        norm = 2.0 * math.sqrt(math.factorial(n1) * math.factorial(n2)
+                               / (math.factorial(n1 + a1)
+                                  * math.factorial(n2 + a2)))
+        return norm, 1 + a1 + a2, n1, a1, n2, a2, rng.randint(-15, 15)
+    if form == "gauss_bessel":
+        nu = rng.randint(0, 15)
+        sigma = rng.randint(0, nu)
+        return (1.0, nu + 1, rng.randint(0, 15), nu - sigma,
+                rng.randint(0, 15), sigma, nu)
+    # ho_vortex_integral; n > (m + 1) / 2 makes p = m - 2n + 1 negative.
+    m = rng.randint(1, 15)
+    n = rng.randint((m + 2) // 2, m) if form == "vortex_p<0" else rng.randint(0, m)
+    return 1.0, m - 2 * n + 1, rng.randint(0, 15), m - n, 0, 0, m
+
+
+class TestTrappedCutOff:
+    @pytest.mark.parametrize("form", ["icm0", "gauss_bessel", "vortex",
+                                      "vortex_p<0"])
+    def test_bound_covers_the_dropped_tail(self, form):
+        # T(X) >= |int_X^inf| of the integrand in 30 digits, 10 draws per
+        # caller form; T(X) is within 1e-4 under 1e-16, so X is the
+        # smallest cut-off with T <= 1e-16 (T falls with X).
+        rng = random.Random(2900 + len(form))
+        for _ in range(10):
+            weight, p, n1, a1, n2, a2, nu = _trapped_integral_args(rng, form)
+            k_alpha = rng.uniform(0.1, 5.0)
+            x_max, bound = me._tail_cutoff(weight, p, n1, a1, n2, a2)
+            assert 1e-16 * (1.0 - 1e-4) <= bound <= 1e-16
+            with mpmath.workdps(30):
+                def f(x):
+                    u = x * x
+                    return (weight * x ** p * mpmath.exp(-u)
+                            * mpmath.laguerre(n1, a1, u)
+                            * mpmath.laguerre(n2, a2, u)
+                            * mpmath.besselj(nu, k_alpha * x))
+                tail = abs(mpmath.quad(f, mpmath.linspace(x_max, x_max + 12, 25),
+                                       method="gauss-legendre"))
+            assert tail <= bound
+
+    def test_estimate_includes_the_bound(self, monkeypatch):
+        # The panels run on [0, X], and the estimate is theirs plus T(X).
+        calls = []
+        finite = me.quadrature.integrate_finite
+
+        def recorded(f, a, b, cells=1):
+            calls.append((a, b, finite(f, a, b, cells)))
+            return calls[-1][2]
+        monkeypatch.setattr(me.quadrature, "integrate_finite", recorded)
+        rng = random.Random(2905)
+        for form in ("icm0", "gauss_bessel", "vortex", "vortex_p<0"):
+            args = _trapped_integral_args(rng, form)
+            x_max, bound = me._tail_cutoff(*args[:6])
+            r = me._laguerre_gauss_bessel(*args, 1.7)
+            a, b, panels = calls[-1]
+            assert (a, b) == (0.0, x_max)
+            assert r.abs_error_estimate == panels.abs_error_estimate + bound
+            assert r.abs_error_estimate >= bound
+            assert r.value == panels.value
+
+    def test_ground_state_cut_off(self):
+        # T(X) = e^{-X^2} for the ground state's weight 2 and p = 1.
+        x_max, bound = me._tail_cutoff(2.0, 1, 0, 0, 0, 0)
+        assert x_max == pytest.approx(math.sqrt(math.log(1e16)), abs=1e-6)
+        assert bound == pytest.approx(math.exp(-x_max ** 2), rel=1e-12)
+
+    def test_high_quanta_stay_in_range(self):
+        # At n_bar = 120, X ~ 27.2: e^{-X^2} underflows and X^{2n} would
+        # overflow, so the bound is summed in logs.
+        x_max, bound = me._tail_cutoff(2.0, 1, 120, 0, 120, 0)
+        assert 25.0 < x_max < 30.0
+        assert 1e-16 * (1.0 - 1e-4) <= bound <= 1e-16
+
+    @pytest.mark.parametrize("bad", [(-1, 0, 0, 0), (0, -1, 0, 0),
+                                     (0, 0, 1.5, 0), (0, 0, 0, 2.0)])
+    def test_indices_checked(self, bad):
+        with pytest.raises(InvalidArgumentError):
+            me._laguerre_gauss_bessel(1.0, 1, *bad, 0, 1.0)
+
+    @pytest.mark.parametrize("k_alpha", [20.0, 40.0, 55.0, 60.0])
+    @pytest.mark.parametrize("n_bar, m, n", [(0, 3, 1), (1, 2, 1), (2, 4, 2),
+                                             (3, 5, 1), (1, 3, 3)])
+    def test_vortex_estimate_holds_at_large_k_alpha(self, n_bar, m, n,
+                                                    k_alpha):
+        # Panels start at most three periods 2 pi / (k alpha) wide.  One
+        # panel over ~14 periods once reported 7.5e-13 for an error of
+        # 3.0e-12 at (1, 2, 1), k alpha = 55.
+        r = me.ho_vortex_integral(n_bar, 1.0, k_alpha, m, n)
+        with mpmath.workdps(30):
+            z = mpmath.mpf(k_alpha) ** 2 / 4
+            want = ((mpmath.mpf(k_alpha) / 2) ** m * z ** n_bar
+                    / (2 * mpmath.factorial(n_bar))
+                    * mpmath.factorial(m + n_bar - n) / mpmath.factorial(m + n_bar)
+                    * mpmath.hyp1f1(m + n_bar - n + 1, m + n_bar + 1, -z))
+        assert float(abs(r.value - want)) <= r.abs_error_estimate
 
 
 class TestInternalIntegrals:
@@ -1182,16 +1284,23 @@ class TestCandidateComparisons:
 
     def test_vortex_candidate_reports_the_quadrature_estimate(self):
         # The estimate is the quadrature's own, scaled like the value by
-        # sqrt(alpha)^(n - m), not the 1e-12 tolerance; here it covers the
-        # distance to the closed-form series.
+        # sqrt(alpha)^(n - m), not the 1e-12 tolerance; it covers the
+        # distance to the 1F1 closed form in 40 digits.  (The float series
+        # is 1.8e-14 off here, above the estimate, 2.9e-15 unscaled.)
         n_bar, alpha, k, m, n = 2, 1.3, 2.0, 3, 1
         c = me.ho_vortex_candidate(n_bar, alpha, k, m, n)
         scale = math.sqrt(alpha) ** (n - m)
         r = me.ho_vortex_integral(n_bar, alpha, k, m, n)
         assert c.oracle == scale * r.value
         assert c.oracle_error == scale * r.abs_error_estimate != 1e-12
-        series = me.ho_vortex_series(n_bar, alpha, k, m, n).value
-        assert abs(c.oracle - scale * series) <= c.oracle_error
+        with mpmath.workdps(40):
+            a = mpmath.mpf(alpha)
+            z = (k * a) ** 2 / 4
+            want = (a ** (2 * (m - n + 1)) * mpmath.mpf(k / 2) ** m * z ** n_bar
+                    / (2 * mpmath.factorial(n_bar))
+                    * mpmath.factorial(m + n_bar - n) / mpmath.factorial(m + n_bar)
+                    * mpmath.hyp1f1(m + n_bar - n + 1, m + n_bar + 1, -z))
+            assert abs(c.oracle - scale * want) <= c.oracle_error
 
     def test_vortex_candidate_matches_at_trivial_order(self):
         # With n_bar = 0, n = 0 both sides reduce to the same Gaussian

@@ -40,6 +40,22 @@ class TestIntegrateFinite:
             assert r.evaluations > 21
             assert (r.evaluations - 21) % 42 == 0
 
+    def test_equal_cells_to_start(self):
+        # 21 (cells + 2 j) evaluations after j halvings; the first panels
+        # are equal cells, and cells = 1 is the default.
+        f = lambda x: math.cos(7.0 * x) * math.exp(-x)
+        one = quadrature.integrate_finite(f, 0.0, 20.0)
+        assert one == quadrature.integrate_finite(f, 0.0, 20.0, 1)
+        want = (1.0 - math.exp(-20.0) * (math.cos(140.0)
+                                         - 7.0 * math.sin(140.0))) / 50.0
+        for cells in (2, 3, 7):
+            r = quadrature.integrate_finite(f, 0.0, 20.0, cells)
+            assert r.evaluations >= 21 * cells
+            assert (r.evaluations - 21 * cells) % 42 == 0
+            assert abs(r.value - want) <= r.abs_error_estimate <= 1e-12
+        r = quadrature.integrate_finite(math.sin, 0.0, math.pi, 4)
+        assert r.evaluations == 84 and abs(r.value - 2.0) <= 1e-15
+
     def test_k21_rule_exact_to_degree_30(self):
         v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0)
         assert abs(v - 2.0 / 31.0) <= 1e-15

@@ -75,6 +75,25 @@ class TestBesselJ:
             assert abs(got - float(mpmath.besselj(order, x))) <= 3e-16
         assert fitted > 280
 
+    def test_fit_order_zero_runs_two_columns_bit_identically(self):
+        # Order 0 evaluates the P_0 and q_0 columns alone: the same
+        # operations as the four-column loop, so the same bits.
+        def four_columns(x):
+            t = 64.0 / (x * x)
+            p0 = q0 = p1 = q1 = 0.0
+            for a, b, c, d in specfun._J01_FIT:
+                p0 = p0 * t + a
+                q0 = q0 * t + b
+                p1 = p1 * t + c
+                q1 = q1 * t + d
+            cos_x, sin_x = math.cos(x), math.sin(x)
+            return ((p0 * (cos_x + sin_x) - 8.0 / x * q0 * (sin_x - cos_x))
+                    / math.sqrt(math.pi * x))
+        rng = np.random.RandomState(29)
+        for x in [8.0, 9.5, 1e6] + list(np.exp(rng.uniform(np.log(8.0),
+                                                            np.log(3000.0), 200))):
+            assert specfun._bessel_j_fit(0, float(x)) == four_columns(float(x))
+
     def test_fit_at_every_order_up_to_x(self):
         # The forward recurrence up to the turning point, x log-uniform on
         # [8, 3000] and any order <= x: within 1e-15 absolute (worst
@@ -425,6 +444,18 @@ class TestLaguerre:
             with pytest.raises(InvalidArgumentError):
                 specfun.laguerre(n, 0.5, 1.0)
         assert specfun.laguerre(np.int64(3), 0.5, 1.0) == specfun.laguerre(3, 0.5, 1.0)
+
+    @pytest.mark.parametrize("alpha, x", [(math.nan, 1.0), (math.inf, 1.0),
+                                          (0.5, math.nan), (0.5, -math.inf)])
+    def test_rejects_non_finite_alpha_or_x(self, alpha, x):
+        with pytest.raises(InvalidArgumentError):
+            specfun.laguerre(2, alpha, x)
+
+    def test_unchecked_recurrence_is_the_same(self):
+        # laguerre is its checks, then _laguerre: the same values.
+        for n in range(6):
+            for alpha, x in ((0.0, 0.3), (2.5, 7.0), (15.0, 40.0)):
+                assert specfun._laguerre(n, alpha, x) == specfun.laguerre(n, alpha, x)
 
 
 class TestPochhammer:
