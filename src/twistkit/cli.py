@@ -420,10 +420,9 @@ def _verify_expansion(results, rng):
         q = expansion.PlanarVec(rng.uniform(0.05, 3.0 / k), rng.uniform(0, 2 * math.pi))
         v_max = expansion.default_v_max(k, R, q)
         approx = expansion.psi_shifted(m, k, R, q, v_max).value
-        # A Miller pass, not the scalar series (~4e-14 off near x = 8).
         rho = expansion.PlanarVec.from_complex(R.to_complex() - q.to_complex())
-        direct = (specfun.bessel_j_run(m, 1, k * rho.r)[0]
-                  * cmath.exp(1j * m * rho.phi))
+        # A Miller pass, not the scalar series (~4e-14 off near x = 8).
+        direct = specfun.bessel_j_run(m, 1, k * rho.r)[0] * cmath.exp(1j * m * rho.phi)
         # Scale floor keeps the ratio meaningful near zeros of the profile.
         worst = max(worst, abs(approx - direct) / max(abs(direct), 1e-6))
     _check(results, "expansion.addition_theorem", worst, 1e-8)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import cmath
 import collections
+import functools
 import math
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
@@ -663,76 +664,51 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
                                converged)
 
 
-# The trapped overlaps' cut-off X (in x = R / alpha) is the smallest at
-# which the bound on the tail it drops is this small.
-_TAIL_TOL = 1e-16
+_TAIL_TOL = 1e-16  # the bound on the tail the trapped overlaps' cut-off drops
 
 
+@functools.lru_cache(maxsize=256)
 def _tail_cutoff(weight: float, p: int, n1: int, a1: int, n2: int,
                  a2: int) -> Tuple[float, float]:
-    """(X, T(X)): T(x) >= |int_x^inf| of _laguerre_gauss_bessel's integrand,
-    from |J_nu| <= 1, |L_n^a(u)| <= sum_k C(n+a, n-k) u^k / k! (a >= 0),
-    t^p <= x^p (p < 0) and int_x^inf t^s e^{-t^2} dt <= x^{s-1} e^{-x^2} j_s,
-    j_{s+2} = ((s+1) j_s / x^2 + 1) / 2 from j = 1/2 at s = 1 or 0 (Mills),
-    summed in logs.  Newton's method from the ground state's root, each step
-    within [x/2, 2x] and 1e-9 longer upward, ends at T(X) <= _TAIL_TOL
-    within 1e-6 of the smallest such X."""
-    # c[i] = n1! n2! times the coefficient of u^i in the product of the two
-    # Laguerre bounds, exact.  T <= _TAIL_TOL is log T' <= target for
-    # T' = T n1! n2! / weight.
-    b1, b2 = ([math.comb(n + a, n - k) * math.perm(n, n - k)
-               for k in range(n + 1)] for n, a in ((n1, a1), (n2, a2)))
-    c = [0] * (n1 + n2 + 1)
-    for k1, v1 in enumerate(b1):
-        for k2, v2 in enumerate(b2):
-            c[k1 + k2] += v1 * v2
-    log_c = [math.log(v) for v in c]
-    q = max(p, 0)
-    target = math.log(_TAIL_TOL / weight) + math.log(
-        math.factorial(n1) * math.factorial(n2))
-    x, step = math.sqrt(-math.log(_TAIL_TOL)), 0.0
-    for _ in range(50):
-        x -= max(min(step, 0.5 * x), -x)
-        lx, j, terms = math.log(x), 0.5, []
-        for s in range(q % 2, q + 2 * len(log_c) - 1, 2):
-            if s >= q:
-                terms.append((log_c[(s - q) // 2] + (s - q) * lx, j))
-            j = 0.5 * ((s + 1) * j / (x * x) + 1.0)
-        top = max(t for t, _ in terms)
-        edge = sum(math.exp(t - top) for t, _ in terms)
-        tail = sum(math.exp(t - top) * j for t, j in terms)
-        log_t = (min(p, 0) + q - 1) * lx - x * x + top + math.log(tail)
-        step = (log_t - target) / (min(p, 0) / x - x * edge / tail) - 1e-9
-        if log_t <= target and step < 1e-6:
-            break
-    return x, _TAIL_TOL * math.exp(log_t - target)
+    """(X, T(X)): X the least x >= sqrt(s), s = max(p - 1, 0) + 2 (n1 + n2),
+    to 1e-12 from above, with T(x) = weight x^(p-1) e^(-x^2) L_n1^a1(-x^2)
+    L_n2^a2(-x^2) / (2 - s/x^2) <= _TAIL_TOL.  T bounds the tail, and falls
+    with x, by |J| <= 1, |L_n^a(u)| <= L_n^a(-u) (a >= 0), t^p <= x^p (p < 0)
+    and Gamma(b, y) <= y^(b-1) e^(-y) / (1 - (b-1)/y) for y > b - 1 >= 0."""
+    s = max(p - 1, 0) + 2 * (n1 + n2)
+    def log_t(x: float) -> float:  # log(T(x) / _TAIL_TOL)
+        u = x * x
+        return (math.log(weight / _TAIL_TOL / (2.0 - s / u)) + (p - 1) * math.log(x)
+                - u + math.log(specfun._laguerre(n1, a1, -u))
+                + math.log(specfun._laguerre(n2, a2, -u)))
+
+    lo = hi = math.sqrt(max(s, 1))
+    while log_t(hi) > 0.0:
+        lo, hi = hi, 2.0 * hi
+    while hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if log_t(mid) > 0.0 else (lo, mid)
+    return hi, _TAIL_TOL * math.exp(log_t(hi))
 
 
 def _laguerre_gauss_bessel(weight: float, p: int, n1: int, a1: int, n2: int,
                            a2: int, nu: int, k_alpha: float
                            ) -> quadrature.QuadResult:
     """int_0^inf weight x^p e^{-x^2} L_n1^a1(x^2) L_n2^a2(x^2) J_nu(k_alpha x)
-    dx in x = R / alpha: the one integral of the trapped overlaps, a
-    function of k alpha alone.  The weight (the states' norm for icm0, else
-    1) is in the integrand, so FINITE_TOL binds the value.  It integrates
-    up to _tail_cutoff's X, and its estimate adds T(X).  Panels start at
-    most three periods 2 pi / (k alpha) wide, so that no estimate rests on
-    an unresolved oscillation.  n1, a1, n2, a2: integers >= 0, checked once.
-    """
-    for name, v in (("n1", n1), ("a1", a1), ("n2", n2), ("a2", a2)):
-        specfun._require_integer(name, v, 0)
+    dx (x = R / alpha), the trapped overlaps' one integral, up to _tail_cutoff's
+    X on panels at most three periods 2 pi / (k alpha) wide; the estimate adds
+    T(X).  The weight (the states' norm for icm0, else 1) binds FINITE_TOL to
+    the value.  n1, a1, n2, a2: integers >= 0, which the callers check."""
     x_max, tail = _tail_cutoff(weight, p, n1, a1, n2, a2)
     laguerre = specfun._laguerre
-
     def f(x: float) -> float:
         u = x * x
         return (weight * x ** p * math.exp(-u) * laguerre(n1, a1, u)
                 * laguerre(n2, a2, u) * specfun.bessel_j(nu, k_alpha * x))
 
-    r = quadrature.integrate_finite(
+    value, err, evals, ok = quadrature.integrate_finite(
         f, 0.0, x_max, max(1, math.ceil(x_max * k_alpha / (6.0 * math.pi))))
-    return quadrature.QuadResult(r.value, r.abs_error_estimate + tail,
-                                 r.evaluations, r.converged)
+    return quadrature.QuadResult(value, err + tail, evals, ok)
 
 
 def axial_momentum_constraint(cm_in: CenterOfMassState, k_z: float) -> float:
@@ -757,11 +733,10 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     estimate exceeds quadrature.SEMIINFINITE_TOL.  InvalidArgumentError
     unless 0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
     where the integral diverges.
-    Trapped states: _laguerre_gauss_bessel in x = R / alpha up to its one
-    derived cut-off, a function of k_perp alpha alone, weighted by the
-    states' norm 2 sqrt(n_bar! n_bar'! / ((n_bar + |m_R|)! (n_bar' +
-    |m_R'|)!)), so that the tolerance binds the overlap itself;
-    InvalidArgumentError unless 0 <= k_perp < inf.
+    Trapped states: _laguerre_gauss_bessel (one derived cut-off) in x = R /
+    alpha, weighted by the states' norm 2 sqrt(n_bar! n_bar'! / ((n_bar +
+    |m_R|)! (n_bar' + |m_R'|)!)), so that the tolerance binds the overlap
+    itself; InvalidArgumentError unless 0 <= k_perp < inf.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
@@ -789,9 +764,9 @@ def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,
                   L_eta^{sigma}(x^2/a^2) J_nu(k x) dx
 
     (a = alpha) vs the quadrature oracle, a^{nu+2} times
-    _laguerre_gauss_bessel in x / a (value and estimate, which includes the
-    dropped tail's bound, alike).  Only the Gaussian/Laguerre structure of
-    the candidate is trustworthy; its prefactor is dimensionally off.
+    _laguerre_gauss_bessel in x / a (value and estimate, with the tail's
+    bound, alike).  Only the Gaussian/Laguerre structure of the candidate
+    is trustworthy; its prefactor is dimensionally off.
     InvalidArgumentError unless the indices are integers, lam, eta >= 0,
     0 <= sigma <= nu, 0 < alpha < inf and 0 <= k < inf.
     """
@@ -830,8 +805,7 @@ def ho_vortex_integral(n_bar: int, alpha: float, k_perp: float,
         int_0^inf R^{m-2n+1} e^{-R^2/alpha^2} J_m(k R)
                   L_{n_bar}^{m-n}(R^2/alpha^2) dR,
     alpha^{m-2n+2} times _laguerre_gauss_bessel in x = R / alpha (value and
-    estimate, the dropped tail's bound included, alike, so that both hold
-    at every alpha for one k alpha).
+    estimate, with the tail's bound, alike: both hold at every alpha).
     """
     _require_vortex_args(n_bar, alpha, k_perp, m, n)
     return _laguerre_gauss_bessel(

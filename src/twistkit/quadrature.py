@@ -120,27 +120,27 @@ def integrate_finite(f: Callable[[float], float], a: float, b: float,
     qk21), from ``cells`` equal ones: the panel with the largest estimate
     is halved until the summed estimates are <= FINITE_TOL (absolute),
     21 (cells + 2 j) evaluations after j halvings.  ConvergenceError (the
-    partial QuadResult) past _FINITE_MAX_EVALS."""
-    if not (a < b):
-        raise InvalidArgumentError("need a < b")
-    edges = [a + (b - a) * j / cells for j in range(cells + 1)]
-    intervals = [(e, lo, hi, v) for lo, hi in zip(edges, edges[1:])
-                 for v, e in [_gauss_kronrod(f, lo, hi)]]
+    partial QuadResult) past _FINITE_MAX_EVALS, before any evaluation if
+    the cells alone would pass it."""
+    if not (a < b and cells >= 1):
+        raise InvalidArgumentError("need a < b and cells >= 1")
+    if _GK_NODES * cells > _FINITE_MAX_EVALS:
+        raise ConvergenceError(
+            f"integrate_finite: {cells} cells exceed {_FINITE_MAX_EVALS} "
+            "evaluations", partial=QuadResult(math.nan, math.inf, 0, False))
+    def panels(edges):  # (estimate, lo, hi, value) of each cell
+        return [(e, lo, hi, v) for lo, hi in zip(edges, edges[1:])
+                for v, e in [_gauss_kronrod(f, lo, hi)]]
+
+    intervals = panels([a + (b - a) * j / cells for j in range(cells + 1)])
     evals = _GK_NODES * cells
-    total = sum(it[3] for it in intervals)
-    total_err = sum(it[0] for it in intervals)
-    while total_err > FINITE_TOL and evals < _FINITE_MAX_EVALS:
+    while ((total_err := sum(it[0] for it in intervals)) > FINITE_TOL
+           and evals < _FINITE_MAX_EVALS):
         intervals.sort(key=lambda it: it[0])
-        worst = intervals.pop()
-        _, wa, wb, wv = worst
-        mid = 0.5 * (wa + wb)
-        v1, e1 = _gauss_kronrod(f, wa, mid)
-        v2, e2 = _gauss_kronrod(f, mid, wb)
+        _, wa, wb, _ = intervals.pop()
+        intervals += panels([wa, 0.5 * (wa + wb), wb])
         evals += 2 * _GK_NODES
-        intervals.append((e1, wa, mid, v1))
-        intervals.append((e2, mid, wb, v2))
-        total = sum(it[3] for it in intervals)
-        total_err = sum(it[0] for it in intervals)
+    total = sum(it[3] for it in intervals)
     if total_err > FINITE_TOL:
         raise ConvergenceError(
             f"integrate_finite exceeded {_FINITE_MAX_EVALS} evaluations "

@@ -295,20 +295,16 @@ def _bessel_j_fit(order: int, x: float) -> float:
     # order <= x, where the recurrence is stable.  The coefficient 2k/x is
     # formed at each step, as in the Miller pass.  cos and sin of
     # chi_n expand into those of x (cos/sin of (2n+1) pi/4 are +-1/sqrt(2)),
-    # which keeps x unrounded: x - phase would lose ~x 1e-16.  Order 0
-    # runs the P_0 and q_0 columns alone.
+    # which keeps x unrounded: x - phase would lose ~x 1e-16.
     t = 64.0 / (x * x)
     p0 = q0 = p1 = q1 = 0.0
-    if order == 0:
+    if order == 0:  # J_0 alone: the P_0 and q_0 columns
         for a, b, _, _ in _J01_FIT:
-            p0 = p0 * t + a
-            q0 = q0 * t + b
+            p0, q0 = p0 * t + a, q0 * t + b
     else:
         for a, b, c, d in _J01_FIT:
-            p0 = p0 * t + a
-            q0 = q0 * t + b
-            p1 = p1 * t + c
-            q1 = q1 * t + d
+            p0, q0 = p0 * t + a, q0 * t + b
+            p1, q1 = p1 * t + c, q1 * t + d
     cos_x = math.cos(x)
     sin_x = math.sin(x)
     r = 8.0 / x
@@ -370,8 +366,7 @@ def laguerre(n: int, alpha: float, x: float) -> float:
     return _laguerre(n, alpha, x)
 
 
-def _laguerre(n: int, alpha: float, x: float) -> float:
-    # laguerre's recurrence, unchecked: for callers that checked n and alpha.
+def _laguerre(n: int, alpha: float, x: float) -> float:  # laguerre, unchecked
     if n == 0:
         return 1.0
     lm, lc = 1.0, 1.0 + alpha - x

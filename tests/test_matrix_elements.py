@@ -1018,17 +1018,53 @@ class TestTrappedCutOff:
         assert bound == pytest.approx(math.exp(-x_max ** 2), rel=1e-12)
 
     def test_high_quanta_stay_in_range(self):
-        # At n_bar = 120, X ~ 27.2: e^{-X^2} underflows and X^{2n} would
-        # overflow, so the bound is summed in logs.
+        # At n_bar = 120, X ~ 27.2: e^{-X^2} underflows, so log T is the
+        # sum of its factors' logs.
         x_max, bound = me._tail_cutoff(2.0, 1, 120, 0, 120, 0)
         assert 25.0 < x_max < 30.0
         assert 1e-16 * (1.0 - 1e-4) <= bound <= 1e-16
 
-    @pytest.mark.parametrize("bad", [(-1, 0, 0, 0), (0, -1, 0, 0),
-                                     (0, 0, 1.5, 0), (0, 0, 0, 2.0)])
-    def test_indices_checked(self, bad):
+    @pytest.mark.parametrize("call", [
+        lambda: me.CenterOfMassState.trapped(0, -1, 1.0),
+        lambda: me.CenterOfMassState.trapped(1.5, 0, 1.0),
+        lambda: me.CenterOfMassState.trapped(0, 2.0, 1.0),
+        lambda: me.ho_gauss_bessel_candidate(1, -1, 0, 0, 1.0, 0.8),
+        lambda: me.ho_gauss_bessel_candidate(1, 0, 0, 2, 1.0, 0.8),
+        lambda: me.ho_gauss_bessel_candidate(1, 0, 1.5, 0, 1.0, 0.8),
+        lambda: me.ho_vortex_integral(-1, 1.0, 1.0, 2, 1),
+        lambda: me.ho_vortex_integral(0, 1.0, 1.0, 2, 3),
+        lambda: me.ho_vortex_integral(1.5, 1.0, 1.0, 2, 1)])
+    def test_callers_check_the_indices(self, call, monkeypatch):
+        # _laguerre_gauss_bessel takes its n and a as checked: each caller
+        # (icm0 through its states) rejects bad ones before any evaluation.
+        monkeypatch.setattr(me, "_laguerre_gauss_bessel", None)
         with pytest.raises(InvalidArgumentError):
-            me._laguerre_gauss_bessel(1.0, 1, *bad, 0, 1.0)
+            call()
+
+    def test_cut_off_is_computed_once_per_states(self):
+        # X depends on the states and the weight, not on k alpha.
+        cm = me.CenterOfMassState.trapped(2, 1, 0.9)
+        me.icm0(cm, cm, 1.0, 1.0, 0)
+        before = me._tail_cutoff.cache_info()
+        for k in (0.3, 1.7, 2.9):
+            me.icm0(cm, cm, k, 1.0, 0)
+        after = me._tail_cutoff.cache_info()
+        assert (after.hits - before.hits, after.misses) == (3, before.misses)
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda: me.icm0(me.CenterOfMassState.trapped(0, 0, 1.0),
+                        me.CenterOfMassState.trapped(0, 0, 1.0), 1e9, 1.0, 0),
+        lambda: me.ho_vortex_integral(1, 2.0, 5e8, 2, 1)])
+    def test_huge_k_alpha_raises_before_any_evaluation(self, evaluate,
+                                                       monkeypatch):
+        # k alpha = 1e9 asks for ~3e8 starting panels: ConvergenceError
+        # before the integrand runs, not a list of them in memory.
+        calls = []
+        monkeypatch.setattr(me.specfun, "bessel_j",
+                            lambda *args: calls.append(args) or 0.0)
+        with pytest.raises(ConvergenceError) as info:
+            evaluate()
+        assert calls == [] and info.value.partial.evaluations == 0
 
     @pytest.mark.parametrize("k_alpha", [20.0, 40.0, 55.0, 60.0])
     @pytest.mark.parametrize("n_bar, m, n", [(0, 3, 1), (1, 2, 1), (2, 4, 2),

@@ -56,6 +56,25 @@ class TestIntegrateFinite:
         r = quadrature.integrate_finite(math.sin, 0.0, math.pi, 4)
         assert r.evaluations == 84 and abs(r.value - 2.0) <= 1e-15
 
+    def test_cells_past_the_cap_raise_before_any_evaluation(self):
+        calls = []
+        cells = quadrature._FINITE_MAX_EVALS // quadrature._GK_NODES + 1
+        with pytest.raises(ConvergenceError) as info:
+            quadrature.integrate_finite(lambda x: calls.append(x) or 0.0,
+                                        0.0, 1.0, cells)
+        assert calls == []
+        partial = info.value.partial
+        assert (partial.evaluations, partial.converged) == (0, False)
+        assert math.isnan(partial.value) and partial.abs_error_estimate == math.inf
+        # The most cells under the cap still run.
+        r = quadrature.integrate_finite(math.cos, 0.0, 1.0, cells - 1)
+        assert r.converged and r.evaluations == 21 * (cells - 1)
+
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_cells_below_one_rejected(self, cells):
+        with pytest.raises(InvalidArgumentError):
+            quadrature.integrate_finite(math.cos, 0.0, 1.0, cells)
+
     def test_k21_rule_exact_to_degree_30(self):
         v, _ = quadrature._gauss_kronrod(lambda x: x ** 30, -1.0, 1.0)
         assert abs(v - 2.0 / 31.0) <= 1e-15
