@@ -17,12 +17,23 @@ of the vector potentials.  For the elementary modes,
 (derived from (d_x + i d_y) psi_m = -k_perp psi_{m+1} and
 (d_x - i d_y) psi_m = +k_perp psi_{m-1}); the finite-difference curl
 verification pins this form.
+
+The module-level mutable state is one memo, which changes no result: the
+profiles the fields read (_profile, psi behind functools.lru_cache, the
+32 most recent argument tuples).  A, E and B of the TE, TM, L and R modes
+of order m at one point read 5 profiles, orders m - 2..m + 2, where the
+term tables name 45.  A hit returns the value psi computed for equal
+arguments and equal signs of rho and phi, so a signed zero is never
+answered with the other zero's value; an error is never stored.  psi
+itself is not memoized.  Code that replaces specfun.bessel_j and then
+evaluates fields must clear the memo first (_profile.cache_clear()).
 """
 
 from __future__ import annotations
 
 import cmath
 import collections
+import functools
 import math
 from enum import Enum
 
@@ -114,12 +125,30 @@ class TmTeDecomposition(collections.namedtuple(
 
 
 def psi(m: int, k_perp: float, rho: float, phi: float) -> complex:
-    """Scalar mode profile J_m(k_perp rho) e^{i m phi}."""
-    if k_perp <= 0.0:
-        raise InvalidArgumentError("k_perp must be > 0")
-    if rho < 0.0:
-        raise InvalidArgumentError("rho must be >= 0")
-    return specfun.bessel_j(m, k_perp * rho) * cmath.exp(1j * m * phi)
+    """Scalar mode profile J_m(k_perp rho) e^{i m phi}.
+    InvalidArgumentError, naming the argument, unless 0 < k_perp < inf,
+    0 <= rho < inf, k_perp rho < inf and phi is finite."""
+    if not 0.0 < k_perp < math.inf:
+        raise InvalidArgumentError(
+            f"k_perp must be finite and > 0, got {k_perp!r}")
+    if not 0.0 <= rho < math.inf:
+        raise InvalidArgumentError(f"rho must be finite and >= 0, got {rho!r}")
+    if not math.isfinite(phi):
+        raise InvalidArgumentError(f"phi must be finite, got {phi!r}")
+    x = k_perp * rho
+    if x == math.inf:
+        raise InvalidArgumentError(
+            f"k_perp * rho overflows: {k_perp!r} * {rho!r}")
+    return specfun.bessel_j(m, x) * cmath.exp(1j * m * phi)
+
+
+@functools.lru_cache(maxsize=32)
+def _profile(m: int, k_perp: float, rho: float, phi: float,
+             signs: float) -> complex:
+    """psi(m, k_perp, rho, phi) through the module's memo.  signs is
+    copysign(2, rho) + copysign(1, phi): -0.0 and 0.0 compare and hash
+    equal, and this keeps them apart in the key."""
+    return psi(m, k_perp, rho, phi)
 
 
 def normalization_e0(k_perp: float, k_z: float) -> float:
@@ -198,12 +227,14 @@ def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
     else:
         parts = ((mode, 1.0),)
     phase = _phase(mode, p)
+    rho, phi = p.rho, p.phi
+    signs = math.copysign(2.0, rho) + math.copysign(1.0, phi)
     slots = [0.0, 0.0, 0.0]  # indexed by slot: e_z, e_x + i e_y, e_x - i e_y
     for part, weight in parts:
         pref, terms = mode_terms(part, curl)
         pref *= weight * phase
         for mu, slot, c in terms:
-            slots[slot] += pref * c * psi(mu, mode.k_perp, p.rho, p.phi)
+            slots[slot] += pref * c * _profile(mu, mode.k_perp, rho, phi, signs)
     return _circular_sample(slots[1], slots[-1], slots[0])
 
 

@@ -665,6 +665,7 @@ def triple_bessel_candidate(k_perp: float, k_perp_R: float, k_perp_Rp: float,
 
 
 _TAIL_TOL = 1e-16  # the bound on the tail the trapped overlaps' cut-off drops
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @functools.lru_cache(maxsize=256)
@@ -674,7 +675,14 @@ def _tail_cutoff(weight: float, p: int, n1: int, a1: int, n2: int,
     to 1e-12 from above, with T(x) = weight x^(p-1) e^(-x^2) L_n1^a1(-x^2)
     L_n2^a2(-x^2) / (2 - s/x^2) <= _TAIL_TOL.  T bounds the tail, and falls
     with x, by |J| <= 1, |L_n^a(u)| <= L_n^a(-u) (a >= 0), t^p <= x^p (p < 0)
-    and Gamma(b, y) <= y^(b-1) e^(-y) / (1 - (b-1)/y) for y > b - 1 >= 0."""
+    and Gamma(b, y) <= y^(b-1) e^(-y) / (1 - (b-1)/y) for y > b - 1 >= 0.
+    InvalidArgumentError, before any evaluation, where floats end: a weight
+    that underflowed to 0, a bound that overflows (L_n^a(-x^2), from n ~ 240
+    at a = 0) or an integrand whose x^p overflows below X (p ln X > ln of
+    the largest float, from a1 = a2 = 128 at n = 0)."""
+    indices = f"p = {p}, (n, a) = ({n1}, {a1}) and ({n2}, {a2})"
+    if not weight > 0.0:
+        raise InvalidArgumentError(f"the weight underflowed to 0 at {indices}")
     s = max(p - 1, 0) + 2 * (n1 + n2)
     def log_t(x: float) -> float:  # log(T(x) / _TAIL_TOL)
         u = x * x
@@ -688,7 +696,13 @@ def _tail_cutoff(weight: float, p: int, n1: int, a1: int, n2: int,
     while hi - lo > 1e-12 * hi:
         mid = 0.5 * (lo + hi)
         lo, hi = (mid, hi) if log_t(mid) > 0.0 else (lo, mid)
-    return hi, _TAIL_TOL * math.exp(log_t(hi))
+    tail = _TAIL_TOL * math.exp(log_t(hi))
+    if not math.isfinite(tail):
+        raise InvalidArgumentError(f"the tail bound overflows a float at {indices}")
+    if p * math.log(hi) > _LOG_MAX:
+        raise InvalidArgumentError(
+            f"x^p overflows a float below the cut-off {hi:.6g} at {indices}")
+    return hi, tail
 
 
 def _laguerre_gauss_bessel(weight: float, p: int, n1: int, a1: int, n2: int,
@@ -734,9 +748,11 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
     unless 0 < k_perp < inf, and at a zero beat (k_perp +- k_R +- k_R' = 0),
     where the integral diverges.
     Trapped states: _laguerre_gauss_bessel (one derived cut-off) in x = R /
-    alpha, weighted by the states' norm 2 sqrt(n_bar! n_bar'! / ((n_bar +
-    |m_R|)! (n_bar' + |m_R'|)!)), so that the tolerance binds the overlap
-    itself; InvalidArgumentError unless 0 <= k_perp < inf.
+    alpha, weighted by the states' norm 2 sqrt(n_bar! / (n_bar + |m_R|)!)
+    sqrt(n_bar'! / (n_bar' + |m_R'|)!), each root taken apart so that the
+    norm stays normal to |m_R| ~ 170, and so that the tolerance binds the
+    overlap itself; InvalidArgumentError unless 0 <= k_perp < inf, and,
+    naming the states, where _tail_cutoff finds no float cut-off.
     """
     if cm_in.variant != cm_out.variant:
         raise InvalidArgumentError("center-of-mass variants must match")
@@ -750,10 +766,16 @@ def icm0(cm_in: CenterOfMassState, cm_out: CenterOfMassState,
         raise InvalidArgumentError(
             f"trapped icm0 needs 0 <= k_perp < inf, got {k_perp!r}")
     (n1, a1), (n2, a2) = ((s.n_bar, abs(s.m_R)) for s in (cm_in, cm_out))
-    norm = 2.0 * math.sqrt(math.factorial(n1) * math.factorial(n2)
-                           / (math.factorial(n1 + a1) * math.factorial(n2 + a2)))
-    return complex(_laguerre_gauss_bessel(
-        norm, 1 + a1 + a2, n1, a1, n2, a2, order, k_perp * cm_in.alpha).value)
+    norm = (2.0 * math.sqrt(math.factorial(n1) / math.factorial(n1 + a1))
+            * math.sqrt(math.factorial(n2) / math.factorial(n2 + a2)))
+    try:
+        r = _laguerre_gauss_bessel(norm, 1 + a1 + a2, n1, a1, n2, a2, order,
+                                   k_perp * cm_in.alpha)
+    except InvalidArgumentError as e:
+        raise InvalidArgumentError(
+            f"trapped icm0 of the states (m_R, n_bar) = ({cm_in.m_R}, {n1}) "
+            f"and ({cm_out.m_R}, {n2}): {e}") from None
+    return complex(r.value)
 
 
 def ho_gauss_bessel_candidate(nu: int, lam: int, eta: int, sigma: int,

@@ -1,8 +1,16 @@
 """Bessel-mode potentials and fields: Maxwell structure, polarization
-decompositions, and validation."""
+decompositions, and validation.
+
+The fields read their profiles through a memo (fields._profile).  A test
+that replaces specfun.bessel_j and then evaluates fields must clear it
+first, with fields._profile.cache_clear(), or it reads values computed
+before the replacement; and it must clear it again before it restores the
+original, or later tests read values of the replacement."""
 
 import cmath
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -50,6 +58,19 @@ class TestProfile:
     def test_psi_vanishes_on_axis_for_nonzero_m(self):
         assert fields.psi(2, 1.0, 0.0, 0.0) == 0.0
         assert fields.psi(0, 1.0, 0.0, 0.0) == 1.0
+
+    @pytest.mark.parametrize("args, name", [
+        ((1, math.nan, 1.0, 0.0), "k_perp"), ((1, math.inf, 1.0, 0.0), "k_perp"),
+        ((1, 0.0, 1.0, 0.0), "k_perp"), ((1, -1.0, 1.0, 0.0), "k_perp"),
+        ((1, 1.0, math.nan, 0.0), "rho"), ((1, 1.0, math.inf, 0.0), "rho"),
+        ((1, 1.0, -0.5, 0.0), "rho"), ((1, 1.0, 1.0, math.nan), "phi"),
+        ((1, 1.0, 1.0, -math.inf), "phi"),
+        ((1, 1e200, 1e200, 0.0), "k_perp \\* rho")])
+    def test_psi_names_the_bad_argument(self, args, name):
+        # A NaN phi once returned nan+nanj, and a NaN or infinite k_perp or
+        # rho an error that named bessel_j's x.
+        with pytest.raises(InvalidArgumentError, match=name):
+            fields.psi(*args)
 
     def test_negative_order_reflection(self):
         assert specfun.bessel_j(-3, 2.0) == pytest.approx(
@@ -183,6 +204,77 @@ class TestSlotComposition:
                     err = max(abs(getattr(got, c) - getattr(want, c))
                               for c in "xyz")
                     assert err <= 1e-14 * unit.norm(), (kind, m, x, label)
+
+
+def _bits(sample):
+    return b"".join(struct.pack("<dd", c.real, c.imag)
+                    for c in (sample.x, sample.y, sample.z))
+
+
+class TestProfileMemo:
+    FIELDS = (fields.vector_potential, fields.electric_field,
+              fields.magnetic_field)
+
+    @pytest.mark.parametrize("kind", list(ModeKind))
+    def test_bit_identical_to_uncached_profiles(self, kind, monkeypatch):
+        # TestSlotComposition's grid, with both signed zeros of rho and phi.
+        # Before each point the memo holds the profiles of its neighbours in
+        # the list, which include points that differ from it only in the
+        # sign of a zero, and so compare equal to it.
+        k_perp, k_z = 1.3, 0.7
+        points = []
+        for x in TestSlotComposition.ARGS:
+            rhos = (0.0, -0.0) if x == 0.0 else (x / k_perp,)
+            for rho, phi in itertools.product(rhos, (0.0, -0.0, 0.9)):
+                points.append(CylPoint(rho, phi, -0.4, 0.3))
+        for m in range(-6, 7):
+            mode = ModeSpec(kind, m, k_perp, k_z)
+            with monkeypatch.context() as uncached:
+                uncached.setattr(fields, "_profile", lambda m, k, rho, phi,
+                                 signs: fields.psi(m, k, rho, phi))
+                want = [[_bits(f(mode, p)) for f in self.FIELDS]
+                        for p in points]
+            fields._profile.cache_clear()
+            order = list(range(len(points)))
+            for i in order + order[::-1]:
+                got = [_bits(f(mode, points[i])) for f in self.FIELDS]
+                assert got == want[i], (m, points[i])
+
+    def test_five_bessel_calls_per_point(self, monkeypatch):
+        # A, E and B of TE, TM, L and R of order m read J_{m-2}..J_{m+2}:
+        # 45 terms, 5 profiles.
+        calls = []
+        original = specfun.bessel_j
+        fields._profile.cache_clear()
+        monkeypatch.setattr(specfun, "bessel_j",
+                            lambda order, x: calls.append(order) or original(order, x))
+        p = CylPoint(1.7, 0.4, 0.2, 0.1)
+        for kind in ModeKind:
+            mode = ModeSpec(kind, 3, 0.9, 1.1)
+            for f in self.FIELDS:
+                f(mode, p)
+        fields._profile.cache_clear()
+        assert sorted(calls) == [1, 2, 3, 4, 5]
+
+    @pytest.mark.parametrize("args", [(1, 1.0, 1.0, math.nan),
+                                      (1, math.inf, 1.0, 0.0),
+                                      (1, 1.0, math.nan, 0.0)])
+    def test_errors_are_never_stored(self, args):
+        fields._profile.cache_clear()
+        for _ in range(3):
+            with pytest.raises(InvalidArgumentError):
+                fields._profile(*args, 3.0)
+        info = fields._profile.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (0, 3, 0)
+
+    def test_memo_stays_at_its_bound(self):
+        fields._profile.cache_clear()
+        mode = ModeSpec(ModeKind.L, 2, 0.9, 1.1)
+        for i in range(20):
+            fields.magnetic_field(mode, CylPoint(0.1 + 0.2 * i, 0.4, 0.0))
+        info = fields._profile.cache_info()
+        assert info.maxsize == 32
+        assert (info.misses, info.currsize) == (60, 32)
 
 
 class TestPolarizationDecomposition:

@@ -1066,6 +1066,58 @@ class TestTrappedCutOff:
             evaluate()
         assert calls == [] and info.value.partial.evaluations == 0
 
+    @pytest.mark.parametrize("m_R", [100, 101, -102, 120, 127])
+    def test_high_m_R_matches_the_closed_form(self, m_R):
+        # icm0 of the state (m_R, 0) with itself is e^{-z} L_a(z), a = |m_R|,
+        # z = (k alpha)^2 / 4 (Gradshteyn-Ryzhik 6.631.10).  The norm once
+        # took its root after the factorial ratio, which went subnormal:
+        # 1.3e-5 off at a = 101 and a math domain error from a = 102.
+        st = me.CenterOfMassState.trapped(m_R, 0, 1.0)
+        for k in (0.5, 1.0, 2.0, 3.0):
+            z = mpmath.mpf(k) ** 2 / 4
+            want = float(mpmath.exp(-z) * mpmath.laguerre(abs(m_R), 0, z))
+            assert abs(me.icm0(st, st, k, 1.0, 0) - want) <= 1e-14
+
+    def test_ground_state_norm_is_two(self, monkeypatch):
+        weights = []
+        original = me._laguerre_gauss_bessel
+
+        def recorded(weight, *args):
+            weights.append(weight)
+            return original(weight, *args)
+        monkeypatch.setattr(me, "_laguerre_gauss_bessel", recorded)
+        cm = me.CenterOfMassState.trapped(0, 0, 1.2)
+        me.icm0(cm, cm, 1.1, 1.0, 0)
+        assert weights == [2.0]
+
+    @pytest.mark.parametrize("m_R, n_bar, reason", [
+        (128, 0, "x^p overflows"), (-170, 0, "x^p overflows"),
+        (200, 0, "weight underflowed"), (0, 250, "tail bound overflows"),
+        (-3, 300, "tail bound overflows")])
+    def test_past_float_range_raises_naming_the_states(self, m_R, n_bar,
+                                                       reason, monkeypatch):
+        # Past these states the integrand's x^p or the tail bound's
+        # L_n^a(-X^2) overflows a float, or the norm underflows: once an
+        # OverflowError, a math domain error, or a NaN bound followed by
+        # 200,000 evaluations.
+        calls = []
+        monkeypatch.setattr(me.specfun, "bessel_j",
+                            lambda *args: calls.append(args) or 0.0)
+        st = me.CenterOfMassState.trapped(m_R, n_bar, 1.0)
+        with pytest.raises(InvalidArgumentError) as info:
+            me.icm0(st, st, 1.0, 1.0, 0)
+        assert f"({m_R}, {n_bar}) and ({m_R}, {n_bar})" in str(info.value)
+        assert reason in str(info.value)
+        assert calls == []
+
+    @pytest.mark.parametrize("args", [(2.0, 1, 250, 0, 250, 0),
+                                      (2.0, 1, 300, 0, 300, 0),
+                                      (0.0, 1, 0, 0, 0, 0)])
+    def test_cut_off_without_a_float_bound_raises(self, args):
+        # _tail_cutoff(2.0, 1, 300, 0, 300, 0) once gave (34.64, nan).
+        with pytest.raises(InvalidArgumentError):
+            me._tail_cutoff(*args)
+
     @pytest.mark.parametrize("k_alpha", [20.0, 40.0, 55.0, 60.0])
     @pytest.mark.parametrize("n_bar, m, n", [(0, 3, 1), (1, 2, 1), (2, 4, 2),
                                              (3, 5, 1), (1, 3, 3)])
