@@ -28,6 +28,7 @@ import cmath
 import collections
 import functools
 import math
+import operator
 import sys
 from typing import Callable, Dict, List, NamedTuple, Optional, Tuple
 
@@ -445,8 +446,9 @@ def _hankel_coefficients(order: int, k: float) -> List[complex]:
 
 
 def _convolve(a: List[complex], b: List[complex]) -> List[complex]:
-    """The first _TAIL_TERMS + 1 coefficients of the product of two series."""
-    return [sum(a[i] * b[j - i] for i in range(j + 1))
+    """The first _TAIL_TERMS + 1 coefficients of the product of two series:
+    c_j = a_0 b_j + a_1 b_{j-1} + ... + a_j b_0, added in that order."""
+    return [sum(map(operator.mul, a[:j + 1], reversed(b[:j + 1])))
             for j in range(_TAIL_TERMS + 1)]
 
 
@@ -715,10 +717,13 @@ def _laguerre_gauss_bessel(weight: float, p: int, n1: int, a1: int, n2: int,
     the value.  n1, a1, n2, a2: integers >= 0, which the callers check."""
     x_max, tail = _tail_cutoff(weight, p, n1, a1, n2, a2)
     laguerre = specfun._laguerre
+    same = n1 == n2 and a1 == a2  # e.g. icm0 of a state with itself
     def f(x: float) -> float:
         u = x * x
-        return (weight * x ** p * math.exp(-u) * laguerre(n1, a1, u)
-                * laguerre(n2, a2, u) * specfun.bessel_j(nu, k_alpha * x))
+        l1 = laguerre(n1, a1, u)
+        l2 = l1 if same else laguerre(n2, a2, u)
+        return (weight * x ** p * math.exp(-u) * l1 * l2
+                * specfun.bessel_j(nu, k_alpha * x))
 
     value, err, evals, ok = quadrature.integrate_finite(
         f, 0.0, x_max, max(1, math.ceil(x_max * k_alpha / (6.0 * math.pi))))

@@ -11,13 +11,19 @@ consecutive p from one direct evaluation), and the Gegenbauer
 polynomials that drive the cylindrical addition theorem (a run of degrees
 by recurrence).
 
+The fit's table (_J01_FIT, rows of one degree) is taken apart into its
+four columns once, at import, and each column is evaluated by Horner's
+rule written out, with no loop.
+
 Every function is a pure function of its arguments.  The module-level
 mutable state is two memos, neither of which changes a result: the
 ascending series' coefficient rows (_SERIES_ROWS), one row per order m
 built in full on the first call at that order, and the Hankel-expansion
 ratios (4m^2 - (2k-1)^2) / (8k) (_HANKEL_RATIOS), a list per order m that
-grows only as far as a call has read it.  Their entries depend on the
-order and the index alone.
+grows only as far as a call has read it.  A series row holds, per term
+count N, the N coefficients it sums as one tuple, a suffix of the
+longest, so a call sums a stored tuple and copies nothing.  The entries
+depend on the order and the index alone.
 """
 
 from __future__ import annotations
@@ -102,16 +108,18 @@ def _require_integer(name: str, value, least: int):
 _SERIES_TAIL = 2.0 ** -56
 
 # Per order m >= 0: (L_1, L_2, ...), the largest h for each term count
-# (increasing); (c_{N-1}, ..., c_1, c_0), the coefficients highest first;
-# and 1/m!, correctly rounded from the exact integer, for m <= _FACT_MAX
-# (None above, where the prefactor is taken in log space).  Filled by
-# _series_row up to the count whose L_N reaches max(16, m + 1), the largest
-# h the series branch takes.
-_SERIES_ROWS: Dict[int, Tuple[List[float], List[float], Optional[float]]] = {}
+# (increasing); per term count N, the coefficients it sums, highest first,
+# (c_{N-1}, ..., c_1, c_0): each a suffix of the longest, so the sum reads
+# its tuple whole and copies no slice a call; and 1/m!, correctly rounded
+# from the exact integer, for m <= _FACT_MAX (None above, where the
+# prefactor is taken in log space).  Filled by _series_row up to the count
+# whose L_N reaches max(16, m + 1), the largest h the series branch takes.
+_SERIES_ROWS: Dict[int, Tuple[List[float], List[Tuple[float, ...]],
+                              Optional[float]]] = {}
 
 
-def _series_row(order: int
-                ) -> Tuple[List[float], List[float], Optional[float]]:
+def _series_row(order: int) -> Tuple[List[float], List[Tuple[float, ...]],
+                                     Optional[float]]:
     top = max(16.0, order + 1.0)
     coeffs = [1.0]
     limits = []
@@ -124,8 +132,9 @@ def _series_row(order: int
         limits.append((_SERIES_TAIL / c) ** (1.0 / t) if c else math.inf)
         coeffs.append(-c if t % 2 else c)
     coeffs.pop()  # c_N of the last count is dropped, not summed
+    sums = [tuple(coeffs[n - 1::-1]) for n in range(1, len(coeffs) + 1)]
     inv_fact = 1 / math.factorial(order) if order <= _FACT_MAX else None
-    row = (limits, coeffs[::-1], inv_fact)
+    row = (limits, sums, inv_fact)
     _SERIES_ROWS[order] = row
     return row
 
@@ -135,7 +144,7 @@ def _bessel_j_series(order: int, x: float) -> float:
     # Horner's rule alone, with no division, abs() or convergence test.
     if x == 0.0:
         return 1.0 if order == 0 else 0.0
-    limits, coeffs, inv_fact = _SERIES_ROWS.get(order) or _series_row(order)
+    limits, sums, inv_fact = _SERIES_ROWS.get(order) or _series_row(order)
     half = 0.5 * x
     if inv_fact is not None:
         # (x/2)^m / m! to a few ulps (a log-space exp loses ~1e-13 at
@@ -150,7 +159,7 @@ def _bessel_j_series(order: int, x: float) -> float:
         t0 = math.exp(log_t0)
     h2 = half * half
     total = 0.0
-    for c in coeffs[len(coeffs) - 1 - bisect.bisect_left(limits, h2):]:
+    for c in sums[bisect.bisect_left(limits, h2)]:
         total = total * h2 + c
     return t0 * total
 
@@ -290,21 +299,27 @@ _J01_FIT = (
 )
 
 
+# The table's columns, each highest degree first.
+_FIT_P0, _FIT_Q0, _FIT_P1, _FIT_Q1 = zip(*_J01_FIT)
+
+
 def _bessel_j_fit(order: int, x: float) -> float:
     # J_0 and J_1 from the fit, then J_{k+1} = (2k/x) J_k - J_{k-1} up to
     # order <= x, where the recurrence is stable.  The coefficient 2k/x is
     # formed at each step, as in the Miller pass.  cos and sin of
     # chi_n expand into those of x (cos/sin of (2n+1) pi/4 are +-1/sqrt(2)),
-    # which keeps x unrounded: x - phase would lose ~x 1e-16.
+    # which keeps x unrounded: x - phase would lose ~x 1e-16.  Each column
+    # is Horner's rule written out: a loop over the table's rows costs
+    # more a call, for the same bits.  Order 0 needs only P_0 and q_0.
     t = 64.0 / (x * x)
-    p0 = q0 = p1 = q1 = 0.0
-    if order == 0:  # J_0 alone: the P_0 and q_0 columns
-        for a, b, _, _ in _J01_FIT:
-            p0, q0 = p0 * t + a, q0 * t + b
-    else:
-        for a, b, c, d in _J01_FIT:
-            p0, q0 = p0 * t + a, q0 * t + b
-            p1, q1 = p1 * t + c, q1 * t + d
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _FIT_P0
+    p0 = ((((((((((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5)
+                * t + c6) * t + c7) * t + c8) * t + c9) * t + c10) * t + c11)
+          * t + c12)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _FIT_Q0
+    q0 = ((((((((((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5)
+                * t + c6) * t + c7) * t + c8) * t + c9) * t + c10) * t + c11)
+          * t + c12)
     cos_x = math.cos(x)
     sin_x = math.sin(x)
     r = 8.0 / x
@@ -312,6 +327,14 @@ def _bessel_j_fit(order: int, x: float) -> float:
     j0 = (p0 * (cos_x + sin_x) - r * q0 * (sin_x - cos_x)) / scale
     if order == 0:
         return j0
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _FIT_P1
+    p1 = ((((((((((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5)
+                * t + c6) * t + c7) * t + c8) * t + c9) * t + c10) * t + c11)
+          * t + c12)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12 = _FIT_Q1
+    q1 = ((((((((((((c0 * t + c1) * t + c2) * t + c3) * t + c4) * t + c5)
+                * t + c6) * t + c7) * t + c8) * t + c9) * t + c10) * t + c11)
+          * t + c12)
     j1 = (p1 * (sin_x - cos_x) + r * q1 * (sin_x + cos_x)) / scale
     for k in range(1, order):
         j0, j1 = j1, (2.0 * k / x) * j1 - j0

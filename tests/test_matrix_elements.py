@@ -471,6 +471,30 @@ class TestTripleBessel:
                 for n in (0, 1, 2)]
         assert vals[0] >= vals[1] >= vals[2]
 
+    def test_convolve_matches_the_generator_form(self):
+        # The products a_i b_{j-i}, added in the order i = 0..j, give the
+        # bits of the generator form, on random coefficients over many
+        # magnitudes and on the tail's own Hankel coefficients.
+        rng = random.Random(3101)
+
+        def generator_form(a, b):
+            return [sum(a[i] * b[j - i] for i in range(j + 1))
+                    for j in range(me._TAIL_TERMS + 1)]
+
+        def coefficients():
+            return [complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+                    * 10.0 ** rng.uniform(-12, 12)
+                    for _ in range(me._TAIL_TERMS + 1)]
+        pairs = [(coefficients(), coefficients()) for _ in range(200)]
+        for _ in range(50):
+            c1, c2 = (me._hankel_coefficients(rng.randint(-6, 6),
+                                              rng.uniform(0.1, 3.0))
+                      for _ in range(2))
+            pairs.append((c1, c2))
+            pairs.append((me._convolve(c1, c2), [x.conjugate() for x in c2]))
+        for a, b in pairs:
+            assert me._convolve(a, b) == generator_form(a, b)
+
 
 # Free icm0 (k_perp, k_R_in, k_R_out, order, m_R_in, m_R_out) and
 # triple_bessel (k, k_R, k_R', m, m_R, n) points with Bessel orders up to
@@ -1077,6 +1101,42 @@ class TestTrappedCutOff:
             z = mpmath.mpf(k) ** 2 / 4
             want = float(mpmath.exp(-z) * mpmath.laguerre(abs(m_R), 0, z))
             assert abs(me.icm0(st, st, k, 1.0, 0) - want) <= 1e-14
+
+    @pytest.mark.parametrize("n_bar, m_R, k_alpha", [
+        (0, 0, 1.1), (3, -2, 0.7), (5, 4, 2.3)])
+    def test_diagonal_overlap_evaluates_laguerre_once(self, n_bar, m_R,
+                                                      k_alpha, monkeypatch):
+        # A state with itself shares (n_bar, |m_R|): one L_n^a(x^2) per
+        # evaluation, squared, against two calls in the two-call form,
+        # which gives the same bits (the product is taken in one order).
+        a = abs(m_R)
+        weight = 2.0 * math.factorial(n_bar) / math.factorial(n_bar + a)
+        args = (weight, 1 + 2 * a, n_bar, a, n_bar, a)
+        x_max, tail = me._tail_cutoff(*args)
+        off_diagonal = (weight, 1 + 2 * a, n_bar, a, n_bar + 1, a)
+        me._tail_cutoff(*off_diagonal)  # memoized: no L calls below
+        laguerre = specfun._laguerre
+
+        def two_calls(x):
+            u = x * x
+            return (weight * x ** (1 + 2 * a) * math.exp(-u)
+                    * laguerre(n_bar, a, u) * laguerre(n_bar, a, u)
+                    * specfun.bessel_j(0, k_alpha * x))
+        value, err, evals, ok = integrate_finite(
+            two_calls, 0.0, x_max,
+            max(1, math.ceil(x_max * k_alpha / (6.0 * math.pi))))
+        calls = []
+        monkeypatch.setattr(
+            specfun, "_laguerre",
+            lambda *args: calls.append(args) or laguerre(*args))
+        r = me._laguerre_gauss_bessel(*args, 0, k_alpha)
+        assert len(calls) == r.evaluations == evals
+        assert (r.value, r.abs_error_estimate, r.converged) == (
+            value, err + tail, ok)
+        # Distinct states still take one call each.
+        calls.clear()
+        r = me._laguerre_gauss_bessel(*off_diagonal, 0, k_alpha)
+        assert len(calls) == 2 * r.evaluations
 
     def test_ground_state_norm_is_two(self, monkeypatch):
         weights = []

@@ -1,5 +1,6 @@
 """Special-function kernel vs an independent multiprecision oracle."""
 
+import bisect
 import math
 from fractions import Fraction
 
@@ -291,8 +292,8 @@ class TestBesselJSeries:
         # c_N h^N (exact rationals) is within _SERIES_TAIL, up to the
         # rounding of the power that placed h; the terms fall from there
         # on, so the alternating tail is below it.
-        limits, coeffs, _ = specfun._series_row(order)
-        assert len(limits) == len(coeffs)
+        limits, sums, _ = specfun._series_row(order)
+        assert len(limits) == len(sums)
         assert limits == sorted(limits)
         assert limits[-1] >= max(16.0, order + 1.0)
         tail = Fraction(specfun._SERIES_TAIL)
@@ -301,9 +302,14 @@ class TestBesselJSeries:
                            math.factorial(n) * math.factorial(order + n))
             assert c_n * Fraction(h) ** n <= tail * Fraction(1 + 1e-13)
             assert h < (n + 1) * (order + n + 1)
-        # The stored coefficients are c_0 .. c_{N-1}, highest first.
-        assert coeffs[-1] == 1.0
-        assert coeffs[-2] == -1.0 / (order + 1)
+            # The count N stores c_{N-1} .. c_0, highest first, each the
+            # exact (-1)^t m! / (t! (m+t)!) correctly rounded.
+            assert sums[n - 1] == tuple(
+                float(Fraction((-1) ** t * math.factorial(order),
+                               math.factorial(t) * math.factorial(order + t)))
+                for t in reversed(range(n)))
+        assert sums[-1][-1] == 1.0
+        assert sums[-1][-2] == -1.0 / (order + 1)
 
     def test_sum_stays_above_an_eighth_where_terms_fall(self):
         # The bound's premise: with (x/2)^2 < m + 1 the series sum
@@ -324,6 +330,96 @@ class TestBesselJSeries:
         monkeypatch.setattr(specfun, "_SERIES_ROWS", {})
         assert first == later == specfun.bessel_j(order, 6.0)
         assert abs(later - mpmath.besselj(order, 6.0)) <= self.BOUND
+
+
+def _fit_loop_form(order, x):
+    # _bessel_j_fit as one loop over the table's 4-tuples: the reference
+    # its written-out Horner columns must match bit for bit.
+    t = 64.0 / (x * x)
+    p0 = q0 = p1 = q1 = 0.0
+    for a, b, c, d in specfun._J01_FIT:
+        p0, q0 = p0 * t + a, q0 * t + b
+        p1, q1 = p1 * t + c, q1 * t + d
+    cos_x, sin_x = math.cos(x), math.sin(x)
+    r = 8.0 / x
+    scale = math.sqrt(math.pi * x)
+    j0 = (p0 * (cos_x + sin_x) - r * q0 * (sin_x - cos_x)) / scale
+    if order == 0:
+        return j0
+    j1 = (p1 * (sin_x - cos_x) + r * q1 * (sin_x + cos_x)) / scale
+    for k in range(1, order):
+        j0, j1 = j1, (2.0 * k / x) * j1 - j0
+    return j1
+
+
+def _series_slice_form(order, x):
+    # _bessel_j_series summing a slice of one coefficient list, c_t built
+    # here from exact rationals: the reference for its stored suffixes.
+    if x == 0.0:
+        return 1.0 if order == 0 else 0.0
+    limits, _, _ = specfun._series_row(order)
+    coeffs = [float(Fraction((-1) ** t * math.factorial(order),
+                             math.factorial(t) * math.factorial(order + t)))
+              for t in reversed(range(len(limits)))]
+    half = 0.5 * x
+    if order <= specfun._FACT_MAX:
+        t0 = half ** order * (1 / math.factorial(order))
+    else:
+        log_t0 = order * math.log(half) - math.lgamma(order + 1)
+        if log_t0 < -745.0:
+            return 0.0
+        t0 = math.exp(log_t0)
+    h2 = half * half
+    total = 0.0
+    for c in coeffs[len(coeffs) - 1 - bisect.bisect_left(limits, h2):]:
+        total = total * h2 + c
+    return t0 * total
+
+
+class TestBitIdenticalForms:
+    # The kernel's hot paths against the forms they replaced: equal bits,
+    # compared with ==, not within a tolerance.
+
+    def test_fit_matches_the_loop_form(self):
+        rng = np.random.RandomState(3102)
+        xs = [8.0, 8.5, 1e6, 1e200] + list(
+            np.exp(rng.uniform(np.log(8.0), np.log(3000.0), 400)))
+        for x in map(float, xs):
+            for order in {0, 1, 2, 3, int(rng.randint(0, min(x, 60) + 1))}:
+                assert (specfun._bessel_j_fit(order, x)
+                        == _fit_loop_form(order, x))
+
+    def test_series_matches_the_slice_form(self):
+        rng = np.random.RandomState(3103)
+        for _ in range(800):
+            order = int(rng.randint(0, 201))
+            top = max(8.0, 2.0 * math.sqrt(order + 1.0))
+            x = float(rng.uniform(0.0, top))
+            assert (specfun._bessel_j_series(order, x)
+                    == _series_slice_form(order, x))
+        for order in (0, 3, 171):
+            assert specfun._bessel_j_series(order, 0.0) == (order == 0)
+
+    def test_bessel_j_matches_the_reference_forms(self):
+        # Deterministic draws over the three branches and negative orders:
+        # (-1)^m times the reference branch that (|m|, x) selects.
+        rng = np.random.RandomState(3104)
+        taken = {"series": 0, "fit": 0, "miller": 0}
+        for _ in range(1500):
+            order = int(rng.randint(-60, 61))
+            x = float(np.exp(rng.uniform(np.log(1e-3), np.log(400.0))))
+            m = abs(order)
+            if x < 8.0 or x * x < 4.0 * (m + 1.0):
+                branch, want = "series", _series_slice_form(m, x)
+            elif m <= x:
+                branch, want = "fit", _fit_loop_form(m, x)
+            else:
+                branch, want = "miller", specfun._bessel_j_miller(m, x)
+            taken[branch] += 1
+            if order < 0 and order % 2:
+                want = -want
+            assert specfun.bessel_j(order, x) == want
+        assert min(taken.values()) >= 80
 
 
 class TestBesselJRun:
