@@ -374,6 +374,16 @@ def _verify_specfun(results, rng):
     rho = abs(R.to_complex() - q.to_complex())
     _check(results, "specfun.gegenbauer_expand",
            abs(r.value - specfun.bessel_j(1, rho) / rho), 1e-11)
+    # The fitted J_0/J_1 at 2 <= x < 8 against a Miller pass.  The draws
+    # come from a generator of their own, seeded from the shared one's
+    # state without drawing from it, so every other line keeps its draws.
+    local = type(rng)(rng.get_state()[1][:4])
+    worst = 0.0
+    for x in local.uniform(2.0, 8.0, 200):
+        j0, j1 = specfun.bessel_j_run(0, 2, x)
+        worst = max(worst, abs(specfun.bessel_j(0, x) - j0),
+                    abs(specfun.bessel_j(1, x) - j1))
+    _check(results, "specfun.j01_fit_vs_miller", worst, 1e-14)
 
 
 def _verify_gauge(results, rng):
@@ -411,21 +421,45 @@ def _verify_gauge(results, rng):
     _check(results, "gauge.helmholtz_residual", worst_helm, 1e-4)
 
 
+def _addition_sum(m, k, R, q):
+    """psi_m at R - q from the addition theorem's terms v = 0..80, summed
+    whole: the reference for psi_shifted's truncation bound."""
+    terms = 81
+    xr, xq = k * R.r, k * q.r
+    dphi = R.phi - q.phi
+    jr = specfun.bessel_j_run(m, terms, xr)
+    jq = specfun.bessel_j_run(m, terms, xq)
+    if m == 0:
+        return jr[0] * jq[0] + sum(2.0 * jr[v] * jq[v] * math.cos(v * dphi)
+                                   for v in range(1, terms))
+    cv = specfun.gegenbauer_run(m, terms, dphi)
+    pref = 2.0 ** m * math.factorial(m - 1) / (xr ** m * xq ** m)
+    ratio = sum(pref * (m + v) * jr[v] * jq[v] * cv[v] for v in range(terms))
+    return ratio * (k * (R.to_complex() - q.to_complex())) ** m
+
+
 def _verify_expansion(results, rng):
-    worst = 0.0
+    worst = excess = 0.0
     for _ in range(_EXPANSION_CASES):
         m = int(rng.randint(0, 7))
         k = rng.uniform(0.3, 1.5)
         R = expansion.PlanarVec(rng.uniform(0.3, 3.0), rng.uniform(0, 2 * math.pi))
         q = expansion.PlanarVec(rng.uniform(0.05, 3.0 / k), rng.uniform(0, 2 * math.pi))
         v_max = expansion.default_v_max(k, R, q)
-        approx = expansion.psi_shifted(m, k, R, q, v_max).value
+        shifted = expansion.psi_shifted(m, k, R, q, v_max)
+        approx = shifted.value
         rho = expansion.PlanarVec.from_complex(R.to_complex() - q.to_complex())
         # A Miller pass, not the scalar series (~4e-14 off near x = 8).
         direct = specfun.bessel_j_run(m, 1, k * rho.r)[0] * cmath.exp(1j * m * rho.phi)
         # Scale floor keeps the ratio meaningful near zeros of the profile.
         worst = max(worst, abs(approx - direct) / max(abs(direct), 1e-6))
+        # The series stops at its bound; the sum to v = 80 shows what it
+        # dropped, within the estimate and the rounding of two Miller
+        # passes of different lengths.
+        excess = max(excess, abs(approx - _addition_sum(m, k, R, q))
+                     - shifted.truncation_estimate)
     _check(results, "expansion.addition_theorem", worst, 1e-8)
+    _check(results, "expansion.truncation_estimate", excess, 1e-15)
     worst = 0.0
     for _ in range(20):
         m = int(rng.randint(1, 6))

@@ -3,7 +3,10 @@
 The scalar profile psi_m evaluated at R - q (vector difference of two
 transverse vectors) is expanded through the Gegenbauer addition theorem
 times the binomial phase (psi_shifted), checked against the direct
-evaluation (psi_displaced_direct).  The first-order two-displacement
+evaluation (psi_displaced_direct).  The series stops where a bound on its
+dropped terms, taken before any Bessel evaluation, falls below 2^-53 of
+its scale (_addition_cut); v_max caps it, and the bound on the dropped
+tail is the truncation estimate.  The first-order two-displacement
 bracket (quadrupole_expand) truncates the same profile at O(|r|).
 """
 
@@ -38,13 +41,41 @@ class PlanarVec(collections.namedtuple("PlanarVec", "r phi")):
 
 
 def default_v_max(k_perp: float, R: PlanarVec, q: PlanarVec) -> int:
-    """Automatic truncation: Bessel orders decay uniformly once the order
-    exceeds the argument, so k_perp * min(R, q) + 40 suffices.  A
-    non-finite k_perp * min(R, q) raises InvalidArgumentError."""
+    """A cap on the series' last index: k_perp * min(R, q) + 40, past which
+    Bessel orders decay uniformly.  gegenbauer_expand and psi_shifted stop
+    earlier where their bound allows.  A non-finite k_perp * min(R, q)
+    raises InvalidArgumentError."""
     x = k_perp * min(R.r, q.r)
     if not math.isfinite(x):
         raise InvalidArgumentError(f"k_perp * min(R, q) = {x!r} is not finite")
     return math.ceil(x) + 40
+
+
+# A dropped term of the addition theorem is at most this share of the
+# series' scale.
+_ADDITION_TAIL = 2.0 ** -53
+
+
+def _addition_cut(l: int, y: float, v_max: int):
+    """(n, tail) for the addition theorem of order l >= 0 (l = 0: the cosine
+    series of J_0) at y = k^2 R q / 4, before any Bessel evaluation.
+
+    |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4) and |C_v^l(cos)| <= C_v^l(1)
+    = (2l)_v / v! bound the v-th term by b_v, with b_0 the series' scale
+    (1/(2^l l!) for J_l(k rho)/(k rho)^l, 1 for J_0) and
+    b_{v+1}/b_v = y (2l+v) / ((l+v)(l+v+1)(v+1)), which is 2y/(l+1) at
+    v = 0 for every l and falls with v.  V is the least index past which
+    every b_v is at most _ADDITION_TAIL b_0: the first v whose ratio is
+    below 1 with b_{v+1} within it.  n = min(v_max, V) is the last index
+    kept, and tail >= sum_{v>n} b_v / b_0, as b_{n+1} / (1 - its ratio
+    from b_n); inf where the bounds still grow at the cap."""
+    ratio = r = 2.0 * y / (l + 1.0)  # b_1 / b_0
+    v = 0
+    while v < v_max and (ratio >= 1.0 or r > _ADDITION_TAIL):
+        v += 1
+        ratio = y * (2 * l + v) / ((l + v) * (l + v + 1.0) * (v + 1))
+        r *= ratio  # b_{v+1} / b_0
+    return v, (r / (1.0 - ratio) if ratio < 1.0 else math.inf)
 
 
 def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
@@ -58,6 +89,11 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     the Bessel values from one bessel_j_run per argument, the C_v^l from
     gegenbauer_run's recurrence in v.  The theorem's (l+v) weight is used:
     the printed (m-v) variant fails the direct-evaluation oracle.
+
+    v_max caps the sum: it stops at min(v_max, V), where V is the least
+    index past which the bound on each dropped term is at most 2^-53 of
+    the series' scale 1/(2^l l!), the ratio's largest value (at rho = 0).
+    ``truncation_estimate`` is the bound on the whole dropped tail.
     """
     specfun._require_integer("l", l, 1)
     specfun._require_integer("v_max", v_max, 0)
@@ -74,16 +110,16 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
         raise SingularConfigurationError(
             f"(kR)^l (kq)^l = {den!r} at l = {l}: the ratio form is singular")
     pref = 2.0 ** l * math.factorial(l - 1) / den
-    jr = specfun.bessel_j_run(l, v_max + 1, xr)
-    jq = specfun.bessel_j_run(l, v_max + 1, xq)
-    cv = specfun.gegenbauer_run(l, v_max + 1, dphi)
+    n, tail = _addition_cut(l, 0.25 * xr * xq, v_max)
+    jr = specfun.bessel_j_run(l, n + 1, xr)
+    jq = specfun.bessel_j_run(l, n + 1, xq)
+    cv = specfun.gegenbauer_run(l, n + 1, dphi)
     total = 0.0
-    last = 0.0
-    for v in range(v_max + 1):
-        last = pref * (l + v) * jr[v] * jq[v] * cv[v]
-        total += last
-    return SeriesResult(value=total, terms_used=v_max + 1,
-                        truncation_estimate=abs(last))
+    for v in range(n + 1):
+        total += pref * (l + v) * jr[v] * jq[v] * cv[v]
+    return SeriesResult(value=total, terms_used=n + 1,
+                        truncation_estimate=tail / (2 ** l
+                                                    * math.factorial(l)))
 
 
 def phase_expand(m: int, k_perp: float, R: PlanarVec, q: PlanarVec) -> complex:
@@ -106,27 +142,29 @@ def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
     """Series value of psi_m at the displaced point R - q; converges to
     J_m(k rho) e^{i m phi_rho}.  For m >= 1 it is the exact factorisation
     [J_m(k rho) / (k rho)^m] (k (R - q))^m: the gegenbauer_expand ratio
-    series times the binomial as one complex power.  ``terms_used`` counts
-    the v_max + 1 radial terms; ``truncation_estimate`` is the last one's
-    magnitude."""
+    series times the binomial as one complex power.  For m = 0 it is the
+    cosine series J_0(k rho) = sum_v (2 - delta_v0) J_v(kR) J_v(kq)
+    cos(v dphi), of scale 1.  Either stops at min(v_max, V), V from the
+    bound of gegenbauer_expand, computed before any Bessel evaluation;
+    ``terms_used`` counts the radial terms summed, and
+    ``truncation_estimate`` bounds the dropped tail (times |(k (R - q))^m|
+    for m >= 1)."""
     specfun._require_integer("m", m, 0)
     specfun._require_integer("v_max", v_max, 0)
     if m == 0:
-        # cosine series: J_0(k rho) = sum_v J_v(kR) J_v(kq) cos(v dphi)
         if not (R.r > 0.0 and q.r > 0.0):
             raise InvalidArgumentError("need R.r > 0 and q.r > 0")
         xr = k_perp * R.r
         xq = k_perp * q.r
         dphi = R.phi - q.phi
-        jr = specfun.bessel_j_run(0, v_max + 1, xr)
-        jq = specfun.bessel_j_run(0, v_max + 1, xq)
+        n, tail = _addition_cut(0, 0.25 * xr * xq, v_max)
+        jr = specfun.bessel_j_run(0, n + 1, xr)
+        jq = specfun.bessel_j_run(0, n + 1, xq)
         total = jr[0] * jq[0]
-        last = total
-        for v in range(1, v_max + 1):
-            last = 2.0 * jr[v] * jq[v] * math.cos(v * dphi)
-            total += last
-        return SeriesResult(value=total, terms_used=v_max + 1,
-                            truncation_estimate=abs(last))
+        for v in range(1, n + 1):
+            total += 2.0 * jr[v] * jq[v] * math.cos(v * dphi)
+        return SeriesResult(value=total, terms_used=n + 1,
+                            truncation_estimate=tail)
     ratio = gegenbauer_expand(m, k_perp, R, q, v_max)
     power = (k_perp * (R.to_complex() - q.to_complex())) ** m
     return SeriesResult(value=ratio.value * power,

@@ -18,6 +18,11 @@ of the vector potentials.  For the elementary modes,
 (d_x - i d_y) psi_m = +k_perp psi_{m-1}); the finite-difference curl
 verification pins this form.
 
+A field call reads w and E0 once, and an L/R mode weights the terms of
+its TM and TE parts, of its base order, with no ModeSpec built for them;
+mode_terms, through _terms, is still the one place the table is written.
+E = i w A is scaled as its one sample is built.
+
 The module-level mutable state is one memo, which changes no result: the
 profiles the fields read (_profile, psi behind functools.lru_cache, the
 32 most recent argument tuples).  A, E and B of the TE, TM, L and R modes
@@ -164,27 +169,41 @@ def _require_kz(mode: ModeSpec):
             "while the TM axial term diverges)")
 
 
-def _phase(mode: ModeSpec, p: CylPoint) -> complex:
-    return cmath.exp(1j * (mode.k_z * p.z - mode.omega() * p.t))
-
-
 def _circular_sample(plus: complex, minus: complex, axial: complex) -> FieldSample:
     # plus multiplies (e_x + i e_y), minus multiplies (e_x - i e_y).
     return FieldSample(plus + minus, 1j * (plus - minus), axial)
 
 
+def _lr_coefficients(kind: ModeKind, m: int, k_z: float, w: float):
+    # (c_tm, c_te, base_m) of lr_decomposition, w = hypot(k_perp, k_z).
+    if kind not in (ModeKind.L, ModeKind.R):
+        raise InvalidArgumentError("kind must be L or R")
+    a0p = math.sqrt(1.0 + (k_z * k_z) / (w * w)) / 2.0
+    if kind is ModeKind.L:
+        return a0p, -1j * (k_z / w) * a0p, m + 1
+    return a0p, +1j * (k_z / w) * a0p, m - 1
+
+
 def lr_decomposition(kind: ModeKind, m: int, k_perp: float,
                      k_z: float) -> TmTeDecomposition:
     """L/R polarized mode of index m as TE/TM coefficients of order m +/- 1."""
-    if kind not in (ModeKind.L, ModeKind.R):
-        raise InvalidArgumentError("kind must be L or R")
-    w = math.hypot(k_perp, k_z)
-    a0p = math.sqrt(1.0 + (k_z * k_z) / (w * w)) / 2.0
-    if kind is ModeKind.L:
-        return TmTeDecomposition(c_tm=a0p, c_te=-1j * (k_z / w) * a0p,
-                                 base_m=m + 1)
-    return TmTeDecomposition(c_tm=a0p, c_te=+1j * (k_z / w) * a0p,
-                             base_m=m - 1)
+    c_tm, c_te, base_m = _lr_coefficients(kind, m, k_z,
+                                          math.hypot(k_perp, k_z))
+    return TmTeDecomposition(c_tm=c_tm, c_te=c_te, base_m=base_m)
+
+
+def _terms(tm: bool, m: int, k_perp: float, k_z: float, e0: float,
+           w: float, curl: bool):
+    # mode_terms' table for a TM (tm) or TE mode of order m, given its
+    # normalization e0 and frequency w.
+    if tm:
+        pref = e0 * w / (2.0 * k_z) if curl else e0 / (2.0 * w)
+    else:
+        pref = 1j * e0 / 2.0 if curl else 1j * e0 / (2.0 * k_z)
+    if tm != curl:
+        return pref, ((m - 1, 1, 1.0), (m + 1, -1, -1.0),
+                      (m, 0, -2j * k_perp / k_z))
+    return pref, ((m - 1, 1, 1.0), (m + 1, -1, 1.0))
 
 
 def mode_terms(mode: ModeSpec, curl: bool):
@@ -203,54 +222,53 @@ def mode_terms(mode: ModeSpec, curl: bool):
         raise InvalidArgumentError(
             "mode terms cover TE/TM modes; L/R compose through lr_decomposition")
     _require_kz(mode)
-    e0 = normalization_e0(mode.k_perp, mode.k_z)
-    w = mode.omega()
-    if tm:
-        pref = e0 * w / (2.0 * mode.k_z) if curl else e0 / (2.0 * w)
-    else:
-        pref = 1j * e0 / 2.0 if curl else 1j * e0 / (2.0 * mode.k_z)
-    m = mode.m
-    if tm != curl:
-        return pref, ((m - 1, 1, 1.0), (m + 1, -1, -1.0),
-                      (m, 0, -2j * mode.k_perp / mode.k_z))
-    return pref, ((m - 1, 1, 1.0), (m + 1, -1, 1.0))
+    return _terms(tm, mode.m, mode.k_perp, mode.k_z,
+                  normalization_e0(mode.k_perp, mode.k_z), mode.omega(), curl)
 
 
-def _mode_field(mode: ModeSpec, p: CylPoint, curl: bool) -> FieldSample:
-    """A (curl=False) or B = curl A (curl=True) from mode_terms; an L/R
-    mode adds its TM and TE terms, of its base order, into the same slots."""
-    if mode.kind in (ModeKind.L, ModeKind.R):
-        dec = lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
-        m = dec.base_m
-        parts = ((ModeSpec(ModeKind.TM, m, mode.k_perp, mode.k_z), dec.c_tm),
-                 (ModeSpec(ModeKind.TE, m, mode.k_perp, mode.k_z), dec.c_te))
+def _mode_slots(mode: ModeSpec, p: CylPoint, curl: bool):
+    """(plus, minus, axial, w): the coefficients of e_x + i e_y, e_x - i e_y
+    and e_z in A (curl=False) or B = curl A (curl=True), from the term
+    table (_terms), and the mode's frequency.  An L/R mode adds the terms
+    of its TM and TE parts, of its base order, into the same slots.  w and
+    E0 are read once, and no ModeSpec is built for the parts."""
+    kind, m, k_perp, k_z = mode
+    w = math.hypot(k_perp, k_z)
+    if kind is ModeKind.TM or kind is ModeKind.TE:
+        parts = ((kind is ModeKind.TM, 1.0),)
     else:
-        parts = ((mode, 1.0),)
-    phase = _phase(mode, p)
+        c_tm, c_te, m = _lr_coefficients(kind, m, k_z, w)
+        parts = ((True, c_tm), (False, c_te))
+    _require_kz(mode)
+    e0 = normalization_e0(k_perp, k_z)
+    phase = cmath.exp(1j * (k_z * p.z - w * p.t))
     rho, phi = p.rho, p.phi
     signs = math.copysign(2.0, rho) + math.copysign(1.0, phi)
     slots = [0.0, 0.0, 0.0]  # indexed by slot: e_z, e_x + i e_y, e_x - i e_y
-    for part, weight in parts:
-        pref, terms = mode_terms(part, curl)
+    for tm, weight in parts:
+        pref, terms = _terms(tm, m, k_perp, k_z, e0, w, curl)
         pref *= weight * phase
         for mu, slot, c in terms:
-            slots[slot] += pref * c * _profile(mu, mode.k_perp, rho, phi, signs)
-    return _circular_sample(slots[1], slots[-1], slots[0])
+            slots[slot] += pref * c * _profile(mu, k_perp, rho, phi, signs)
+    return slots[1], slots[-1], slots[0], w
 
 
 def vector_potential(mode: ModeSpec, p: CylPoint) -> FieldSample:
     """Closed-form A of the requested mode kind, Cartesian components."""
-    return _mode_field(mode, p, curl=False)
+    return _circular_sample(*_mode_slots(mode, p, False)[:3])
 
 
 def electric_field(mode: ModeSpec, p: CylPoint) -> FieldSample:
-    """E = i w A (hbar = c = 1)."""
-    return vector_potential(mode, p).scaled(1j * mode.omega())
+    """E = i w A (hbar = c = 1), scaled as the sample is built."""
+    plus, minus, axial, w = _mode_slots(mode, p, False)
+    factor = 1j * w
+    return FieldSample(factor * (plus + minus), factor * (1j * (plus - minus)),
+                       factor * axial)
 
 
 def magnetic_field(mode: ModeSpec, p: CylPoint) -> FieldSample:
     """Closed-form B = curl A; for L/R composed via the decomposition."""
-    return _mode_field(mode, p, curl=True)
+    return _circular_sample(*_mode_slots(mode, p, True)[:3])
 
 
 def lr_cross_overlap(m: int, k_perp: float, k_z: float) -> float:

@@ -1,6 +1,7 @@
 """Self-contained special-function kernel.
 
-Bessel J of every integer order (ascending series for small x; for
+Bessel J of every integer order (J_0 and J_1 at 2 <= x < 8 from three
+fitted polynomial pieces; the ascending series for other small x; for
 x >= 8 and order <= x, J_0 and J_1 from fitted modulus-phase polynomials
 and the forward recurrence; else Miller's backward recurrence; runs of
 orders >= 0 from one Miller pass),
@@ -11,9 +12,9 @@ consecutive p from one direct evaluation), and the Gegenbauer
 polynomials that drive the cylindrical addition theorem (a run of degrees
 by recurrence).
 
-The fit's table (_J01_FIT, rows of one degree) is taken apart into its
-four columns once, at import, and each column is evaluated by Horner's
-rule written out, with no loop.
+The fits' tables (_J01_FIT and _J01_MID_FIT, rows of one degree) are
+taken apart into their columns once, at import, and each column is
+evaluated by Horner's rule written out, with no loop.
 
 Every function is a pure function of its arguments.  The module-level
 mutable state is two memos, neither of which changes a result: the
@@ -43,11 +44,12 @@ MAX_TERMS = 10_000
 # Relative truncation of hyp1f1_scaled's series.
 SERIES_REL_TOL = 1e-12
 
-# Crossover between the ascending power series and the large-x branches
-# (the J_0/J_1 fit with the forward recurrence, or Miller's backward
-# recurrence).  The series loses ~x/2.3 decimal digits to cancellation at
-# low order, so the crossover sits at 8 rather than higher: at x = 8 the
-# largest series term is ~4e2, keeping the absolute error near 4e-14.
+# Crossover between the ascending power series (or, for J_0 and J_1 from
+# x = 2, the polynomial pieces) and the large-x branches (the J_0/J_1 fit
+# with the forward recurrence, or Miller's backward recurrence).  The
+# series loses ~x/2.3 decimal digits to cancellation at low order, so the
+# crossover sits at 8 rather than higher: at x = 8 the largest series term
+# is ~4e2, keeping the absolute error near 4e-14.
 # The fit holds from x = 8 (t = 64/x^2 = 1) on.
 _SERIES_X_MAX = 8.0
 
@@ -341,21 +343,102 @@ def _bessel_j_fit(order: int, x: float) -> float:
     return j1
 
 
+# For 2 <= x < 8, J_0 and J_1 on the pieces [2, 4), [4, 6) and [6, 8), each
+# a degree-14 polynomial in u = x - c on [-1, 1], c = 3, 5, 7.  Rows of one
+# degree, highest first: (J_0, J_1) at c = 3, then at 5, then at 7.  Fitted
+# by mpmath.chebyfit at 40 digits, each within 9.1e-18 of the function;
+# tools/fit_bessel_j01.py rebuilds this table too.  Below x = 2 the series
+# stays: its terms fall from the first there, so it keeps relative digits
+# near 0, which a fit does not (one from 0 gave J_1(1e-8) 5e-9 off).
+_J01_MID_FIT = (
+    (2.2806012210242385e-12, -5.251558187805116e-13,
+     -2.9473004594794765e-13, 2.22149198790266e-12,
+     -1.9884326917613213e-12, -1.0757375884611599e-12),
+    (-8.262167031146628e-12, -3.186125293549988e-11,
+     3.315015219195541e-11, 4.116333853926274e-12,
+     -1.5177999748494732e-11, 2.777999826202868e-11),
+    (-4.507625831107302e-10, 1.0911514612868576e-10,
+     4.800218033490853e-11, -4.381727915078021e-10,
+     3.9650467361728056e-10, 2.008106310588391e-10),
+    (1.5072115153171936e-09, 5.408949491835083e-09,
+     -5.663361994639403e-09, -5.759965015477189e-10,
+     2.4051223569033863e-09, -4.757881893975826e-09),
+    (6.432338098867778e-08, -1.6581493536638193e-08,
+     -4.885717062571271e-09, 6.230614824679297e-08,
+     -5.7071444079138035e-08, -2.646078468328331e-08),
+    (-1.968446060853497e-07, -6.432335789774369e-07,
+     6.781096621183096e-07, 4.885713663461611e-08,
+     -2.5797893098118467e-07, 5.707142411842042e-07),
+    (-6.339252735902997e-06, 1.7716028092995793e-06,
+     2.1333006566399454e-07, -6.102992689060589e-06,
+     5.660746153281901e-06, 2.3218131535869834e-06),
+    (1.7594860214649042e-05, 5.071402176126188e-05,
+     -5.379500918192993e-05, -1.7066405067694935e-06,
+     1.722612595797642e-05, -4.528596911736867e-05),
+    (0.00039544606278280715, -0.00012316402193362176,
+     1.1202214685360808e-05, 0.0003765650660970928,
+     -0.0003528491002345345, -0.00012058288258891549),
+    (-0.0009834918796017143, -0.002372676376663774,
+     0.0025202119701862686, -6.721328811703284e-05,
+     -0.0005931489738820095, 0.0021170946013786213),
+    (-0.013502535016274445, 0.00491745939807325,
+     -0.0017073875968509598, -0.012601059851204953,
+     0.011790129357102835, 0.002965744869542547),
+    (0.02950475638843871, 0.05401014006509411,
+     -0.05614869347449754, 0.00682955038740438,
+     0.006396129897843241, -0.04716051742840816),
+    (0.18653580387195612, -0.08851426916531971,
+     0.05604047189802263, 0.16844608042350784,
+     -0.15037412265137393, -0.01918838969353709),
+    (-0.3390589585259364, -0.3730716077439121,
+     0.32757913759146506, -0.11208094379604527,
+     0.0046828234823458985, 0.30074824530274774),
+    (-0.26005195490193345, 0.3390589585259365,
+     -0.1775967713143383, -0.32757913759146523,
+     0.3000792705195556, -0.004682823482345833),
+)
+
+
+# Its columns by order, then by int(x) - 2, each highest degree first: the
+# piece [2p + 2, 2p + 4) serves int(x) - 2 = 2p and 2p + 1.
+_MID_COLUMNS = tuple(
+    tuple(columns[2 * (i // 2) + order] for i in range(6))
+    for columns in [tuple(zip(*_J01_MID_FIT))] for order in (0, 1))
+
+# The least x the table serves.
+_MID_X_MIN = 2.0
+
+
+def _bessel_j_mid(order: int, x: float) -> float:
+    # J_order(x), order 0 or 1, 2 <= x < 8, from its piece's column by
+    # Horner's rule written out, as _bessel_j_fit's.  x - c is exact
+    # (Sterbenz: c/2 <= x <= 2c), and int(x) | 1 is the centre c.
+    i = int(x)
+    u = x - (i | 1)
+    c0, c1, c2, c3, c4, c5, c6, c7, c8, c9, c10, c11, c12, c13, c14 = (
+        _MID_COLUMNS[order][i - 2])
+    return ((((((((((((((c0 * u + c1) * u + c2) * u + c3) * u + c4) * u
+                      + c5) * u + c6) * u + c7) * u + c8) * u + c9) * u
+                 + c10) * u + c11) * u + c12) * u + c13) * u + c14)
+
+
 def bessel_j(order: int, x: float) -> float:
     """Cylindrical Bessel function J_order(x) for every integer order, x >= 0.
 
-    Three branches, chosen from (order, x) alone: the ascending series for
-    x < 8 or x^2 < 4(order+1); for x >= 8 and order <= x, J_0 and J_1 from
-    fitted modulus-phase polynomials in 64/x^2, then the forward
-    recurrence up to the order (O(order) steps, never O(x)); else, for
-    x < order <= x^2/4 - 1, Miller's backward recurrence.  Absolute
-    errors, as the tests pin them: the series within ~4e-14 up to x = 8
-    (its terms cancel; far less at small x) and within 1e-15 relative
-    where its terms fall and order <= 170; the fit within 3e-16 at orders
-    0..12 and 1e-15 at every order <= x up to x = 3000; Miller within
-    ~1.5e-15 up to x = 3000.  Near a zero no double-precision value keeps
-    its relative digits.  A negative order is J_{-m} = (-1)^m J_m: a sign
-    on the one evaluation.  A non-integral order (a float, even 2.0)
+    Four branches, chosen from (order, x) alone: for orders 0 and 1 at
+    2 <= x < 8, a degree-14 polynomial piece in x - c, c = 3, 5, 7; the
+    ascending series for other x < 8 or x^2 < 4(order+1); for x >= 8 and
+    order <= x, J_0 and J_1 from fitted modulus-phase polynomials in
+    64/x^2, then the forward recurrence up to the order (O(order) steps,
+    never O(x)); else, for x < order <= x^2/4 - 1, Miller's backward
+    recurrence.  Absolute errors, as the tests pin them: the pieces within
+    3e-16; the series within ~4e-14 up to x = 8 (its terms cancel; far
+    less at small x) and within 1e-15 relative where its terms fall and
+    order <= 170, J_0 and J_1 below x = 2 included; the fit within 3e-16
+    at orders 0..12 and 1e-15 at every order <= x up to x = 3000; Miller
+    within ~1.5e-15 up to x = 3000.  Near a zero no double-precision value
+    keeps its relative digits.  A negative order is J_{-m} = (-1)^m J_m: a
+    sign on the one evaluation.  A non-integral order (a float, even 2.0)
     raises InvalidArgumentError.
     """
     # The class test spares an int the hasattr: ~0.02 us a call, not ~0.06.
@@ -374,7 +457,11 @@ def bessel_j(order: int, x: float) -> float:
     # The ascending series is cancellation-free while its terms decrease
     # from the start, i.e. (x/2)^2 < order + 1; beyond that it is kept
     # only up to the fixed crossover where the digit loss stays small.
-    if x < _SERIES_X_MAX or x * x < 4.0 * (order + 1.0):
+    if x < _SERIES_X_MAX:
+        if order < 2 and x >= _MID_X_MIN:
+            return sign * _bessel_j_mid(order, x)
+        return sign * _bessel_j_series(order, x)
+    if x * x < 4.0 * (order + 1.0):
         return sign * _bessel_j_series(order, x)
     if order <= x:
         return sign * _bessel_j_fit(order, x)

@@ -3,12 +3,14 @@ and the first-order two-displacement bracket."""
 
 import cmath
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
 
 from twistkit import expansion, specfun
+from twistkit.cli import _addition_sum
 from twistkit.errors import InvalidArgumentError, SingularConfigurationError
 from twistkit.expansion import PlanarVec
 
@@ -157,6 +159,95 @@ class TestPsiShifted:
             with pytest.raises(SingularConfigurationError):
                 expansion.psi_shifted(2, 1.0, PlanarVec(radius, 0.3),
                                       PlanarVec(1.0, 0.0), 40)
+
+
+def _draw(rng):
+    k = float(rng.uniform(0.3, 1.5))
+    R = PlanarVec(float(rng.uniform(0.3, 3.0)),
+                  float(rng.uniform(0, 2 * math.pi)))
+    q = PlanarVec(float(rng.uniform(0.05, 3.0 / k)),
+                  float(rng.uniform(0, 2 * math.pi)))
+    return k, R, q
+
+
+class TestTruncationBound:
+    # Both Miller passes round differently with their length: 1e-15 covers
+    # that (worst measured 6.2e-16 over 8,000 draws); the rest is the tail.
+    ROUNDING = 1e-15
+
+    def test_estimate_bounds_the_eighty_term_value(self):
+        rng = np.random.RandomState(3210)
+        for i in range(400):
+            m = i % 7
+            k, R, q = _draw(rng)
+            got = expansion.psi_shifted(m, k, R, q,
+                                        expansion.default_v_max(k, R, q))
+            assert got.terms_used < 30
+            assert (abs(got.value - _addition_sum(m, k, R, q))
+                    <= got.truncation_estimate + self.ROUNDING)
+
+    def test_estimate_bounds_a_capped_sum(self):
+        # Where v_max binds, the estimate is the bound on the terms dropped.
+        rng = np.random.RandomState(3211)
+        for i in range(400):
+            m = i % 7
+            k, R, q = _draw(rng)
+            cap = int(rng.randint(0, 8))
+            got = expansion.psi_shifted(m, k, R, q, cap)
+            if got.terms_used == cap + 1:
+                assert got.truncation_estimate > 0.0
+            assert (abs(got.value - _addition_sum(m, k, R, q))
+                    <= got.truncation_estimate + self.ROUNDING)
+
+    def test_runs_are_cut_before_any_bessel_evaluation(self, monkeypatch):
+        # One run per argument, of terms_used orders; a cap below V binds.
+        runs = []
+        original = specfun.bessel_j_run
+        monkeypatch.setattr(specfun, "bessel_j_run", lambda order, n, x:
+                            runs.append(n) or original(order, n, x))
+        R, q = PlanarVec(2.0, 0.3), PlanarVec(1.5, 1.1)
+        for m in range(4):
+            runs.clear()
+            got = expansion.psi_shifted(m, 1.0, R, q, 41)
+            assert runs == [got.terms_used] * 2
+            assert got.terms_used < 20
+            capped = expansion.psi_shifted(m, 1.0, R, q, 3)
+            assert capped.terms_used == 4
+
+    def test_cut_is_the_least_index_of_the_bound(self):
+        # V against the term bounds over the scale, b_v / b_0, in exact
+        # rationals: every one past V is within 2^-53, b_V is not (or
+        # V = 0), and the estimate holds their sum.
+        rng = np.random.RandomState(3212)
+        tail = Fraction(1, 2 ** 53)
+        for _ in range(60):
+            l = int(rng.randint(0, 7))
+            y = Fraction(float(rng.uniform(0.0, 12.0)))
+            n, est = expansion._addition_cut(l, float(y), 10 ** 6)
+
+            def b(v):
+                # (2 - delta_v0) y^v / v!^2 at l = 0; at l >= 1,
+                # (l+v)/l C(2l+v-1, v) l!^2 y^v / (l+v)!^2.
+                if l == 0:
+                    return (2 if v else 1) * y ** v / math.factorial(v) ** 2
+                weight = Fraction((l + v) * math.comb(2 * l + v - 1, v), l)
+                return (weight * y ** v * math.factorial(l) ** 2
+                        / math.factorial(l + v) ** 2)
+            assert n == 0 or b(n) > tail
+            assert all(b(v) <= tail for v in range(n + 1, n + 60))
+            assert sum(b(v) for v in range(n + 1, n + 60)) <= Fraction(est)
+
+    def test_gegenbauer_estimate_bounds_the_full_ratio(self):
+        rng = np.random.RandomState(3213)
+        for _ in range(200):
+            l = int(rng.randint(1, 7))
+            k, R, q = _draw(rng)
+            got = expansion.gegenbauer_expand(l, k, R, q, 80)
+            full = _addition_sum(l, k, R, q) / (
+                k * (R.to_complex() - q.to_complex())) ** l
+            assert abs(got.value - full) <= (got.truncation_estimate
+                                             + self.ROUNDING
+                                             / (2 ** l * math.factorial(l)))
 
 
 class TestPhaseExpand:

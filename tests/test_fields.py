@@ -182,8 +182,9 @@ def _recursive_field(mode, p, curl, bessel=specfun.bessel_j):
 
 
 class TestSlotComposition:
-    # k_perp rho over every bessel_j branch: 0, the series (0.3, 5), Miller
-    # (12) and Hankel's expansion (2500).
+    # k_perp rho over the bessel_j branches the profiles J_{m-2}..J_{m+2},
+    # |m| <= 6, reach: 0, the series (0.3, 5), the [2, 8) pieces (5, orders
+    # 0 and 1) and the large-x fit (12, 2500).
     ARGS = (0.0, 0.3, 5.0, 12.0, 2500.0)
 
     @pytest.mark.parametrize("kind", list(ModeKind))
@@ -275,6 +276,59 @@ class TestProfileMemo:
         info = fields._profile.cache_info()
         assert info.maxsize == 32
         assert (info.misses, info.currsize) == (60, 32)
+
+
+def _composed_field(mode, p, curl):
+    """A or B composed from records: an L/R mode adds the mode_terms of a
+    ModeSpec built for each of its TM and TE parts, weighted by
+    lr_decomposition, into the slots, and each part reads w and E0 anew."""
+    if mode.kind in (ModeKind.L, ModeKind.R):
+        dec = fields.lr_decomposition(mode.kind, mode.m, mode.k_perp, mode.k_z)
+        parts = ((ModeSpec(ModeKind.TM, dec.base_m, mode.k_perp, mode.k_z),
+                  dec.c_tm),
+                 (ModeSpec(ModeKind.TE, dec.base_m, mode.k_perp, mode.k_z),
+                  dec.c_te))
+    else:
+        parts = ((mode, 1.0),)
+    phase = cmath.exp(1j * (mode.k_z * p.z - mode.omega() * p.t))
+    slots = [0.0, 0.0, 0.0]
+    for part, weight in parts:
+        pref, terms = fields.mode_terms(part, curl)
+        pref *= weight * phase
+        for mu, slot, c in terms:
+            slots[slot] += pref * c * fields.psi(mu, mode.k_perp, p.rho, p.phi)
+    plus, minus = slots[1], slots[-1]
+    return FieldSample(plus + minus, 1j * (plus - minus), slots[0])
+
+
+class TestComposedForm:
+    @pytest.mark.parametrize("kind", list(ModeKind))
+    def test_bit_identical_to_the_composed_form(self, kind):
+        # TestSlotComposition's grid with both signed zeros of rho and phi;
+        # E against the composed A scaled by i w, as a second record.
+        k_perp, k_z = 1.3, 0.7
+        for m in range(-6, 7):
+            mode = ModeSpec(kind, m, k_perp, k_z)
+            for x in TestSlotComposition.ARGS:
+                rhos = (0.0, -0.0) if x == 0.0 else (x / k_perp,)
+                for rho, phi in itertools.product(rhos, (0.0, -0.0, 0.9)):
+                    p = CylPoint(rho, phi, -0.4, 0.3)
+                    a = _composed_field(mode, p, False)
+                    want = (a, a.scaled(1j * mode.omega()),
+                            _composed_field(mode, p, True))
+                    got = (fields.vector_potential(mode, p),
+                           fields.electric_field(mode, p),
+                           fields.magnetic_field(mode, p))
+                    assert list(map(_bits, got)) == list(map(_bits, want)), (
+                        m, x, rho, phi)
+
+    def test_invalid_kind_and_zero_kz_raise(self):
+        p = CylPoint(1.0, 0.2, 0.0)
+        for kind in ModeKind:
+            with pytest.raises(SingularNormalizationError):
+                fields.magnetic_field(ModeSpec(kind, 1, 1.0, 0.0), p)
+        with pytest.raises(InvalidArgumentError):
+            fields.vector_potential(ModeSpec(None, 1, 1.0, 1.0), p)
 
 
 class TestPolarizationDecomposition:

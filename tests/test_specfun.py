@@ -163,7 +163,9 @@ class TestBesselJ:
             assert abs(specfun._bessel_j_miller(order, x) - want) <= 1.5e-15
 
     @pytest.mark.parametrize("order, x, branch", [
-        (0, 8.0 - 1e-9, "_bessel_j_series"), (0, 8.0, "_bessel_j_fit"),
+        (0, 8.0 - 1e-9, "_bessel_j_mid"), (0, 8.0, "_bessel_j_fit"),
+        (1, 2.0, "_bessel_j_mid"), (-1, 2.0 - 1e-9, "_bessel_j_series"),
+        (2, 8.0 - 1e-9, "_bessel_j_series"),
         (8, 8.0, "_bessel_j_fit"), (9, 8.0, "_bessel_j_miller"),
         (15, 8.0, "_bessel_j_miller"), (16, 8.0, "_bessel_j_series"),
         (-3, 40.0, "_bessel_j_fit"), (40, 20.0, "_bessel_j_miller"),
@@ -173,7 +175,8 @@ class TestBesselJ:
                                               branch):
         # One branch per call, picked from (order, x): no try and fall back.
         calls = []
-        for name in ("_bessel_j_series", "_bessel_j_fit", "_bessel_j_miller"):
+        for name in ("_bessel_j_series", "_bessel_j_mid", "_bessel_j_fit",
+                     "_bessel_j_miller"):
             real = getattr(specfun, name)
 
             def counted(m, y, name=name, real=real):
@@ -230,6 +233,56 @@ class TestBesselJ:
             with pytest.raises(InvalidArgumentError):
                 specfun.bessel_j(order, x)
         assert specfun.bessel_j(np.int64(-3), 9.0) == specfun.bessel_j(-3, 9.0)
+
+
+class TestBesselJMid:
+    # J_0 and J_1 at 2 <= x < 8 from the three fitted pieces of _J01_MID_FIT.
+
+    def test_against_mpmath(self):
+        # Within 3e-16 absolute (worst measured 1.4e-16 over 20,000 draws;
+        # the series it replaced reached 1.7e-14 here).
+        rng = np.random.RandomState(3201)
+        for _ in range(2000):
+            order = int(rng.randint(0, 2))
+            x = float(rng.uniform(2.0, 8.0))
+            got = specfun.bessel_j(order, x)
+            assert got == specfun._bessel_j_mid(order, x)
+            assert abs(got - mpmath.besselj(order, x)) <= 3e-16
+            assert specfun.bessel_j(-order, x) == (-1) ** order * got
+
+    def test_relative_accuracy_below_two_is_the_series(self):
+        # Below x = 2 the terms of the series fall from the first, so J_0
+        # and J_1 keep relative digits down to x ~ 0 (a fit from 0 gave
+        # J_1(1e-8) 5e-9 off).
+        rng = np.random.RandomState(3202)
+        for x in [1e-300, 1e-8, 2.0 - 1e-12] + list(
+                np.exp(rng.uniform(np.log(1e-10), np.log(2.0), 600))):
+            for order in (0, 1):
+                got = specfun.bessel_j(order, float(x))
+                assert got == specfun._bessel_j_series(order, float(x))
+                want = mpmath.besselj(order, float(x))
+                assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_pieces_meet_at_their_edges(self):
+        # Each piece holds its own end: both sides of x = 4 and 6 stay on
+        # the oracle, and so do the table's ends, x = 2 and 8 - ulp.
+        for x in (2.0, 4.0, 6.0, math.nextafter(8.0, 0.0)):
+            for y in (math.nextafter(x, 0.0), x):
+                if 2.0 <= y < 8.0:
+                    for order in (0, 1):
+                        assert abs(specfun._bessel_j_mid(order, y)
+                                   - mpmath.besselj(order, y)) <= 3e-16
+
+    def test_table_shape(self):
+        # 15 rows of one degree, each (J_0, J_1) at the centres 3, 5, 7;
+        # at u = 0 each piece is J_n at its centre, to the fit's error
+        # (9.1e-18) and the coefficient's rounding (at most 2.8e-17).
+        assert len(specfun._J01_MID_FIT) == 15
+        assert all(len(row) == 6 for row in specfun._J01_MID_FIT)
+        for i, centre in enumerate((3, 5, 7)):
+            for order in (0, 1):
+                c = specfun._J01_MID_FIT[-1][2 * i + order]
+                assert abs(c - mpmath.besselj(order, centre)) <= 5e-17
 
 
 class TestBesselJSeries:
@@ -352,6 +405,17 @@ def _fit_loop_form(order, x):
     return j1
 
 
+def _mid_loop_form(order, x):
+    # _bessel_j_mid as one loop over the rows of _J01_MID_FIT: the
+    # reference its written-out Horner column must match bit for bit.
+    piece = int(x) // 2 - 1
+    u = x - (2 * piece + 3)
+    total = 0.0
+    for row in specfun._J01_MID_FIT:
+        total = total * u + row[2 * piece + order]
+    return total
+
+
 def _series_slice_form(order, x):
     # _bessel_j_series summing a slice of one coefficient list, c_t built
     # here from exact rationals: the reference for its stored suffixes.
@@ -389,6 +453,15 @@ class TestBitIdenticalForms:
                 assert (specfun._bessel_j_fit(order, x)
                         == _fit_loop_form(order, x))
 
+    def test_mid_matches_the_loop_form(self):
+        rng = np.random.RandomState(3204)
+        xs = [2.0, 4.0, 6.0, math.nextafter(8.0, 0.0)] + list(
+            rng.uniform(2.0, 8.0, 600))
+        for x in map(float, xs):
+            for order in (0, 1):
+                assert (specfun._bessel_j_mid(order, x)
+                        == _mid_loop_form(order, x))
+
     def test_series_matches_the_slice_form(self):
         rng = np.random.RandomState(3103)
         for _ in range(800):
@@ -401,15 +474,22 @@ class TestBitIdenticalForms:
             assert specfun._bessel_j_series(order, 0.0) == (order == 0)
 
     def test_bessel_j_matches_the_reference_forms(self):
-        # Deterministic draws over the three branches and negative orders:
-        # (-1)^m times the reference branch that (|m|, x) selects.
+        # Deterministic draws over the four branches and negative orders:
+        # (-1)^m times the reference branch that (|m|, x) selects.  The
+        # 1,500 draws over orders -60..60 reach J_0/J_1 at 2 <= x < 8 a few
+        # times; 400 more at orders -1..1 and x in (1, 9) cover it.
         rng = np.random.RandomState(3104)
-        taken = {"series": 0, "fit": 0, "miller": 0}
-        for _ in range(1500):
-            order = int(rng.randint(-60, 61))
-            x = float(np.exp(rng.uniform(np.log(1e-3), np.log(400.0))))
+        taken = {"series": 0, "mid": 0, "fit": 0, "miller": 0}
+        draws = [(int(rng.randint(-60, 61)),
+                  float(np.exp(rng.uniform(np.log(1e-3), np.log(400.0)))))
+                 for _ in range(1500)]
+        draws += [(int(rng.randint(-1, 2)), float(rng.uniform(1.0, 9.0)))
+                  for _ in range(400)]
+        for order, x in draws:
             m = abs(order)
-            if x < 8.0 or x * x < 4.0 * (m + 1.0):
+            if m < 2 and 2.0 <= x < 8.0:
+                branch, want = "mid", _mid_loop_form(m, x)
+            elif x < 8.0 or x * x < 4.0 * (m + 1.0):
                 branch, want = "series", _series_slice_form(m, x)
             elif m <= x:
                 branch, want = "fit", _fit_loop_form(m, x)
