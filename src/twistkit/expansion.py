@@ -5,9 +5,10 @@ transverse vectors) is expanded through the Gegenbauer addition theorem
 times the binomial phase (psi_shifted), checked against the direct
 evaluation (psi_displaced_direct).  The series stops where a bound on its
 dropped terms, taken before any Bessel evaluation, falls below 2^-53 of
-its scale (_addition_cut); v_max caps it, and the bound on the dropped
-tail is the truncation estimate.  The first-order two-displacement
-bracket (quadrupole_expand) truncates the same profile at O(|r|).
+the bound on its first term (_addition_cut); v_max caps it, and the bound
+on the dropped tail is the truncation estimate.  The first-order
+two-displacement bracket (quadrupole_expand) truncates the same profile at
+O(|r|).
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import cmath
 import collections
 import math
+import sys
 
 from . import specfun
 from .errors import InvalidArgumentError, SingularConfigurationError
@@ -52,30 +54,56 @@ def default_v_max(k_perp: float, R: PlanarVec, q: PlanarVec) -> int:
 
 
 # A dropped term of the addition theorem is at most this share of the
-# series' scale.
+# bound on its first term.
 _ADDITION_TAIL = 2.0 ** -53
+_TINY = sys.float_info.min  # floor of _addition_cut's n! / (x/2)^n
 
 
-def _addition_cut(l: int, y: float, v_max: int):
+def _addition_cut(l: int, x_small: float, x_large: float, v_max: int):
     """(n, tail) for the addition theorem of order l >= 0 (l = 0: the cosine
-    series of J_0) at y = k^2 R q / 4, before any Bessel evaluation.
+    series of J_0) with Bessel arguments x_small <= x_large, before any
+    Bessel evaluation.
 
-    |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4) and |C_v^l(cos)| <= C_v^l(1)
-    = (2l)_v / v! bound the v-th term by b_v, with b_0 the series' scale
-    (1/(2^l l!) for J_l(k rho)/(k rho)^l, 1 for J_0) and
-    b_{v+1}/b_v = y (2l+v) / ((l+v)(l+v+1)(v+1)), which is 2y/(l+1) at
-    v = 0 for every l and falls with v.  V is the least index past which
-    every b_v is at most _ADDITION_TAIL b_0: the first v whose ratio is
-    below 1 with b_{v+1} within it.  n = min(v_max, V) is the last index
-    kept, and tail >= sum_{v>n} b_v / b_0, as b_{n+1} / (1 - its ratio
-    from b_n); inf where the bounds still grow at the cap."""
-    ratio = r = 2.0 * y / (l + 1.0)  # b_1 / b_0
+    |J_n(x)| <= (x/2)^n / n! (DLMF 10.14.4), at the larger argument also
+    <= 1 (DLMF 10.14.1), and |C_v^l(cos)| <= C_v^l(1) = (2l)_v / v! bound
+    the v-th term by b_v.  In units of the series' scale (1/(2^l l!) for
+    J_l(k rho)/(k rho)^l, 1 for J_0), b_0 = c_l with
+    c_n = min(1, n! / (x_large/2)^n), and with y = x_small x_large / 4,
+    b_{v+1}/b_v is y (2l+v) / ((l+v)(l+v+1)(v+1)) c_{l+v+1} / c_{l+v}
+    (2y/(l+1) c_{l+1} / c_l at v = 0, for every l).  That ratio never grows
+    with v: it is (x_small/2) (2l+v) / ((l+v)(v+1)) (1/(v+1) at l = 0)
+    times the ratio of successive min(1, (x_large/2)^n / n!), and neither
+    factor grows.  V is the least index past which every b_v is at most
+    _ADDITION_TAIL b_0: the first v whose ratio is below 1 with b_{v+1}
+    within it.  n = min(v_max, V) is the last index kept, and
+    tail >= sum_{v>n} b_v, as b_{n+1} / (1 - its ratio from b_n); inf where
+    the bounds still grow at the cap.  g = n! / (x_large/2)^n is floored at
+    the least normal float, which only loosens the bound."""
+    y = 0.25 * x_small * x_large
+    h = 2.0 / x_large if x_large > 0.0 else math.inf
+    g = 1.0  # n! / (x_large/2)^n, from n = 0 to l
+    for k in range(1, l + 1):
+        g *= k * h
+        if g < _TINY:
+            g = _TINY
+    c = b0 = g if g < 1.0 else 1.0  # c_l
+    g *= (l + 1) * h
+    if g < _TINY:
+        g = _TINY
+    c_next = g if g < 1.0 else 1.0
+    ratio = r = 2.0 * y / (l + 1.0) * (c_next / c)  # b_1 / b_0
     v = 0
     while v < v_max and (ratio >= 1.0 or r > _ADDITION_TAIL):
         v += 1
-        ratio = y * (2 * l + v) / ((l + v) * (l + v + 1.0) * (v + 1))
+        c = c_next  # c_{l+v}
+        g *= (l + v + 1) * h
+        if g < _TINY:
+            g = _TINY
+        c_next = g if g < 1.0 else 1.0
+        ratio = (y * (2 * l + v) / ((l + v) * (l + v + 1.0) * (v + 1))
+                 * (c_next / c))
         r *= ratio  # b_{v+1} / b_0
-    return v, (r / (1.0 - ratio) if ratio < 1.0 else math.inf)
+    return v, (b0 * r / (1.0 - ratio) if ratio < 1.0 else math.inf)
 
 
 def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
@@ -92,7 +120,8 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
 
     v_max caps the sum: it stops at min(v_max, V), where V is the least
     index past which the bound on each dropped term is at most 2^-53 of
-    the series' scale 1/(2^l l!), the ratio's largest value (at rho = 0).
+    the bound on the first, 1/(2^l l!) (the ratio's largest value, at
+    rho = 0) times min(1, l! / (x/2)^l) at the larger argument x.
     ``truncation_estimate`` is the bound on the whole dropped tail.
     """
     specfun._require_integer("l", l, 1)
@@ -110,7 +139,7 @@ def gegenbauer_expand(l: int, k_perp: float, R: PlanarVec, q: PlanarVec,
         raise SingularConfigurationError(
             f"(kR)^l (kq)^l = {den!r} at l = {l}: the ratio form is singular")
     pref = 2.0 ** l * math.factorial(l - 1) / den
-    n, tail = _addition_cut(l, 0.25 * xr * xq, v_max)
+    n, tail = _addition_cut(l, min(xr, xq), max(xr, xq), v_max)
     jr = specfun.bessel_j_run(l, n + 1, xr)
     jq = specfun.bessel_j_run(l, n + 1, xq)
     cv = specfun.gegenbauer_run(l, n + 1, dphi)
@@ -157,7 +186,7 @@ def psi_shifted(m: int, k_perp: float, R: PlanarVec, q: PlanarVec,
         xr = k_perp * R.r
         xq = k_perp * q.r
         dphi = R.phi - q.phi
-        n, tail = _addition_cut(0, 0.25 * xr * xq, v_max)
+        n, tail = _addition_cut(0, min(xr, xq), max(xr, xq), v_max)
         jr = specfun.bessel_j_run(0, n + 1, xr)
         jq = specfun.bessel_j_run(0, n + 1, xq)
         total = jr[0] * jq[0]

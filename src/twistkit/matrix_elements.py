@@ -324,6 +324,8 @@ _N_PHI = 256
 _KR_R = 1.3
 _KR_Q = 0.7
 _CHANNEL_REL_TOL = 1e-9
+# The transform's 1/N^2 normalisation; N^2 = 2^16, so scaling by it is exact.
+_INV_N2 = 1.0 / (_N_PHI * _N_PHI)
 
 
 def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
@@ -343,6 +345,11 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
     + sin w phi_R sin w phi_r, so the integrand of one spin change is a
     sum of products U_k(phi_R) V_k(phi_r): its 2-D transform is
     fft(U)^T fft(V), from 1-D transforms of the sampled factors.
+    The magnitudes stay unscaled and flat: the peak, the threshold and
+    the kept bins (by flat index) come from one pass over them, and only
+    the peak and the kept values take the 1/_N_PHI^2 normalisation, a
+    power of two, so every comparison and value is that of the scaled
+    2-D spectrum bit for bit.
 
     InvalidArgumentError when the table cannot be trusted: a term's
     weight |coupling * radial| underflows or falls below _CHANNEL_REL_TOL
@@ -396,19 +403,21 @@ def azimuthal_channel_table(m: int, mode_kind: ModeKind, interaction: str,
             f"{1 / _CHANNEL_REL_TOL:.0e} or underflow")
 
     spectra = {d_spin: np.abs(np.fft.fft(us, axis=1).T
-                              @ np.fft.fft(vs, axis=1)) / (_N_PHI * _N_PHI)
+                              @ np.fft.fft(vs, axis=1)).ravel()
                for d_spin, (us, vs) in factors.items()}
     peak = max((float(mags.max()) for mags in spectra.values()), default=0.0)
     table: Dict[Tuple[int, int, int], float] = {}
-    if peak <= 1e-13 * sum(weights):
+    if peak * _INV_N2 <= 1e-13 * sum(weights):
         return table  # everything cancelled: no allowed channels
+    cut = _CHANNEL_REL_TOL * peak
     half = _N_PHI // 2
     for d_spin, mags in spectra.items():
-        rows, cols = np.nonzero(mags > _CHANNEL_REL_TOL * peak)
-        for jR, jr in zip(rows.tolist(), cols.tolist()):
+        kept = np.flatnonzero(mags > cut)
+        for i, mag in zip(kept.tolist(), mags[kept].tolist()):
+            jR, jr = divmod(i, _N_PHI)
             dR = jR if jR < half else jR - _N_PHI
             dr = jr if jr < half else jr - _N_PHI
-            table[(dR, dr, d_spin)] = float(mags[jR, jr])
+            table[(dR, dr, d_spin)] = mag * _INV_N2
     return table
 
 

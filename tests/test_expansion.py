@@ -215,27 +215,65 @@ class TestTruncationBound:
             assert capped.terms_used == 4
 
     def test_cut_is_the_least_index_of_the_bound(self):
-        # V against the term bounds over the scale, b_v / b_0, in exact
-        # rationals: every one past V is within 2^-53, b_V is not (or
-        # V = 0), and the estimate holds their sum.
+        # V against the term bounds over the first one's, b_v / b_0, in
+        # exact rationals: every one past V is within 2^-53, b_V is not (or
+        # V = 0), and the estimate, in units of the series' scale, holds
+        # their sum.
         rng = np.random.RandomState(3212)
         tail = Fraction(1, 2 ** 53)
         for _ in range(60):
             l = int(rng.randint(0, 7))
-            y = Fraction(float(rng.uniform(0.0, 12.0)))
-            n, est = expansion._addition_cut(l, float(y), 10 ** 6)
+            x_small = float(rng.uniform(0.0, 7.0))
+            x_large = x_small * float(rng.uniform(1.0, 30.0))
+            n, est = expansion._addition_cut(l, x_small, x_large, 10 ** 6)
+            y = Fraction(x_small) * Fraction(x_large) / 4
 
             def b(v):
                 # (2 - delta_v0) y^v / v!^2 at l = 0; at l >= 1,
-                # (l+v)/l C(2l+v-1, v) l!^2 y^v / (l+v)!^2.
+                # (l+v)/l C(2l+v-1, v) l!^2 y^v / (l+v)!^2; either times
+                # min(1, (l+v)! / (x_large/2)^(l+v)) for |J| <= 1.
                 if l == 0:
-                    return (2 if v else 1) * y ** v / math.factorial(v) ** 2
-                weight = Fraction((l + v) * math.comb(2 * l + v - 1, v), l)
-                return (weight * y ** v * math.factorial(l) ** 2
-                        / math.factorial(l + v) ** 2)
-            assert n == 0 or b(n) > tail
-            assert all(b(v) <= tail for v in range(n + 1, n + 60))
+                    bound = (2 if v else 1) * y ** v / math.factorial(v) ** 2
+                else:
+                    weight = Fraction((l + v) * math.comb(2 * l + v - 1, v), l)
+                    bound = (weight * y ** v * math.factorial(l) ** 2
+                             / math.factorial(l + v) ** 2)
+                return bound * min(1, math.factorial(l + v)
+                                   / (Fraction(x_large) / 2) ** (l + v))
+            assert n == 0 or b(n) > tail * b(0)
+            assert all(b(v) <= tail * b(0) for v in range(n + 1, n + 60))
             assert sum(b(v) for v in range(n + 1, n + 60)) <= Fraction(est)
+
+    def test_larger_argument_bound_keeps_the_estimate_small(self):
+        # With (x/2)^n / n! for both arguments, these reported 0.061 and
+        # 1.3e3 at the cap of 41 for values within 5.1e-16 of a Miller pass.
+        R, q = PlanarVec(1000.0, 0.3), PlanarVec(1.0, 1.1)
+        rho = PlanarVec.from_complex(R.to_complex() - q.to_complex())
+        for m in range(4):
+            got = expansion.psi_shifted(m, 1.0, R, q, 41)
+            want = (specfun.bessel_j_run(m, 1, rho.r)[0]
+                    * cmath.exp(1j * m * rho.phi))
+            assert got.terms_used < 20
+            assert got.truncation_estimate < 1e-15
+            assert abs(got.value - want) < 1e-15
+
+    def test_estimate_bounds_the_sum_at_large_kR(self):
+        # kR up to 1000 against kq up to 3, where |J_n(kR)| <= 1 is the
+        # tighter bound.  Rounding: worst measured 1.07e-15 over 10,000
+        # draws, from the ratio form's power at m = 6 and kR ~ 9.
+        rng = np.random.RandomState(3214)
+        for i in range(300):
+            m = i % 7
+            k = float(rng.uniform(0.3, 1.5))
+            R = PlanarVec(float(10 ** rng.uniform(-0.5, 3.0)) / k,
+                          float(rng.uniform(0, 2 * math.pi)))
+            q = PlanarVec(float(rng.uniform(0.05, 3.0 / k)),
+                          float(rng.uniform(0, 2 * math.pi)))
+            got = expansion.psi_shifted(m, k, R, q,
+                                        expansion.default_v_max(k, R, q))
+            assert got.truncation_estimate < 1e-15
+            assert (abs(got.value - _addition_sum(m, k, R, q))
+                    <= got.truncation_estimate + 2 * self.ROUNDING)
 
     def test_gegenbauer_estimate_bounds_the_full_ratio(self):
         rng = np.random.RandomState(3213)
